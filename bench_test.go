@@ -12,6 +12,7 @@ package dcsketch
 //	BenchmarkSpaceFootprint                       — §6.1 space comparison
 //	BenchmarkUpdate*/BenchmarkQuery*              — Table 2 cost asymmetics
 //	BenchmarkScenarioDiscrimination               — §1 robustness scenario
+//	BenchmarkAlertOnsetHealth                     — sketch-health read at alert onset
 //	Benchmark*Ablation*                           — design-choice ablations
 
 import (
@@ -20,6 +21,8 @@ import (
 
 	"dcsketch/internal/dcs"
 	"dcsketch/internal/experiment"
+	"dcsketch/internal/hashing"
+	"dcsketch/internal/monitor"
 	"dcsketch/internal/pipeline"
 	"dcsketch/internal/stream"
 	"dcsketch/internal/tdcs"
@@ -276,6 +279,47 @@ func BenchmarkMonitorPipeline(b *testing.B) {
 		mon.Update(u.Src, u.Dst, int64(u.Delta))
 	}
 }
+
+// BenchmarkAlertOnsetHealth times the sketch-health read every alert onset
+// makes under the monitor lock (and, in the daemons, under the server's
+// ingest lock): a monitor built with the daemons' defaults (3×128, seed 1,
+// K 10, CheckInterval 4096, MinFrequency 64) holding 20k live churn pairs.
+// Each churn step inserts a fresh pair and, once 20k are live, deletes the
+// oldest, so the sketch carries deletes as well as inserts.
+func BenchmarkAlertOnsetHealth(b *testing.B) {
+	mon, err := monitor.New(monitor.Config{
+		Sketch:        dcs.Config{Tables: 3, Buckets: 128, Seed: 1},
+		K:             10,
+		CheckInterval: 4096,
+		MinFrequency:  64,
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const live = 20_000
+	pair := func(i uint64) (src, dst uint32) {
+		return uint32(hashing.Mix64(2*i + 1)), 0x0A000000 | uint32(hashing.Mix64(2*i+2))&0x00FFFFFF
+	}
+	for i := uint64(0); i < 2*live; i++ {
+		src, dst := pair(i)
+		mon.Update(src, dst, 1)
+		if i >= live {
+			src, dst = pair(i - live)
+			mon.Update(src, dst, -1)
+		}
+	}
+	if h := mon.SketchHealth(); h.LevelsNonEmpty == 0 {
+		b.Fatal("churn left every level empty")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchHealth = mon.SketchHealth()
+	}
+}
+
+// benchHealth keeps the benchmarked health read observable.
+var benchHealth monitor.SketchHealth
 
 // BenchmarkMergeSketches measures collector-side sketch merging.
 func BenchmarkMergeSketches(b *testing.B) {

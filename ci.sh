@@ -8,9 +8,10 @@
 #                   pass, dcsdebug assertion tests, and a concurrent
 #                   fuzz smoke pass
 #   ./ci.sh bench   run the Table-2 update/query benchmarks plus the
-#                   pipeline ingest benchmark with -benchmem, record
-#                   medians to BENCH_2.json, and fail if any ns/op or
-#                   allocs/op regresses against BENCH_baseline.json
+#                   pipeline ingest and alert-onset health benchmarks
+#                   with -benchmem, record medians to BENCH_2.json, and
+#                   fail if any ns/op or allocs/op regresses against
+#                   BENCH_baseline.json
 #
 # `check` is the full gate documented in ROADMAP.md; run it before merging.
 set -eu
@@ -139,13 +140,14 @@ fuzz_group() {
 
 bench() {
 	# The gated benchmarks: the Table-2 per-update/query costs, the sharded
-	# ingest path, and the whole-pipeline server ingest (TCP socket ->
-	# pooled arena -> in-place decode -> pipeline -> kernel). 5 repeats
-	# give benchcheck a stable median.
+	# ingest path, the sketch-health read every alert onset makes under the
+	# server's ingest lock, and the whole-pipeline server ingest (TCP
+	# socket -> pooled arena -> in-place decode -> pipeline -> kernel).
+	# 5 repeats give benchcheck a stable median.
 	out="$(mktemp)"
 	trap 'rm -f "$out"' EXIT
 	go test -run '^$' \
-		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest)$' \
+		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest|BenchmarkAlertOnsetHealth)$' \
 		-benchmem -count 5 . | tee "$out"
 	go test -run '^$' \
 		-bench '^BenchmarkServerIngest$' \

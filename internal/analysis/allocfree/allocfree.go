@@ -34,7 +34,7 @@
 // the offending construct.
 //
 // Heap escapes the AST cannot see (a &local outliving its frame, an
-// escaping value struct) are the province of cmd/escapecheck, which
+// escaping value struct) are the province of cmd/perfcheck, which
 // ground-truths the same annotations against the compiler's own escape
 // analysis (go build -gcflags='-m -m'); the two gates share the annotation
 // vocabulary and run side by side in ./ci.sh check.

@@ -189,3 +189,121 @@ func TestUpdateBatchEmptyAndZeroDelta(t *testing.T) {
 		t.Fatalf("empty batches counted %d updates", got)
 	}
 }
+
+// scanNonEmptyLevels is the reference definition NonEmptyLevels replaced: a
+// walk over every signature counting the levels that hold any non-zero
+// counter.
+func scanNonEmptyLevels(s *Sketch) int {
+	n := 0
+	for l := 0; l < s.cfg.Levels; l++ {
+	scan:
+		for j := 0; j < s.cfg.Tables; j++ {
+			for b := 0; b < s.cfg.Buckets; b++ {
+				if !s.layout.IsZero(s.bucketSig(l, j, b)) {
+					n++
+					break scan
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestNonEmptyLevelsMatchesScan checks that counting non-empty levels from
+// the occupancy index agrees with the full signature scan on well-formed
+// streams: under random insert/delete churn, after every pair of a level is
+// deleted back to zero, and after Merge, Subtract, UnmarshalBinary and Reset.
+func TestNonEmptyLevelsMatchesScan(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 3},
+		{Seed: 3, DisableFingerprint: true},
+		{Seed: 1, Tables: 3, Buckets: 128},
+	} {
+		rng := rand.New(rand.NewSource(int64(cfg.Seed) + 41))
+		check := func(stage string, sk *Sketch) int {
+			t.Helper()
+			got, want := sk.NonEmptyLevels(), scanNonEmptyLevels(sk)
+			if got != want {
+				t.Fatalf("%+v %s: NonEmptyLevels = %d, scan = %d", cfg, stage, got, want)
+			}
+			return got
+		}
+
+		s := mustNew(t, cfg)
+		check("empty", s)
+		stream := randomStream(rng, 6000)
+		for i := 0; i < len(stream); i += 500 {
+			s.UpdateBatch(stream[i:min(i+500, len(stream))])
+			check("random stream", s)
+		}
+
+		// Delete every live pair of one level at a time: each level must
+		// drop out of both counts exactly when its last pair goes.
+		live := map[uint64]int64{}
+		for _, u := range stream {
+			live[u.Key] += u.Delta
+		}
+		byLevel := map[int][]uint64{}
+		buckets := make([]int, s.Config().Tables)
+		for key, c := range live {
+			if c > 0 {
+				l := s.Locate(key, buckets)
+				byLevel[l] = append(byLevel[l], key)
+			}
+		}
+		if len(byLevel) == 0 {
+			t.Fatalf("%+v: random stream left no live pairs", cfg)
+		}
+		for l, keys := range byLevel {
+			before := check("before level drain", s)
+			for _, key := range keys {
+				s.UpdateKey(key, -1)
+			}
+			if s.OccupiedBuckets(l) != 0 {
+				t.Fatalf("%+v: level %d occupancy %d after deleting all its pairs", cfg, l, s.OccupiedBuckets(l))
+			}
+			if after := check("after level drain", s); after != before-1 {
+				t.Fatalf("%+v: draining level %d moved NonEmptyLevels %d -> %d", cfg, l, before, after)
+			}
+		}
+		if n := check("fully drained", s); n != 0 {
+			t.Fatalf("%+v: %d non-empty levels after deleting every pair", cfg, n)
+		}
+
+		// Bulk linear operations rebuild the index by recount.
+		s.UpdateBatch(randomStream(rng, 3000))
+		other := mustNew(t, cfg)
+		other.UpdateBatch(randomStream(rng, 3000))
+		if err := s.Merge(other); err != nil {
+			t.Fatal(err)
+		}
+		check("after merge", s)
+		if err := s.Subtract(other); err != nil {
+			t.Fatal(err)
+		}
+		check("after subtract", s)
+		if err := other.Subtract(other); err != nil {
+			t.Fatal(err)
+		}
+		if n := check("after self-subtract", other); n != 0 {
+			t.Fatalf("%+v: %d non-empty levels after subtracting a sketch from itself", cfg, n)
+		}
+
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := UnmarshalBinary(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := check("after unmarshal", decoded), s.NonEmptyLevels(); got != want {
+			t.Fatalf("%+v: round trip moved NonEmptyLevels %d -> %d", cfg, want, got)
+		}
+
+		s.Reset()
+		if n := check("after reset", s); n != 0 {
+			t.Fatalf("%+v: %d non-empty levels after Reset", cfg, n)
+		}
+	}
+}

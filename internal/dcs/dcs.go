@@ -736,24 +736,24 @@ func (s *Sketch) OccupiedBuckets(level int) int { return int(s.occupied[level]) 
 
 // NonEmptyLevels returns the number of first-level buckets that currently
 // hold at least one non-zero counter (the paper's "~23 non-empty levels at
-// U = 8·10^6" space observation).
+// U = 8·10^6" space observation). The count is read from the occupancy
+// index (a level is non-empty when occupied[l] > 0), so it costs O(Levels)
+// rather than a walk over every counter — cheap enough for alert-onset
+// evidence and scrape probes that read it under their owners' locks.
+//
+// For well-formed streams (the invariants dcsdebug asserts: total >= 0 and
+// 0 <= bit <= total, with per-pair deletes never exceeding inserts) a
+// zero total forces an all-zero signature, so "some bucket has a non-zero
+// total" and "some counter is non-zero" are the same test. On ill-formed
+// input they can diverge: a level whose buckets all have zero totals but
+// non-zero bit or fingerprint residue counts as empty here. Such a level
+// holds no decodable singleton, since only a positive total decodes.
 func (s *Sketch) NonEmptyLevels() int {
 	n := 0
-	for l := 0; l < s.cfg.Levels; l++ {
-		if s.levelNonEmpty(l) {
+	for _, occ := range s.occupied {
+		if occ > 0 {
 			n++
 		}
 	}
 	return n
-}
-
-func (s *Sketch) levelNonEmpty(level int) bool {
-	for j := 0; j < s.cfg.Tables; j++ {
-		for b := 0; b < s.cfg.Buckets; b++ {
-			if !s.layout.IsZero(s.bucketSig(level, j, b)) {
-				return true
-			}
-		}
-	}
-	return false
 }

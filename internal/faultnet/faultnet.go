@@ -55,7 +55,9 @@ type Config struct {
 	// every wrapped connection) crosses a threshold drawn uniformly from
 	// [KillAfter/2, 3*KillAfter/2), every wrapped listener and every live
 	// connection is severed at once, mid-frame — the transport-visible
-	// signature of the wrapped process dying. The kill fires at most once
+	// signature of the wrapped process dying. A connection wrapped after
+	// the kill (a late Accept or Dial) is severed as soon as it is wrapped:
+	// a dead process holds no live connections. The kill fires at most once
 	// per injector and closes the Killed channel so the harness knows to
 	// restart the "process"; a restarted incarnation gets a fresh injector
 	// (and thus a fresh kill budget) of its own.
@@ -118,6 +120,9 @@ type Injector struct {
 	conns map[*conn]struct{}
 	// listeners tracks wrapped listeners for the same reason. guarded by mu
 	listeners []net.Listener
+	// dead marks a fired kill; WrapConn cuts connections wrapped after it
+	// (see fireKill). guarded by mu
+	dead bool
 }
 
 // New returns an injector for cfg.
@@ -188,8 +193,12 @@ func (in *Injector) WrapConn(c net.Conn) net.Conn {
 		closed: make(chan struct{}),
 	}
 	in.mu.Lock()
+	dead := in.dead
 	in.conns[fc] = struct{}{}
 	in.mu.Unlock()
+	if dead {
+		fc.cut()
+	}
 	return fc
 }
 
@@ -232,8 +241,12 @@ func (in *Injector) chargeKillLocked(n int) bool {
 // the Killed channel. Victims are collected under mu but cut outside it:
 // cutting re-enters connection state, and the documented lock order
 // (conn.mu before Injector.mu) forbids touching conn-side locks under mu.
+// Marking the injector dead in the same critical section closes the gap
+// this leaves: a connection wrapped after the collection is not a victim,
+// so WrapConn cuts it instead.
 func (in *Injector) fireKill() {
 	in.mu.Lock()
+	in.dead = true
 	victims := make([]*conn, 0, len(in.conns))
 	for c := range in.conns {
 		victims = append(victims, c)

@@ -37,14 +37,19 @@ func TestKillAfterSeversProcess(t *testing.T) {
 
 	// Two concurrent clients write until the kill severs them; both ends of
 	// each stream are wrapped, so reads and writes all charge the budget.
-	errs := make(chan error, 2)
+	// Both dial before either writes: a dial that lands after the kill is
+	// refused, which is right for a dead process but not what this checks.
+	var clients []net.Conn
 	for i := 0; i < 2; i++ {
+		c, err := in.Dial(ln.Addr().String(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	errs := make(chan error, 2)
+	for _, c := range clients {
 		go func() {
-			c, err := in.Dial(ln.Addr().String(), time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
 			defer c.Close()
 			chunk := make([]byte, 64)
 			for {
@@ -83,6 +88,39 @@ func TestKillAfterSeversProcess(t *testing.T) {
 	}
 	if total := st.BytesRead + st.BytesWritten; total < 4096/2 {
 		t.Fatalf("kill fired after only %d bytes, below the minimum jittered budget", total)
+	}
+}
+
+// TestKillCutsConnectionsWrappedAfterIt checks that the kill covers
+// connections wrapped after it fired (a late Accept or Dial racing the
+// crash): the first write on one fails instead of outliving the process.
+func TestKillCutsConnectionsWrappedAfterIt(t *testing.T) {
+	in := New(Config{Seed: 5, KillAfter: 1024})
+	client, server := pipePair(t)
+	fc := in.WrapConn(client)
+	_, done := drain(server)
+	chunk := make([]byte, 64)
+	for {
+		if _, err := fc.Write(chunk); err != nil {
+			break
+		}
+	}
+	select {
+	case <-in.Killed():
+	case <-time.After(5 * time.Second):
+		t.Fatal("kill never fired")
+	}
+	<-done
+
+	late, peer := pipePair(t)
+	lc := in.WrapConn(late)
+	_, lateDone := drain(peer)
+	if _, err := lc.Write(chunk); err == nil {
+		t.Fatal("connection wrapped after the kill accepted a write")
+	}
+	<-lateDone
+	if st := in.Stats(); st.Kills != 1 {
+		t.Fatalf("Kills = %d, want 1", st.Kills)
 	}
 }
 

@@ -3,10 +3,17 @@
 // the fact — the sketch state, baselines and tripwire statistics that fed the
 // decision are volatile and would otherwise be gone by the time anyone looks.
 //
-// Evidence capture happens inside check() with m.mu held, off the update hot
-// path (alert onsets are rare by construction — hysteresis holds the stream
-// to one per excursion), so unlike the tracelog record path it is allowed to
-// allocate the top-k copy it retains.
+// Evidence capture happens inside check() with m.mu held (in the daemons,
+// also under the server's ingest lock). Onsets are not rare: hysteresis holds
+// each destination to one alert per excursion, but churn alone brings fresh
+// destinations. A destination with one sampled source is estimated at
+// 2^level, which reaches the daemons' MinFrequency of 64 from sample level 6
+// (about 10k live pairs at 3×128). With the daemons' defaults, 20k live
+// churn pairs raise about 1.5 onsets per 4096-update check, and 10k raise
+// about 2.5. Capture therefore stays O(levels) apart from the top-k copy:
+// the sketch-health read counts non-empty levels from the occupancy index
+// instead of scanning the counters. Unlike the tracelog record path it is
+// allowed to allocate the top-k copy it retains.
 package monitor
 
 import "dcsketch/internal/dcs"

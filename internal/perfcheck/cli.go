@@ -13,8 +13,7 @@ import (
 	"dcsketch/internal/perfdiag"
 )
 
-// Options configures one perfcheck run (shared by cmd/perfcheck and the
-// cmd/escapecheck compatibility wrapper).
+// Options configures one perfcheck run of cmd/perfcheck.
 type Options struct {
 	// Dir is the directory whose enclosing module is checked ("" = cwd).
 	Dir string
@@ -25,8 +24,6 @@ type Options struct {
 	// JSON switches output to one JSON object per finding plus a summary
 	// trailer, matching the sketchlint inventory conventions.
 	JSON bool
-	// Tool is the name used in messages ("perfcheck" when empty).
-	Tool string
 }
 
 // jsonFinding mirrors Finding for the -json stream.
@@ -56,10 +53,6 @@ type jsonSummary struct {
 // error return).
 func Main(opts Options, w io.Writer) (int, error) {
 	start := time.Now()
-	tool := opts.Tool
-	if tool == "" {
-		tool = "perfcheck"
-	}
 	dir := opts.Dir
 	if dir == "" {
 		cwd, err := os.Getwd()
@@ -92,7 +85,7 @@ func Main(opts Options, w io.Writer) (int, error) {
 	}
 
 	if len(spans) == 0 && len(pins) == 0 {
-		fmt.Fprintf(w, "%s: no contract annotations found; nothing to check\n", tool)
+		fmt.Fprintln(w, "perfcheck: no contract annotations found; nothing to check")
 		return 0, nil
 	}
 
@@ -130,12 +123,12 @@ func Main(opts Options, w io.Writer) (int, error) {
 
 	if opts.JSON {
 		line, _ := json.Marshal(jsonSummary{
-			Summary: true, Tool: tool, Packages: len(SpanPackages(spans)), Spans: len(spans),
+			Summary: true, Tool: "perfcheck", Packages: len(SpanPackages(spans)), Spans: len(spans),
 			Findings: violations, Suppressed: suppressed, ElapsedMS: time.Since(start).Milliseconds(),
 		})
 		fmt.Fprintln(w, string(line))
 	} else if violations > 0 {
-		fmt.Fprintf(w, "%s: %d violation(s) across %d annotated span(s)\n", tool, violations, len(spans))
+		fmt.Fprintf(w, "perfcheck: %d violation(s) across %d annotated span(s)\n", violations, len(spans))
 	}
 	if violations > 0 {
 		return 1, nil

@@ -103,7 +103,6 @@ func TestMainContractFilter(t *testing.T) {
 	code, err := Main(Options{
 		Dir:       fixture(t, "dirtymod"),
 		Contracts: map[Contract]bool{Allocfree: true},
-		Tool:      "escapecheck",
 	}, &b)
 	if err != nil || code != 1 {
 		t.Fatalf("Main(dirty,allocfree) = %d, %v\n%s", code, err, b.String())
@@ -117,8 +116,8 @@ func TestMainContractFilter(t *testing.T) {
 			t.Errorf("allocfree-only run leaked %q:\n%s", reject, out)
 		}
 	}
-	if !strings.Contains(out, "escapecheck: 1 violation(s)") {
-		t.Errorf("filtered summary wrong (want 1 violation under tool name):\n%s", out)
+	if !strings.Contains(out, "perfcheck: 1 violation(s)") {
+		t.Errorf("filtered summary wrong (want 1 violation):\n%s", out)
 	}
 }
 

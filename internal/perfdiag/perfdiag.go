@@ -2,9 +2,9 @@
 // output: the escape-analysis and inlining decisions printed by
 // -gcflags='-m -m' and the residual bounds-check sites printed by
 // -gcflags='-d=ssa/check_bce/debug=1'. It is the text layer under
-// cmd/perfcheck (and its cmd/escapecheck alias), which turns these
-// diagnostics into CI-enforced contracts on the //lint:allocfree,
-// //lint:bce and //lint:inline annotated hot paths.
+// cmd/perfcheck, which turns these diagnostics into CI-enforced contracts
+// on the //lint:allocfree, //lint:bce and //lint:inline annotated hot
+// paths.
 //
 // The input is the combined stdout+stderr of a `go build` run: "# package"
 // section headers, one "file.go:line:col: message" diagnostic per line, and

@@ -13,7 +13,7 @@
 //
 //   - The record path (Counter.Inc/Add, Gauge.Set/Add, Histogram.Observe)
 //     is lock-free and allocation-free, proven by the //lint:allocfree
-//     call-graph analyzer and ground-truthed by cmd/escapecheck against the
+//     call-graph analyzer and ground-truthed by cmd/perfcheck against the
 //     compiler's escape analysis. Instruments are cache-line padded so two
 //     hot counters never false-share.
 //
