@@ -11,6 +11,7 @@ package dcsketch
 //	BenchmarkFig9QueryMix/*                       — Fig. 9 update+query mixes
 //	BenchmarkSpaceFootprint                       — §6.1 space comparison
 //	BenchmarkUpdate*/BenchmarkQuery*              — Table 2 cost asymmetics
+//	BenchmarkUpdateTrackingChurn                  — tracking batch path under daemon churn
 //	BenchmarkScenarioDiscrimination               — §1 robustness scenario
 //	BenchmarkAlertOnsetHealth                     — sketch-health read at alert onset
 //	Benchmark*Ablation*                           — design-choice ablations
@@ -164,6 +165,42 @@ func BenchmarkUpdateTracking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u := ups[i%len(ups)]
 		sk.Update(u.Src, u.Dst, int64(u.Delta))
+	}
+}
+
+// BenchmarkUpdateTrackingChurn times the tracking batch path on the daemons'
+// workload: 512-record tdcs.UpdateBatch calls at the daemons' config (3×128,
+// seed 1) over a delete-heavy churn in which each step inserts a fresh pair
+// and deletes the pair inserted 20k steps earlier. The 20k live pairs are
+// inserted untimed. One op is one record.
+func BenchmarkUpdateTrackingChurn(b *testing.B) {
+	const live, frame = 20_000, 512
+	// The churn repeats in cycles of cycleSteps steps; a cycle is longer
+	// than a pair's lifetime, so every pair is deleted before the cycle
+	// inserts it again.
+	const cycleSteps = 160 * frame / 2
+	pair := func(n uint64) uint64 {
+		return hashing.PairKey(uint32(hashing.Mix64(2*n+1)), 0x0A000000|uint32(hashing.Mix64(2*n+2))&0x00FFFFFF)
+	}
+	cycle := make([]dcs.KeyDelta, 0, 2*cycleSteps)
+	for t := uint64(0); t < cycleSteps; t++ {
+		cycle = append(cycle,
+			dcs.KeyDelta{Key: pair((live + t) % cycleSteps), Delta: 1},
+			dcs.KeyDelta{Key: pair(t), Delta: -1})
+	}
+	sk, err := tdcs.New(dcs.Config{Tables: 3, Buckets: 128, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for n := uint64(0); n < live; n++ {
+		sk.UpdateKey(pair(n), 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done, off := 0, 0; done < b.N; off = (off + frame) % len(cycle) {
+		n := min(frame, b.N-done)
+		sk.UpdateBatch(cycle[off : off+n])
+		done += n
 	}
 }
 

@@ -8,10 +8,10 @@
 #                   pass, dcsdebug assertion tests, and a concurrent
 #                   fuzz smoke pass
 #   ./ci.sh bench   run the Table-2 update/query benchmarks plus the
-#                   pipeline ingest and alert-onset health benchmarks
-#                   with -benchmem, record medians to BENCH_2.json, and
-#                   fail if any ns/op or allocs/op regresses against
-#                   BENCH_baseline.json
+#                   tracking churn, pipeline ingest, alert-onset health
+#                   and server ingest benchmarks with -benchmem, record
+#                   medians to BENCH_2.json, and fail if any ns/op or
+#                   allocs/op regresses against BENCH_baseline.json
 #
 # `check` is the full gate documented in ROADMAP.md; run it before merging.
 set -eu
@@ -82,14 +82,15 @@ check() {
 	go test -race -tags dcsdebug ./internal/dcs ./internal/tdcs
 	# Fuzz smoke: a short budget per representative target catches
 	# decoder and routing regressions without holding CI hostage. The
-	# fifteen targets are split into six groups; each group runs its
+	# sixteen targets are split into six groups; each group runs its
 	# targets sequentially in one background job and the groups run
 	# concurrently (-fuzztime is wall-clock, so overlapping the waits
-	# keeps the whole smoke pass under ~60s instead of 15 x 10s).
+	# keeps the whole smoke pass under ~60s instead of 16 x 10s).
 	# fuzz_group's quiet logs surface only on failure.
 	FUZZDIR="$(mktemp -d)"
 	fuzz_group sketch \
 		FuzzUnmarshalBinary ./internal/dcs \
+		FuzzLocatedBatch ./internal/tdcs \
 		FuzzShardRouting ./internal/pipeline \
 		FuzzDecodeSnapshot ./internal/snapshot &
 	fuzz_group wire-frame \
@@ -139,25 +140,29 @@ fuzz_group() {
 }
 
 bench() {
-	# The gated benchmarks: the Table-2 per-update/query costs, the sharded
-	# ingest path, the sketch-health read every alert onset makes under the
-	# server's ingest lock, and the whole-pipeline server ingest (TCP
-	# socket -> pooled arena -> in-place decode -> pipeline -> kernel).
+	# The gated benchmarks: the Table-2 per-update/query costs, the tracking
+	# batch path under the daemons' delete-heavy churn, the sharded ingest
+	# path, the sketch-health read every alert onset makes under the
+	# server's ingest lock, and the server ingest over TCP: the inline
+	# sequenced path the daemons run (ServerIngestSeq, one and two
+	# connections) and the sharded path (ServerIngest).
 	# 5 repeats give benchcheck a stable median.
 	out="$(mktemp)"
 	trap 'rm -f "$out"' EXIT
 	go test -run '^$' \
-		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest|BenchmarkAlertOnsetHealth)$' \
+		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkUpdateTrackingChurn|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest|BenchmarkAlertOnsetHealth)$' \
 		-benchmem -count 5 . | tee "$out"
 	go test -run '^$' \
-		-bench '^BenchmarkServerIngest$' \
+		-bench '^(BenchmarkServerIngest|BenchmarkServerIngestSeq)$' \
 		-benchmem -count 5 ./internal/server | tee -a "$out"
-	# Whole-pipeline throughput at a glance: median of the updates/s metric
-	# the server ingest benchmark reports alongside its per-frame ns/op.
-	awk '/^BenchmarkServerIngest/ { for (i = 1; i < NF; i++) if ($(i+1) == "updates/s") v[n++] = $i }
-	     END { if (n) { for (i = 0; i < n; i++) for (j = i + 1; j < n; j++)
-	           if (v[j] + 0 < v[i] + 0) { tmp = v[i]; v[i] = v[j]; v[j] = tmp }
-	           printf "server ingest throughput: %.0f updates/sec (median of %d runs)\n", v[int(n/2)], n } }' "$out"
+	# Server throughput at a glance: per benchmark, the median of the
+	# updates/s metric reported alongside the per-frame ns/op.
+	awk '/^BenchmarkServerIngest/ { name = $1; sub(/-[0-9]+$/, "", name)
+	       for (i = 1; i < NF; i++) if ($(i+1) == "updates/s") v[name, n[name]++] = $i }
+	     END { for (name in n) { k = n[name]
+	           for (i = 0; i < k; i++) for (j = i + 1; j < k; j++)
+	             if (v[name, j] + 0 < v[name, i] + 0) { tmp = v[name, i]; v[name, i] = v[name, j]; v[name, j] = tmp }
+	           printf "%s throughput: %.0f updates/sec (median of %d runs)\n", name, v[name, int(k/2)], k } }' "$out"
 	go run ./cmd/benchcheck parse -o BENCH_2.json "$out"
 	go run ./cmd/benchcheck compare \
 		-baseline BENCH_baseline.json -current BENCH_2.json -max-regress 0.10

@@ -132,6 +132,7 @@ func TestTelemetrySmoke(t *testing.T) {
 		"dcsketch_monitor_check_latency_ns_count":         1,
 		"dcsketch_runtime_heap_live_bytes":                1,
 		"dcsketch_runtime_goroutines":                     1,
+		"dcsketch_runtime_mutex_wait_ns_total":            0,
 	} {
 		if got := metricValue(body, series); got < min {
 			t.Errorf("%s = %v, want >= %v", series, got, min)

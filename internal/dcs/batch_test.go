@@ -244,10 +244,9 @@ func TestNonEmptyLevelsMatchesScan(t *testing.T) {
 			live[u.Key] += u.Delta
 		}
 		byLevel := map[int][]uint64{}
-		buckets := make([]int, s.Config().Tables)
 		for key, c := range live {
 			if c > 0 {
-				l := s.Locate(key, buckets)
+				l := s.LevelOf(key)
 				byLevel[l] = append(byLevel[l], key)
 			}
 		}

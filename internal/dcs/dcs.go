@@ -36,10 +36,10 @@ import (
 // on it.
 var _ [vec.Lanes]struct{} = [sig.KeyBits]struct{}{}
 
-// batchChunk is the number of records per precomputation chunk of
-// UpdateBatch: large enough to amortize the phase switch, small enough that
-// the per-chunk hash outputs (levels, fingerprints, flat counter indices)
-// stay resident in L1 while phase 2 replays them.
+// batchChunk is the number of records UpdateBatch locates before applying
+// them: large enough to amortize the phase switch, small enough that the
+// located chunk (keys, fingerprints, levels, bucket ordinals) stays resident
+// in L1 while the apply loop replays it.
 const batchChunk = 128
 
 // Default parameter values; the defaults for r and s match the paper's
@@ -174,9 +174,8 @@ type Sketch struct {
 	tableStride int
 	levelStride int
 
-	levelHash  *hashing.Tab64
-	fpHash     *hashing.Tab64
-	bucketHash []*hashing.Tab64
+	// loc holds the hash functions; immutable after New.
+	loc *Locator
 
 	// counters is the flattened 4-D array X[level][table][bucket][pos]
 	// of the paper (Fig. 2).
@@ -204,19 +203,15 @@ type Sketch struct {
 	estimates   []Estimate          //lint:scratch
 
 	// addends is the per-update masked addend vector (vec.BuildMaskedAddends
-	// output), built once per update and applied to each of the r tables.
-	// Update scratch, valid only within one kernel invocation.
+	// output), built once per record by StartLocated and applied to each of
+	// the r tables by ApplyLocated.
 	addends [vec.Lanes]int64
 
-	// Batch precomputation scratch (UpdateBatch phase 1 → phase 2): per
-	// chunked record the pair key, delta, fingerprint, first-level bucket,
-	// and the r flat counter indices. Sized at construction so the batch
-	// path never allocates.
-	batchKeys   []uint64 //lint:scratch
-	batchDeltas []int64  //lint:scratch
-	batchFps    []int64  //lint:scratch
-	batchLevels []int32  //lint:scratch
-	batchIdx    []int    //lint:scratch
+	// located is UpdateBatch's scratch: each chunk of the batch is located
+	// into it, then applied. It grows to batchChunk records once.
+	located Located //lint:scratch
+	// keyBuckets holds UpdateKey's r bucket ordinals.
+	keyBuckets []int32 //lint:scratch
 
 	// qstats holds the query-path health counters (see QueryStats). Plain
 	// words under the same single-writer contract as the rest of the
@@ -234,28 +229,17 @@ func New(cfg Config) (*Sketch, error) {
 	}
 	layout := sig.Layout{Fingerprint: !cfg.DisableFingerprint}
 	width := layout.Width()
-	seeds := hashing.NewSplitMix64(cfg.Seed)
-	s := &Sketch{
+	return &Sketch{
 		cfg:         cfg,
 		layout:      layout,
 		width:       width,
 		tableStride: cfg.Buckets * width,
 		levelStride: cfg.Tables * cfg.Buckets * width,
-		levelHash:   hashing.NewTab64(seeds.Next()),
-		fpHash:      hashing.NewTab64(seeds.Next()),
-		bucketHash:  make([]*hashing.Tab64, cfg.Tables),
+		loc:         newLocator(cfg),
 		counters:    make([]int64, cfg.Levels*cfg.Tables*cfg.Buckets*width),
 		occupied:    make([]int32, cfg.Levels),
-		batchKeys:   make([]uint64, batchChunk),
-		batchDeltas: make([]int64, batchChunk),
-		batchFps:    make([]int64, batchChunk),
-		batchLevels: make([]int32, batchChunk),
-		batchIdx:    make([]int, batchChunk*cfg.Tables),
-	}
-	for j := range s.bucketHash {
-		s.bucketHash[j] = hashing.NewTab64(seeds.Next())
-	}
-	return s, nil
+		keyBuckets:  make([]int32, cfg.Tables),
+	}, nil
 }
 
 // Config returns the sketch's effective (defaulted) configuration.
@@ -289,147 +273,41 @@ func (s *Sketch) UpdateKey(key uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	s.updateKernel(key, delta)
-	if debugAssertions && delta < 0 {
-		s.assertKeyBuckets(key, "delete")
-	}
+	s.updateKey(key, delta)
+}
+
+// updateKey runs one update through the same two phases as UpdateBatch,
+// without the batch bookkeeping.
+//
+//lint:allocfree
+//lint:bce
+func (s *Sketch) updateKey(key uint64, delta int64) {
+	var rec locatedRec
+	s.loc.locate(&rec, s.keyBuckets, key, delta)
+	s.applyLocated(&rec, s.keyBuckets)
 }
 
 // UpdateBatch applies a batch of flow updates, the bulk form of UpdateKey.
 // Zero deltas are skipped. The batch slice is read-only to the sketch and
 // may be reused by the caller afterwards.
 //
-// The batch runs in two phases per chunk of batchChunk records: phase 1
-// computes every hash (first-level bucket, fingerprint, and the r flat
-// counter indices) into sketch-owned scratch, phase 2 replays the scratch
-// applying the vectorized signature adds. Splitting the pure hash
-// computation from the counter writes keeps the hash tables hot in cache
-// during phase 1 and turns phase 2 into straight-line load-add-store work
-// with no hash-table traffic interleaved.
+// The batch runs in two phases per chunk of batchChunk records: the hash
+// phase (Locator.LocateBatch) computes every record's first-level bucket,
+// fingerprint and r bucket ordinals into sketch-owned scratch, and the apply
+// phase replays the scratch with the vectorized signature adds. Splitting
+// the pure hash computation from the counter writes keeps the hash tables
+// hot in cache during the first phase and lets the second prefetch the
+// buckets of records it has not reached yet.
 //
 //lint:allocfree
 //lint:bce
 func (s *Sketch) UpdateBatch(batch []KeyDelta) {
-	r := len(s.bucketHash)
 	for len(batch) > 0 {
-		chunk := batch
-		if len(chunk) > batchChunk {
-			chunk = chunk[:batchChunk]
-		}
-		batch = batch[len(chunk):] //lint:bceok len(chunk) <= len(batch) by construction two lines up
-
-		// Phase 1: hash precomputation. Zero-delta records are compacted
-		// away here so phase 2 sees only live updates.
-		keys, deltas := s.batchKeys, s.batchDeltas
-		fps, levels, idx := s.batchFps, s.batchLevels, s.batchIdx
-		n := 0
-		for _, u := range chunk {
-			if u.Delta == 0 {
-				continue
-			}
-			key := u.Key
-			keys[n] = key       //lint:bceok n < batchChunk, the scratch capacity; not provable from the range bound
-			deltas[n] = u.Delta //lint:bceok n < batchChunk scratch capacity
-			level := s.levelHash.Level(key, s.cfg.Levels)
-			levels[n] = int32(level) //lint:bceok n < batchChunk scratch capacity
-			if s.layout.Fingerprint {
-				fps[n] = s.fpHash.Fingerprint(key) //lint:bceok n < batchChunk scratch capacity
-			} else {
-				fps[n] = 0 //lint:bceok n < batchChunk scratch capacity
-			}
-			base := level * s.levelStride
-			for j, h := range s.bucketHash {
-				idx[n*r+j] = base + j*s.tableStride + h.Bucket(key, s.cfg.Buckets)*s.width //lint:bceok n*r+j < batchChunk*r, the idx scratch capacity
-			}
-			n++
-		}
-
-		// Phase 2: apply. One addend build per record, r vector adds.
-		for i := 0; i < n; i++ {
-			delta := deltas[i]                                 //lint:bceok i < n <= batchChunk scratch length
-			vec.BuildMaskedAddends(&s.addends, keys[i], delta) //lint:bceok i < n <= batchChunk scratch length
-			fp := fps[i]                                       //lint:bceok i < n <= batchChunk scratch length
-			occ := int32(0)
-			for j := 0; j < r; j++ {
-				occ += s.applySig(idx[i*r+j], delta, fp) //lint:bceok i*r+j < batchChunk*r idx capacity
-			}
-			s.occupied[levels[i]] += occ //lint:bceok levels[i] < cfg.Levels from the level hash; i < n scratch length
-			if debugAssertions && delta < 0 {
-				s.assertKeyBuckets(keys[i], "delete")
-			}
-		}
-		s.updates += uint64(n)
+		chunk := batch[:min(len(batch), batchChunk)]
+		batch = batch[len(chunk):]
+		s.loc.LocateBatch(&s.located, chunk)
+		s.updateLocated(&s.located)
 	}
-}
-
-// Locate computes key's first-level bucket and fills buckets[j] with key's
-// second-level bucket in table j. buckets must have length Tables. It exists
-// so the tracking sketch computes each key's hash locations exactly once per
-// update and shares them between its before/after singleton diffs and the
-// counter write (UpdateLocated).
-//
-//lint:allocfree
-func (s *Sketch) Locate(key uint64, buckets []int) (level int) {
-	level = s.levelHash.Level(key, s.cfg.Levels)
-	for j, h := range s.bucketHash {
-		buckets[j] = h.Bucket(key, s.cfg.Buckets)
-	}
-	return level
-}
-
-// UpdateLocated is UpdateKey for a caller that has already resolved key's
-// hash locations via Locate. level and buckets must be exactly Locate's
-// output for key; anything else corrupts the sketch.
-//
-//lint:allocfree
-//lint:bce
-func (s *Sketch) UpdateLocated(key uint64, delta int64, level int, buckets []int) {
-	if delta == 0 {
-		return
-	}
-	if len(buckets) != len(s.bucketHash) {
-		panic("dcs: UpdateLocated bucket slice length does not match Tables") //lint:allocok panic boxes its message on the cold misuse path only
-	}
-	s.updates++
-	var fp int64
-	if s.layout.Fingerprint {
-		fp = s.fpHash.Fingerprint(key)
-	}
-	vec.BuildMaskedAddends(&s.addends, key, delta)
-	base := level * s.levelStride
-	occ := int32(0)
-	for j, b := range buckets {
-		occ += s.applySig(base+j*s.tableStride+b*s.width, delta, fp)
-	}
-	s.occupied[level] += occ //lint:bceok level < cfg.Levels by the Locate contract
-	if debugAssertions && delta < 0 {
-		s.assertKeyBuckets(key, "delete")
-	}
-}
-
-// updateKernel is the update fast path shared by UpdateKey and UpdateBatch:
-// one level hash, one optional fingerprint hash, one masked-addend build,
-// and per table a bucket hash plus one flat index computation into the
-// counter array — no per-table subslicing, and the 64 bit-location adds run
-// through the vec lane kernels (AVX2 where available).
-//
-//lint:allocfree
-//lint:bce
-func (s *Sketch) updateKernel(key uint64, delta int64) {
-	s.updates++
-	level := s.levelHash.Level(key, s.cfg.Levels)
-	var fp int64
-	if s.layout.Fingerprint {
-		fp = s.fpHash.Fingerprint(key)
-	}
-	vec.BuildMaskedAddends(&s.addends, key, delta)
-	base := level * s.levelStride
-	occ := int32(0)
-	for j, h := range s.bucketHash {
-		b := h.Bucket(key, s.cfg.Buckets)
-		occ += s.applySig(base+j*s.tableStride+b*s.width, delta, fp)
-	}
-	s.occupied[level] += occ //lint:bceok level < cfg.Levels from the level hash
 }
 
 // applySig adds the prebuilt masked addend vector (s.addends, see
@@ -474,7 +352,16 @@ func (s *Sketch) sampleTarget() int { return s.cfg.SampleTarget }
 // fingerprint check and a structural re-hash check). ok is false for empty
 // buckets, collisions, and false singletons.
 func (s *Sketch) DecodeBucket(level, table, bucket int) (key uint64, count int64, ok bool) {
-	sg := s.bucketSig(level, table, bucket)
+	return s.decodeSig(s.bucketSig(level, table, bucket), level, table, bucket, nil)
+}
+
+// decodeSig is DecodeBucket on sg, the signature of bucket (level, table,
+// bucket). own, when non-nil, is a located record whose location that is:
+// if the bucket decodes to own's key, the fingerprint check uses own's
+// precomputed fingerprint and the structural re-hash is skipped, since it
+// could only confirm the location. The outcome and the decode counters are
+// the same as without own.
+func (s *Sketch) decodeSig(sg []int64, level, table, bucket int, own *locatedRec) (key uint64, count int64, ok bool) {
 	// Fast path: only a positive total can decode as a singleton, so the
 	// overwhelmingly common empty bucket is rejected after one counter
 	// read instead of the full 65-counter scan sig.Decode performs.
@@ -486,15 +373,22 @@ func (s *Sketch) DecodeBucket(level, table, bucket int) (key uint64, count int64
 		s.qstats.DecodeFailures++
 		return 0, 0, false
 	}
-	if !s.layout.VerifyFingerprint(sg, count, s.fpHash.Fingerprint(key)) {
+	located := own != nil && own.key == key
+	var fp int64
+	if located {
+		fp = own.fp
+	} else if s.layout.Fingerprint {
+		fp = s.loc.fpHash.Fingerprint(key)
+	}
+	if !s.layout.VerifyFingerprint(sg, count, fp) {
 		s.qstats.ChecksumRejects++
 		return 0, 0, false
 	}
 	// A decoded pair must actually belong to this level and bucket; a
 	// mismatch means a residual false singleton that slipped past the
 	// checksum (or the checksum is disabled) and is rejected structurally.
-	if s.levelHash.Level(key, s.cfg.Levels) != level ||
-		s.bucketHash[table].Bucket(key, s.cfg.Buckets) != bucket {
+	if !located && (s.loc.levelHash.Level(key, s.cfg.Levels) != level ||
+		s.loc.bucketHash[table].Bucket(key, s.cfg.Buckets) != bucket) {
 		s.qstats.StructuralRejects++
 		return 0, 0, false
 	}
@@ -504,12 +398,12 @@ func (s *Sketch) DecodeBucket(level, table, bucket int) (key uint64, count int64
 
 // LevelOf returns the first-level bucket key maps to.
 func (s *Sketch) LevelOf(key uint64) int {
-	return s.levelHash.Level(key, s.cfg.Levels)
+	return s.loc.levelHash.Level(key, s.cfg.Levels)
 }
 
 // BucketOf returns the second-level bucket key maps to in the given table.
 func (s *Sketch) BucketOf(table int, key uint64) int {
-	return s.bucketHash[table].Bucket(key, s.cfg.Buckets)
+	return s.loc.bucketHash[table].Bucket(key, s.cfg.Buckets)
 }
 
 // levelSingletons appends to dst the verified singleton pairs found in

@@ -396,7 +396,7 @@ func TestDistinctSampleLevelScale(t *testing.T) {
 		t.Fatalf("sample size %d below target %d", len(pairs), s.Config().SampleTarget)
 	}
 	for _, p := range pairs {
-		if got := s.levelHash.Level(p.Key, s.cfg.Levels); got < level {
+		if got := s.LevelOf(p.Key); got < level {
 			t.Fatalf("sampled pair at level %d < reported level %d", got, level)
 		}
 	}

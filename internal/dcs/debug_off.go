@@ -7,6 +7,6 @@ package dcs
 // implementations (debug_on.go).
 const debugAssertions = false
 
-func (s *Sketch) assertKeyBuckets(key uint64, op string) {}
+func (s *Sketch) assertSig(level, table, bucket int, op string) {}
 
 func (s *Sketch) assertAllBuckets(op string) {}

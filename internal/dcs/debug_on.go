@@ -42,15 +42,6 @@ func (s *Sketch) assertSig(level, table, bucket int, op string) {
 	}
 }
 
-// assertKeyBuckets checks the r second-level buckets that key maps to —
-// the only signatures one update can touch.
-func (s *Sketch) assertKeyBuckets(key uint64, op string) {
-	level := s.levelHash.Level(key, s.cfg.Levels)
-	for j := 0; j < s.cfg.Tables; j++ {
-		s.assertSig(level, j, s.bucketHash[j].Bucket(key, s.cfg.Buckets), op)
-	}
-}
-
 // assertAllBuckets checks every signature in the sketch.
 func (s *Sketch) assertAllBuckets(op string) {
 	for level := 0; level < s.cfg.Levels; level++ {

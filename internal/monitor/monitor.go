@@ -183,6 +183,10 @@ type Monitor struct {
 	// onAlert is immutable after New; it is invoked with mu held and must
 	// not call back into the monitor.
 	onAlert func(Alert)
+
+	// loc holds the sketch configuration's hash functions; immutable after
+	// New, so callers locate batches with it without taking mu.
+	loc *dcs.Locator
 }
 
 // New builds a monitor. onAlert, if non-nil, is invoked synchronously for
@@ -203,6 +207,7 @@ func New(cfg Config, onAlert func(Alert)) (*Monitor, error) {
 		basevar:  make(map[uint32]float64),
 		alerting: make(map[uint32]bool),
 		onAlert:  onAlert,
+		loc:      sk.Base().Locator(),
 	}, nil
 }
 
@@ -232,8 +237,33 @@ func (m *Monitor) UpdateBatch(batch []dcs.KeyDelta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sketch.UpdateBatch(batch)
+	m.consumed(len(batch))
+}
+
+// Locator returns the hash functions of the monitor's sketch configuration.
+// They are immutable, so a caller may locate a batch with them before it
+// takes any lock and hand the result to UpdateLocatedBatch.
+func (m *Monitor) Locator() *dcs.Locator { return m.loc }
+
+// UpdateLocatedBatch is UpdateBatch for a batch already located with
+// Locator: only the apply phase runs under the monitor lock.
+func (m *Monitor) UpdateLocatedBatch(lb *dcs.Located) {
+	if lb.Len() == 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sketch.UpdateLocatedBatch(lb)
+	m.consumed(lb.Len())
+}
+
+// consumed counts n applied updates and runs the periodic check when they
+// cross a CheckInterval boundary.
+//
+//lint:locked mu
+func (m *Monitor) consumed(n int) {
 	before := m.n
-	m.n += uint64(len(batch))
+	m.n += uint64(n)
 	if m.n/uint64(m.cfg.CheckInterval) > before/uint64(m.cfg.CheckInterval) {
 		m.check()
 	}

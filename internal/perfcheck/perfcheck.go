@@ -100,7 +100,7 @@ func ParseContract(s string) (Contract, bool) {
 // function carrying several directives yields one Span per contract.
 type Span struct {
 	Pkg      string // import path
-	Name     string // receiver-qualified, e.g. (*Sketch).updateKernel
+	Name     string // receiver-qualified, e.g. (*Sketch).applySig
 	File     string // absolute path
 	Start    int    // func keyword line (doc comment excluded)
 	End      int    // closing-brace line, inclusive

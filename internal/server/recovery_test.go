@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"dcsketch/internal/dcs"
 	"dcsketch/internal/monitor"
 	"dcsketch/internal/snapshot"
+	"dcsketch/internal/tdcs"
+	"dcsketch/internal/wire"
 )
 
 func monCfg() monitor.Config {
@@ -310,6 +313,79 @@ func TestSessionEvictionRacingSnapshot(t *testing.T) {
 		}
 		if got := el.Value.(*session).lastSeq; got != h.LastSeq {
 			t.Fatalf("session %d restored horizon %d, want %d", h.ID, got, h.LastSeq)
+		}
+	}
+}
+
+// TestRestoredServerIngestsLikeFreshSketch restores a snapshot into a fresh
+// server and keeps ingesting churn through both inline paths. The restored
+// sketch is a new object, so the batches the server locates with the
+// monitor's original Locator now meet a sketch with an equal config but
+// other hash-table instances. The server's top-k must equal that of a
+// fresh sketch fed only the live pairs.
+func TestRestoredServerIngestsLikeFreshSketch(t *testing.T) {
+	cfg := Config{Monitor: monCfg()}
+	pair := func(i int) wire.Update { return wire.Update{Src: uint32(7919 * i), Dst: uint32(i % 13)} }
+	frames := func(insFrom, insTo, delFrom, delTo int) [][]wire.Update {
+		var ups []wire.Update
+		for i := insFrom; i < insTo; i++ {
+			u := pair(i)
+			u.Delta = 1
+			ups = append(ups, u)
+		}
+		for i := delFrom; i < delTo; i++ {
+			u := pair(i)
+			u.Delta = -1
+			ups = append(ups, u)
+		}
+		var out [][]wire.Update
+		for len(ups) > 0 {
+			n := min(len(ups), 500)
+			out = append(out, ups[:n])
+			ups = ups[n:]
+		}
+		return out
+	}
+
+	srv, addr := startServer(t, cfg)
+	sc := dialSess(t, addr)
+	sc.hello(3)
+	seq := uint64(0)
+	for _, f := range frames(0, 2000, 0, 500) {
+		seq++
+		sc.seqSend(seq, f)
+	}
+	st, err := srv.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Shutdown()
+
+	srv2, addr2 := restoreInto(t, cfg, st)
+	sc2 := dialSess(t, addr2)
+	sc2.hello(3)
+	for _, f := range frames(2000, 3500, 500, 1000) {
+		seq++
+		sc2.seqSend(seq, f)
+	}
+	c := dial(t, addr2)
+	for _, f := range frames(3500, 4000, 1000, 1200) {
+		if err := c.SendUpdates(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fresh, err := tdcs.New(cfg.Monitor.Sketch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1200; i < 4000; i++ {
+		u := pair(i)
+		fresh.Update(u.Src, u.Dst, 1)
+	}
+	for _, k := range []int{1, 10, 13} {
+		if got, want := srv2.TopK(k), fresh.TopK(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TopK(%d) after restore and ingest = %v, fresh sketch over the live pairs = %v", k, got, want)
 		}
 	}
 }

@@ -122,6 +122,9 @@ type Server struct {
 	mu sync.Mutex
 	// mon is the shared detection state. guarded by mu
 	mon *monitor.Monitor
+	// loc is the monitor's Locator: handlers hash their update batches with
+	// it on the connection goroutine, before they take mu. Immutable.
+	loc *dcs.Locator
 	// pipe is the sharded ingest pipeline, nil unless Config.IngestShards
 	// > 0. It serializes itself (shard channels); handlers stage into it
 	// through per-connection Batchers without holding mu.
@@ -235,6 +238,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		mon:      mon,
+		loc:      mon.Locator(),
 		pipe:     pipe,
 		sessions: newSessionTable(cfg.MaxSessions),
 		conns:    make(map[net.Conn]struct{}),
@@ -404,15 +408,16 @@ type connState struct {
 
 // ingestScratch aggregates the reusable per-connection ingest buffers: the
 // frame payload arena (wire.ReadFrameInto), the decoded update records
-// (wire.DecodeUpdatesInto), and the re-keyed batch handed to the monitor's
-// bulk path. One connection at a time owns an instance (handle holds it from
-// pool Get to the deferred Put), so in steady state a frame travels
-// socket → payload arena → decoded records → kernel with zero per-record
-// allocations.
+// (wire.DecodeUpdatesInto), the re-keyed batch, and its located form handed
+// to the monitor's apply phase. One connection at a time owns an instance
+// (handle holds it from pool Get to the deferred Put), so in steady state a
+// frame travels socket → payload arena → decoded records → located batch →
+// kernel with zero per-record allocations.
 type ingestScratch struct {
 	payload []byte         //lint:scratch
 	ups     []wire.Update  //lint:scratch
 	keys    []dcs.KeyDelta //lint:scratch
+	located dcs.Located    //lint:scratch
 	// reply holds each framed reply (header + payload) so it goes out in
 	// one Write with no per-frame header allocation (see wire.AppendFrame).
 	reply []byte //lint:scratch
@@ -636,14 +641,14 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 			}
 			return err
 		}
-		// Inline mode: re-key outside the lock (same as MsgUpdates); for a
-		// duplicate this work is wasted, but duplicates are the rare retry
-		// path and keeping the lock hold identical to the fresh-batch case
-		// keeps sequence handling off the sketch hot path. Holding mu
-		// across the dedup check, the application, and the lastSeq advance
-		// makes replayed-batch suppression atomic with the sketch.
-		keys := rekeyInto(cs.scratch.keys[:0], updates)
-		cs.scratch.keys = keys[:0]
+		// Inline mode: re-key and hash outside the lock (same as
+		// MsgUpdates); for a duplicate this work is wasted, but duplicates
+		// are the rare retry path and keeping the lock hold identical to the
+		// fresh-batch case keeps sequence handling off the sketch hot path.
+		// Holding mu across the dedup check, the application, and the
+		// lastSeq advance makes replayed-batch suppression atomic with the
+		// sketch.
+		n := s.locateBatch(cs, updates)
 		s.mu.Lock()
 		sess := s.sessions.lookup(cs.sessionID)
 		s.seqBatchesIn++
@@ -660,9 +665,9 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 				fwdErr = s.cfg.Forward(updates)
 			}
 			if fwdErr == nil {
-				s.mon.UpdateBatch(keys)
+				s.mon.UpdateLocatedBatch(&cs.scratch.located)
 				s.batchesIn++
-				s.updatesIn += uint64(len(keys))
+				s.updatesIn += uint64(n)
 				sess.lastSeq = seq
 			} else {
 				s.forwardErrs++
@@ -675,7 +680,7 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		if dup {
 			cs.ring.Record(tracelog.StageServerDup, cs.sessionID, seq, 0, horizon)
 		} else {
-			cs.ring.Record(tracelog.StageServerApply, cs.sessionID, seq, uint32(len(keys)), 0)
+			cs.ring.Record(tracelog.StageServerApply, cs.sessionID, seq, uint32(n), 0)
 		}
 		err = s.writeReply(cs, w, wire.MsgSeqAck, wire.AppendSeqAck(cs.scratch.ack[:0], seq))
 		if err == nil {
@@ -738,6 +743,17 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 	}
 }
 
+// locateBatch runs the hash phase of an inline-mode update frame on the
+// connection goroutine: it re-keys updates and locates them into the
+// connection's scratch, ready for the monitor's apply phase under mu. It
+// returns the number of located (non-zero) updates.
+func (s *Server) locateBatch(cs *connState, updates []wire.Update) int {
+	keys := rekeyInto(cs.scratch.keys[:0], updates)
+	cs.scratch.keys = keys[:0]
+	s.loc.LocateBatch(&cs.scratch.located, keys)
+	return len(keys)
+}
+
 // rekeyInto converts a decoded wire batch into the monitor's keyed form,
 // dropping no-op zero deltas. Results are appended to dst (pass a
 // length-zero slice with retained capacity to reuse a scratch buffer).
@@ -775,14 +791,13 @@ func (s *Server) applyBatch(cs *connState, session, seq uint64, updates []wire.U
 		cs.ring.Record(tracelog.StageServerApply, session, seq, uint32(n), 0)
 		return
 	}
-	keys := rekeyInto(cs.scratch.keys[:0], updates)
-	cs.scratch.keys = keys[:0]
+	n := s.locateBatch(cs, updates)
 	s.mu.Lock()
-	s.mon.UpdateBatch(keys)
+	s.mon.UpdateLocatedBatch(&cs.scratch.located)
 	s.batchesIn++
-	s.updatesIn += uint64(len(keys))
+	s.updatesIn += uint64(n)
 	s.mu.Unlock()
-	cs.ring.Record(tracelog.StageServerApply, session, seq, uint32(len(keys)), 0)
+	cs.ring.Record(tracelog.StageServerApply, session, seq, uint32(n), 0)
 }
 
 // noteFrame counts one successfully read frame by type.

@@ -15,7 +15,10 @@
 // Procedure UpdateTracking (Fig. 6) is realized as a before/after diff of the
 // affected second-level buckets, which uniformly covers every transition the
 // paper enumerates (empty->singleton, singleton->collision, and the symmetric
-// delete transitions) as well as the fingerprint-verified edge cases.
+// delete transitions) as well as the fingerprint-verified edge cases. Updates
+// run in two phases over a located batch (dcs.Located): the hash phase,
+// which needs no sketch state and may run on another goroutine, and the
+// apply loop, UpdateLocatedBatch, behind UpdateKey and UpdateBatch alike.
 // Procedure TrackTopk (Fig. 7) reads the cumulative singleton counters to
 // pick the sample level and answers from that level's heap in O(k·log k)
 // without mutating it.
@@ -45,13 +48,9 @@ type Sketch struct {
 	// from levels >= b.
 	heaps []*iheap.Heap
 
-	// scratch buffers reused across updates to keep the hot path
-	// allocation-free. bucketIdx caches the key's second-level bucket per
-	// table so the hash locations are computed once per update and shared
-	// between the before/after diffs and the counter write.
-	beforeKeys []uint64 //lint:scratch
-	beforeOK   []bool   //lint:scratch
-	bucketIdx  []int    //lint:scratch
+	// located is UpdateBatch's scratch: each chunk of the batch is located
+	// into it, then applied. It grows to batchChunk records once.
+	located dcs.Located //lint:scratch
 
 	// topScratch holds the heap entries of the last TopK answer, and
 	// estScratch the converted estimates handed back to the caller; both are
@@ -91,12 +90,9 @@ func FromBase(base *dcs.Sketch) *Sketch {
 func fromBase(base *dcs.Sketch) *Sketch {
 	cfg := base.Config()
 	t := &Sketch{
-		base:       base,
-		singles:    make([]map[uint64]uint8, cfg.Levels),
-		heaps:      make([]*iheap.Heap, cfg.Levels),
-		beforeKeys: make([]uint64, cfg.Tables),
-		beforeOK:   make([]bool, cfg.Tables),
-		bucketIdx:  make([]int, cfg.Tables),
+		base:    base,
+		singles: make([]map[uint64]uint8, cfg.Levels),
+		heaps:   make([]*iheap.Heap, cfg.Levels),
 	}
 	for i := range t.singles {
 		t.singles[i] = make(map[uint64]uint8)
@@ -134,16 +130,19 @@ func (t *Sketch) Update(src, dst uint32, delta int64) {
 	t.UpdateKey(hashing.PairKey(src, dst), delta)
 }
 
-// UpdateKey is Update on a pre-packed 64-bit pair key.
+// UpdateKey is Update on a pre-packed 64-bit pair key: a one-record batch.
 //
 //lint:allocfree
 //lint:inline
 func (t *Sketch) UpdateKey(key uint64, delta int64) {
-	if delta == 0 {
-		return
-	}
-	t.update1(key, delta)
+	one := [1]dcs.KeyDelta{{Key: key, Delta: delta}}
+	t.UpdateBatch(one[:])
 }
+
+// batchChunk is the number of records UpdateBatch locates before applying
+// them, as in the basic sketch: the located chunk stays in L1 while the
+// apply loop replays it.
+const batchChunk = 128
 
 // UpdateBatch applies a batch of flow updates (the bulk form of UpdateKey),
 // maintaining the tracking state per element. Zero deltas are skipped; the
@@ -151,43 +150,57 @@ func (t *Sketch) UpdateKey(key uint64, delta int64) {
 //
 //lint:allocfree
 func (t *Sketch) UpdateBatch(batch []dcs.KeyDelta) {
-	for _, u := range batch {
-		if u.Delta == 0 {
-			continue
-		}
-		t.update1(u.Key, u.Delta)
+	loc := t.base.Locator()
+	for len(batch) > 0 {
+		chunk := batch[:min(len(batch), batchChunk)]
+		batch = batch[len(chunk):]
+		loc.LocateBatch(&t.located, chunk)
+		t.UpdateLocatedBatch(&t.located)
 	}
 }
 
-// update1 is the per-key tracking update (procedure UpdateTracking, Fig. 6):
-// decode the affected buckets before and after the counter update and diff
-// the verified-singleton occupancy. Only the r buckets key maps to can
-// change, and any occupant of those buckets lives at the same first-level
-// level (DecodeBucket enforces it). Hash locations are resolved once via
-// Locate and shared with the counter write.
+// UpdateLocatedBatch applies a batch located by a Locator of this sketch's
+// configuration, record by record (procedure UpdateTracking, Fig. 6): each
+// of the record's r buckets is decoded, updated and decoded again, and the
+// verified-singleton occupancy is diffed. Only the r buckets a key maps to
+// can change, and any occupant of those buckets lives at the key's own
+// level (decoding enforces it). The r buckets sit in different tables, so
+// diffing them one table at a time yields exactly the transitions of
+// decoding all r before and after the record. While record i applies, the
+// buckets of record i+dcs.PrefetchDistance load. It panics if lb was
+// located for another configuration.
 //
 //lint:allocfree
-func (t *Sketch) update1(key uint64, delta int64) {
-	level := t.base.Locate(key, t.bucketIdx)
-	for j, b := range t.bucketIdx {
-		t.beforeKeys[j], _, t.beforeOK[j] = t.base.DecodeBucket(level, j, b)
+//lint:bce
+func (t *Sketch) UpdateLocatedBatch(lb *dcs.Located) {
+	base := t.base
+	base.CheckLocated(lb)
+	r := base.Config().Tables
+	n := lb.Len()
+	for i := 0; i < min(n, dcs.PrefetchDistance); i++ {
+		base.PrefetchLocated(lb, i)
 	}
-	t.base.UpdateLocated(key, delta, level, t.bucketIdx)
-	for j, b := range t.bucketIdx {
-		afterKey, _, afterOK := t.base.DecodeBucket(level, j, b)
-		beforeKey, beforeOK := t.beforeKeys[j], t.beforeOK[j]
-		if beforeOK == afterOK && beforeKey == afterKey {
-			continue
+	for i := 0; i < n; i++ {
+		if i+dcs.PrefetchDistance < n {
+			base.PrefetchLocated(lb, i+dcs.PrefetchDistance)
 		}
-		if beforeOK {
-			t.decrSingleton(level, beforeKey)
+		base.StartLocated(lb, i) //lint:bceok i < n = lb.Len(), and nothing in the loop resizes lb
+		level := lb.Level(i)     //lint:bceok i < n = lb.Len(), and nothing in the loop resizes lb
+		for j := 0; j < r; j++ {
+			before, after, beforeOK, afterOK := base.ApplyLocated(lb, i, j)
+			if beforeOK == afterOK && before == after {
+				continue
+			}
+			if beforeOK {
+				t.decrSingleton(level, before)
+			}
+			if afterOK {
+				t.incrSingleton(level, after)
+			}
 		}
-		if afterOK {
-			t.incrSingleton(level, afterKey)
+		if debugAssertions {
+			t.assertKeyTracking(level, lb.Key(i), "UpdateKey")
 		}
-	}
-	if debugAssertions {
-		t.assertKeyTracking(level, key, "UpdateKey")
 	}
 }
 

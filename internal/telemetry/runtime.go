@@ -18,6 +18,7 @@ const (
 	runtimeGoroutines   = "/sched/goroutines:goroutines"
 	runtimeGCPauses     = "/gc/pauses:seconds"
 	runtimeSchedLatency = "/sched/latencies:seconds"
+	runtimeMutexWait    = "/sync/mutex/wait/total:seconds"
 )
 
 // runtimeSampler reads the runtime/metrics samples the registry probes need,
@@ -66,6 +67,18 @@ func (s *runtimeSampler) uint64Value(name string) uint64 {
 	return 0
 }
 
+// float64Value returns a float sample (0 if the runtime does not support
+// it).
+func (s *runtimeSampler) float64Value(name string) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.refreshLocked()
+	if v := s.samples[s.index[name]].Value; v.Kind() == metrics.KindFloat64 {
+		return v.Float64()
+	}
+	return 0
+}
+
 // histMaxNS returns the upper edge, in nanoseconds, of the highest non-empty
 // bucket of a duration histogram sample — a cheap "worst observed" summary
 // that needs no histogram-shape agreement between runtime and registry. The
@@ -93,15 +106,17 @@ func (s *runtimeSampler) histMaxNS(name string) int64 {
 }
 
 // RegisterRuntimeMetrics registers the daemon's runtime self-profiling
-// series on reg: live heap bytes, completed GC cycles, goroutine count, and
-// worst-observed GC pause and goroutine scheduling latency. Probes sample
+// series on reg: live heap bytes, completed GC cycles, goroutine count,
+// worst-observed GC pause and goroutine scheduling latency, and the total
+// time goroutines have spent blocked on sync.Mutex and sync.RWMutex (the
+// server's ingest lock among them). Probes sample
 // runtime/metrics at scrape cadence through a shared cached reader, so a
 // scrape costs one metrics.Read regardless of how many series it exports.
 // Call at most once per registry.
 func RegisterRuntimeMetrics(reg *Registry) {
 	s := newRuntimeSampler([]string{
 		runtimeHeapLive, runtimeGCCycles, runtimeGoroutines,
-		runtimeGCPauses, runtimeSchedLatency,
+		runtimeGCPauses, runtimeSchedLatency, runtimeMutexWait,
 	}, 250*time.Millisecond)
 
 	reg.GaugeFunc("dcsketch_runtime_heap_live_bytes",
@@ -119,4 +134,7 @@ func RegisterRuntimeMetrics(reg *Registry) {
 	reg.GaugeFunc("dcsketch_runtime_sched_latency_max_ns",
 		"Upper edge of the highest observed goroutine scheduling latency bucket.",
 		func() int64 { return s.histMaxNS(runtimeSchedLatency) })
+	reg.CounterFunc("dcsketch_runtime_mutex_wait_ns_total",
+		"Approximate total time goroutines spent blocked on sync.Mutex and sync.RWMutex.",
+		func() uint64 { return uint64(s.float64Value(runtimeMutexWait) * 1e9) })
 }

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestRuntimeMetricsExport registers the self-profiling gauges and checks
@@ -29,7 +31,7 @@ func TestRuntimeMetricsExport(t *testing.T) {
 			if s.Value < 1 {
 				t.Errorf("gc_cycles_total = %v, want >= 1 after runtime.GC", s.Value)
 			}
-		case "dcsketch_runtime_gc_pause_max_ns", "dcsketch_runtime_sched_latency_max_ns":
+		case "dcsketch_runtime_gc_pause_max_ns", "dcsketch_runtime_sched_latency_max_ns", "dcsketch_runtime_mutex_wait_ns_total":
 			if s.Value < 0 {
 				t.Errorf("%s = %v, want >= 0", s.Name, s.Value)
 			}
@@ -41,6 +43,7 @@ func TestRuntimeMetricsExport(t *testing.T) {
 		"dcsketch_runtime_goroutines",
 		"dcsketch_runtime_gc_pause_max_ns",
 		"dcsketch_runtime_sched_latency_max_ns",
+		"dcsketch_runtime_mutex_wait_ns_total",
 	} {
 		if !found[name] {
 			t.Errorf("series %s not registered", name)
@@ -54,4 +57,35 @@ func TestRuntimeMetricsExport(t *testing.T) {
 	if !strings.Contains(b.String(), "dcsketch_runtime_heap_live_bytes") {
 		t.Fatal("runtime series missing from Prometheus text")
 	}
+}
+
+// TestRuntimeMutexWaitCounts checks the mutex-wait counter moves when a
+// goroutine blocks on a held sync.Mutex.
+func TestRuntimeMutexWaitCounts(t *testing.T) {
+	var mu sync.Mutex
+	mu.Lock()
+	blocked := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		close(blocked)
+		mu.Lock()
+		mu.Unlock()
+		close(done)
+	}()
+	<-blocked
+	time.Sleep(20 * time.Millisecond)
+	mu.Unlock()
+	<-done
+
+	reg := NewRegistry()
+	RegisterRuntimeMetrics(reg)
+	for _, s := range reg.Snapshot() {
+		if s.Name == "dcsketch_runtime_mutex_wait_ns_total" {
+			if s.Value <= 0 {
+				t.Fatalf("mutex_wait_ns_total = %v after a goroutine blocked ~20ms on a mutex, want > 0", s.Value)
+			}
+			return
+		}
+	}
+	t.Fatal("dcsketch_runtime_mutex_wait_ns_total not registered")
 }

@@ -26,6 +26,10 @@ package vec
 // the 64-bit pair-key domain (sig.KeyBits).
 const Lanes = 64
 
+// SigBytes is the span Prefetch covers: one count signature of a total, one
+// counter per lane and a fingerprint counter, 66 int64 counters in all.
+const SigBytes = (Lanes + 2) * 8
+
 // Fast reports whether the lane kernels are backed by SIMD on this CPU.
 // Query-only (telemetry, tests); both paths compute identical results.
 func Fast() bool { return fastLanes }

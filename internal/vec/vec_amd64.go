@@ -37,6 +37,18 @@ func AddInt64Lanes(dst, add *[Lanes]int64) {
 	addInt64LanesGeneric(dst, add)
 }
 
+// Prefetch hints the CPU to pull the SigBytes bytes at p into every cache
+// level: one count signature, so that a later update of that bucket does not
+// stall on memory. It never faults and changes no memory. It is a no-op when
+// the AVX2 kernels are off (DCSKETCH_FORCE_GENERIC, or a CPU without AVX2).
+//
+//lint:allocfree
+func Prefetch(p *int64) {
+	if fastLanes {
+		prefetchSig(p)
+	}
+}
+
 // buildAddendsAVX2 is the AVX2 addend builder (vec_amd64.s): broadcast
 // key/delta, compare against the bit-selector table, mask delta through.
 // Only call when fastLanes is true.
@@ -51,6 +63,13 @@ func buildAddendsAVX2(add *[Lanes]int64, key uint64, delta int64)
 //lint:allocfree
 //go:noescape
 func addLanes64AVX2(dst, add *[Lanes]int64)
+
+// prefetchSig issues PREFETCHT0 for each 64-byte line of the SigBytes bytes
+// at p (vec_amd64.s).
+//
+//lint:allocfree
+//go:noescape
+func prefetchSig(p *int64)
 
 // cpuid executes the CPUID instruction for the given leaf/subleaf
 // (vec_amd64.s). Feature detection only; never on the hot path.

@@ -142,6 +142,26 @@ loop:
 	VZEROUPPER
 	RET
 
+// func prefetchSig(p *int64)
+//
+// PREFETCHT0 at p, p+64, ..., p+512: nine lines, which hold the whole
+// 528-byte signature when it starts within the first 49 bytes of its first
+// line. In a page-aligned counter array the bucket starts step through line
+// offsets 0, 16, 32 and 48 (528 = 8*64 + 16), so every bucket is covered.
+// A prefetch never faults, so the lines past the end of an array are safe.
+TEXT ·prefetchSig(SB), NOSPLIT, $0-8
+	MOVQ p+0(FP), AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 64(AX)
+	PREFETCHT0 128(AX)
+	PREFETCHT0 192(AX)
+	PREFETCHT0 256(AX)
+	PREFETCHT0 320(AX)
+	PREFETCHT0 384(AX)
+	PREFETCHT0 448(AX)
+	PREFETCHT0 512(AX)
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -51,6 +51,28 @@ func TestAddLanes64AVX2MatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestPrefetchSigLeavesMemoryUnchanged checks the prefetch stub is a pure
+// hint: every counter around the prefetched signature reads back unchanged,
+// including a signature whose nine prefetched lines run past the end of its
+// array.
+func TestPrefetchSigLeavesMemoryUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const words = SigBytes / 8
+	counters := make([]int64, 4*words)
+	for i := range counters {
+		counters[i] = rng.Int63() - rng.Int63()
+	}
+	want := append([]int64(nil), counters...)
+	for _, at := range []int{0, 2, words, len(counters) - words, len(counters) - 1} {
+		prefetchSig(&counters[at])
+		for i := range counters {
+			if counters[i] != want[i] {
+				t.Fatalf("prefetchSig at word %d changed word %d: %d, want %d", at, i, counters[i], want[i])
+			}
+		}
+	}
+}
+
 func TestCPUIDLeafZero(t *testing.T) {
 	eax, ebx, ecx, edx := cpuid(0, 0)
 	if eax == 0 {

@@ -22,3 +22,9 @@ func BuildMaskedAddends(add *[Lanes]int64, key uint64, delta int64) {
 func AddInt64Lanes(dst, add *[Lanes]int64) {
 	addInt64LanesGeneric(dst, add)
 }
+
+// Prefetch hints the CPU to pull the SigBytes bytes at p into cache. This
+// architecture has no prefetch kernel, so it does nothing.
+//
+//lint:allocfree
+func Prefetch(p *int64) {}

@@ -89,6 +89,21 @@ func TestBuildThenAddAccumulates(t *testing.T) {
 	}
 }
 
+// TestPrefetchIsAHint checks the Prefetch dispatcher leaves memory as it
+// found it on whichever backend the build selected (the no-op under
+// DCSKETCH_FORCE_GENERIC).
+func TestPrefetchIsAHint(t *testing.T) {
+	var sig [SigBytes / 8]int64
+	for i := range sig {
+		sig[i] = int64(i) - 33
+	}
+	want := sig
+	Prefetch(&sig[0])
+	if sig != want {
+		t.Fatalf("Prefetch changed the signature: %v, want %v", sig, want)
+	}
+}
+
 func TestFastReportsBackend(t *testing.T) {
 	// Fast() must be callable and stable; on amd64 CI machines with AVX2 the
 	// asm path is what the other tests above exercised.
