@@ -2,11 +2,11 @@
 # CI entry points for the dcsketch repo.
 #
 #   ./ci.sh tier1   build + unit tests (the always-green floor)
-#   ./ci.sh check   tier1 plus vet, sketchlint, the perfcheck compiler
-#                   contract gate (allocfree/bce/inline pins from
-#                   perfpins.txt), -race tests, a forced-generic vec
-#                   pass, dcsdebug assertion tests, and a concurrent
-#                   fuzz smoke pass
+#   ./ci.sh check   tier1 plus vet, the bench/ module's vet and smoke
+#                   test, sketchlint, the perfcheck compiler contract
+#                   gate (allocfree/bce/inline pins from perfpins.txt),
+#                   -race tests, a forced-generic vec pass, dcsdebug
+#                   assertion tests, and a concurrent fuzz smoke pass
 #   ./ci.sh bench   run the Table-2 update/query benchmarks plus the
 #                   tracking churn, pipeline ingest, alert-onset health
 #                   and server ingest benchmarks with -benchmem, record
@@ -26,6 +26,11 @@ tier1() {
 check() {
 	tier1
 	go vet ./...
+	# The fabric benchmark is its own module (bench/go.mod), so the root
+	# ./... never compiles it. Vet it and run its smoke test (all three
+	# workloads at toy size, oracle included) so a change to an API it
+	# imports fails here instead of at benchmark time.
+	(cd bench && go vet ./... && go test -count 1 ./...)
 	# sketchlint enforces the sketch invariants the type system cannot:
 	# same-seed merges, '// guarded by' mutex discipline, handled wire
 	# errors, the ±1 delta discipline, the hot-path contracts
@@ -141,11 +146,10 @@ fuzz_group() {
 
 bench() {
 	# The gated benchmarks: the Table-2 per-update/query costs, the tracking
-	# batch path under the daemons' delete-heavy churn, the sharded ingest
-	# path, the sketch-health read every alert onset makes under the
-	# server's ingest lock, and the server ingest over TCP: the inline
-	# sequenced path the daemons run (ServerIngestSeq, one and two
-	# connections) and the sharded path (ServerIngest).
+	# batch path under the daemons' delete-heavy churn, the sharded
+	# pipeline ingest layer, the sketch-health read every alert onset makes
+	# under the server's ingest lock, and the server's sequenced ingest over
+	# TCP (ServerIngestSeq, one and two connections).
 	# 5 repeats give benchcheck a stable median.
 	out="$(mktemp)"
 	trap 'rm -f "$out"' EXIT
@@ -153,7 +157,7 @@ bench() {
 		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkUpdateTrackingChurn|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest|BenchmarkAlertOnsetHealth)$' \
 		-benchmem -count 5 . | tee "$out"
 	go test -run '^$' \
-		-bench '^(BenchmarkServerIngest|BenchmarkServerIngestSeq)$' \
+		-bench '^BenchmarkServerIngestSeq$' \
 		-benchmem -count 5 ./internal/server | tee -a "$out"
 	# Server throughput at a glance: per benchmark, the median of the
 	# updates/s metric reported alongside the per-frame ns/op.

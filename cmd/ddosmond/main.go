@@ -1,5 +1,5 @@
 // Command ddosmond is the DDoS monitor daemon: it listens for the wire
-// protocol (flow-update batches, shipped sketches, top-k queries) from edge
+// protocol (sequenced flow-update batches, top-k queries) from edge
 // exporters, maintains the shared Tracking Distinct-Count Sketch, and prints
 // alerts. This is the Fig. 1 DDoS MONITOR as a process.
 //
@@ -54,7 +54,7 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr, debugAddr n
 		k        = fs.Int("k", 10, "top-k destinations tracked per check")
 		minFreq  = fs.Int64("min-frequency", 64, "absolute alert floor (distinct sources)")
 		interval = fs.Int("check-interval", 4096, "flow updates between tracking checks")
-		seed     = fs.Uint64("seed", 1, "sketch seed (edges shipping sketches must match)")
+		seed     = fs.Uint64("seed", 1, "sketch seed (must match the whole fleet)")
 		buckets  = fs.Int("s", 128, "second-level hash-table buckets (s)")
 		tables   = fs.Int("r", 3, "second-level hash tables (r)")
 		status   = fs.Duration("status-every", 10*time.Second, "status line period (0 disables)")
@@ -161,9 +161,9 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr, debugAddr n
 		case <-stop:
 			fmt.Println("shutting down...")
 			// Shutdown first, snapshot second: Shutdown drains every
-			// connection handler and the shard queues, so the final flush
-			// captures every acked batch — SIGTERM mid-ingest loses
-			// nothing that was acknowledged.
+			// connection handler, so the final flush captures every acked
+			// batch — SIGTERM mid-ingest loses nothing that was
+			// acknowledged.
 			srv.Shutdown()
 			if snapPath != "" {
 				if err := writeSnapshot(srv, snapPath); err != nil {
@@ -222,8 +222,8 @@ func serveDebug(dsrv *http.Server, ln net.Listener) (stop func()) {
 
 func printStatus(srv *server.Server, k int) {
 	st := srv.Stats()
-	fmt.Printf("status: %d updates in %d batches, %d queries, %d sketches merged, %d protocol errors\n",
-		st.Updates, st.Batches, st.Queries, st.Sketches, st.ProtocolErrors)
+	fmt.Printf("status: %d updates in %d batches, %d queries, %d protocol errors\n",
+		st.Updates, st.Batches, st.Queries, st.ProtocolErrors)
 	for i, e := range srv.TopK(k) {
 		marker := ""
 		if srv.Alerting(e.Dest) {

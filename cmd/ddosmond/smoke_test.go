@@ -118,21 +118,21 @@ func TestTelemetrySmoke(t *testing.T) {
 		t.Fatalf("/metrics exposition invalid: %v\n%s", err, body)
 	}
 	for series, min := range map[string]float64{
-		"dcsketch_server_updates_total":                   500,
-		`dcsketch_server_frames_total{type="updates"}`:    1,
-		`dcsketch_server_frames_total{type="topk_query"}`: 1,
-		"dcsketch_monitor_updates_total":                  500,
-		"dcsketch_monitor_checks_total":                   1,
-		"dcsketch_sketch_queries_total":                   1,
-		"dcsketch_sketch_decode_singletons_total":         1,
-		"dcsketch_sketch_decode_failures_total":           1,
-		"dcsketch_sketch_levels_nonempty":                 1,
-		"dcsketch_sketch_sample_size":                     1,
-		"dcsketch_server_query_latency_ns_count":          1,
-		"dcsketch_monitor_check_latency_ns_count":         1,
-		"dcsketch_runtime_heap_live_bytes":                1,
-		"dcsketch_runtime_goroutines":                     1,
-		"dcsketch_runtime_mutex_wait_ns_total":            0,
+		"dcsketch_server_updates_total":                    500,
+		`dcsketch_server_frames_total{type="seq_updates"}`: 1,
+		`dcsketch_server_frames_total{type="topk_query"}`:  1,
+		"dcsketch_monitor_updates_total":                   500,
+		"dcsketch_monitor_checks_total":                    1,
+		"dcsketch_sketch_queries_total":                    1,
+		"dcsketch_sketch_decode_singletons_total":          1,
+		"dcsketch_sketch_decode_failures_total":            1,
+		"dcsketch_sketch_levels_nonempty":                  1,
+		"dcsketch_sketch_sample_size":                      1,
+		"dcsketch_server_query_latency_ns_count":           1,
+		"dcsketch_monitor_check_latency_ns_count":          1,
+		"dcsketch_runtime_heap_live_bytes":                 1,
+		"dcsketch_runtime_goroutines":                      1,
+		"dcsketch_runtime_mutex_wait_ns_total":             0,
 	} {
 		if got := metricValue(body, series); got < min {
 			t.Errorf("%s = %v, want >= %v", series, got, min)

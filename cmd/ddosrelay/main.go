@@ -54,10 +54,8 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr net.Addr)) e
 		seed     = fs.Uint64("seed", 1, "sketch seed (must match the whole fleet)")
 		buckets  = fs.Int("s", 128, "second-level hash-table buckets (s)")
 		tables   = fs.Int("r", 3, "second-level hash tables (r)")
-		shards   = fs.Int("shards", 0, "ingest shard workers (0 = inline single-monitor path)")
 		spool    = fs.Int("spool", 0, "upstream spool bound in batches (0 = export default)")
 		session  = fs.Uint64("session", 0, "upstream replay session id (0 draws a random one)")
-		shed     = fs.Bool("shed", false, "shed whole batches when ingest shard queues saturate instead of blocking")
 		status   = fs.Duration("status-every", 10*time.Second, "status line period (0 disables)")
 		drain    = fs.Duration("drain-budget", 5*time.Second, "how long shutdown may wait for the upstream spool to empty")
 		snapDir  = fs.String("snapshot-dir", "", "directory for crash-safe state snapshots: restored on boot, written periodically and on graceful shutdown (empty disables)")
@@ -78,11 +76,9 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr net.Addr)) e
 			CheckInterval: *interval,
 			MinFrequency:  *minFreq,
 		},
-		IngestShards: *shards,
 		SpoolBatches: *spool,
 		SessionID:    *session,
 		Seed:         *seed,
-		ShedOnFull:   *shed,
 	}
 
 	// Restore precedes New/Listen for the same reason as in ddosmond: the
@@ -137,11 +133,11 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr net.Addr)) e
 		select {
 		case <-stop:
 			fmt.Println("shutting down...")
-			// Stop downstream first (handlers and shard queues drain, no
-			// new Forward calls), give the upstream spool its drain
-			// budget, then flush the final snapshot: whatever the drain
-			// could not deliver stays in the snapshot's spool section and
-			// is retransmitted by the next incarnation.
+			// Stop downstream first (handlers drain, no new Forward
+			// calls), give the upstream spool its drain budget, then
+			// flush the final snapshot: whatever the drain could not
+			// deliver stays in the snapshot's spool section and is
+			// retransmitted by the next incarnation.
 			rly.Shutdown(*drain)
 			if snapPath != "" {
 				if err := writeSnapshot(rly, snapPath); err != nil {

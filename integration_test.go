@@ -115,10 +115,10 @@ func TestPcapToMonitorEndToEnd(t *testing.T) {
 }
 
 func TestEdgeToCollectorOverWire(t *testing.T) {
-	// Two edges observe halves of an attack and ship their sketches over
-	// the wire protocol to a central daemon, whose merged view holds the
-	// full count. The daemon and edge 2's tracker both use the default
-	// sketch options, so they are mergeable.
+	// Two edges observe halves of an attack and stream their updates over
+	// the wire protocol, each in its own replay session, to a central
+	// daemon whose view holds the full count. (Merging edge sketches by
+	// linearity in process is examples/distributed's subject.)
 	srv, err := server.New(server.Config{
 		Monitor: monitor.Config{},
 	})
@@ -132,35 +132,19 @@ func TestEdgeToCollectorOverWire(t *testing.T) {
 	defer srv.Shutdown()
 
 	victim := uint32(0xcb007107)
-	c, err := server.Dial(addr.String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Edge 1 streams raw updates; edge 2 pre-aggregates into a tracker
-	// and ships the encoded sketch.
-	batch := make([]wire.Update, 0, 400)
-	for i := uint32(0); i < 400; i++ {
-		batch = append(batch, wire.Update{Src: 0xc0000000 + i, Dst: victim, Delta: 1})
-	}
-	if err := c.SendUpdates(batch); err != nil {
-		t.Fatal(err)
-	}
-
-	edge2, err := dcsketch.NewTracker() // defaults match the server's default monitor config
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 400; i++ {
-		edge2.Insert(0xd0000000+i, victim)
-	}
-	encoded, err := edge2.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SendSketch(encoded); err != nil {
-		t.Fatal(err)
+	var c *server.Client
+	for _, edgeNet := range []uint32{0xc0000000, 0xd0000000} {
+		if c, err = server.Dial(addr.String(), 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		batch := make([]wire.Update, 0, 400)
+		for i := uint32(0); i < 400; i++ {
+			batch = append(batch, wire.Update{Src: edgeNet + i, Dst: victim, Delta: 1})
+		}
+		if err := c.SendUpdates(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	top, err := c.TopK(1)

@@ -394,27 +394,6 @@ func (m *Monitor) Updates() uint64 {
 	return m.n
 }
 
-// MergeSketch folds an externally built sketch (e.g. one shipped over the
-// wire from an edge exporter) into the monitor's tracking state. Both
-// sketches must share one Config, seed included; incompatibility surfaces as
-// tdcs's ErrIncompatible.
-func (m *Monitor) MergeSketch(edge *tdcs.Sketch) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sketch.Merge(edge) //lint:seedok wire contract: exporter must use the collector's seed; Merge rejects mismatches at runtime
-}
-
-// MergeBaseInto adds the monitor's raw counters into dst, a basic sketch
-// sharing the monitor's sketch Config (seed included). Unlike MergeInto this
-// skips dst's tracking-state rebuild, so a caller combining several counter
-// sources (e.g. the server's sharded ingest pipeline plus this monitor) can
-// merge them all and pay one rebuild at the end.
-func (m *Monitor) MergeBaseInto(dst *dcs.Sketch) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return dst.Merge(m.sketch.Base()) //lint:seedok caller contract mirrors MergeInto: dst must share the monitor's sketch config; Merge rejects mismatches at runtime
-}
-
 // MergeInto folds the monitor's sketch into dst while holding the monitor
 // lock, so collectors observe a quiescent edge sketch. dst must share the
 // monitor's sketch Config, seed included.

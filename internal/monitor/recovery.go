@@ -15,8 +15,7 @@ import (
 )
 
 // SnapshotSketch serializes the monitor's sketch counters under the monitor
-// lock. Inline-mode servers use this directly; sharded servers instead fold
-// the pipeline residue with MergeBaseInto and serialize the merged sketch.
+// lock.
 func (m *Monitor) SnapshotSketch() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

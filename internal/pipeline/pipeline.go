@@ -4,11 +4,14 @@
 // deletes land on the same worker in order. Because sketches with one seed
 // merge exactly, a query drains the shards, combines them into one counter
 // array and rebuilds the tracking state once — the single-node analogue of
-// the paper's multi-monitor collector (Fig. 1), used when one core cannot
-// keep up with the link rate. (Shards deliberately do not maintain the §5
-// tracking structures per update: every fold rebuilds them from the merged
-// counters anyway, so per-shard incremental tracking would be pure overhead
-// on the ingest path.)
+// the paper's multi-monitor collector (Fig. 1). (Shards deliberately do not
+// maintain the §5 tracking structures per update: every fold rebuilds them
+// from the merged counters anyway, so per-shard incremental tracking would be
+// pure overhead on the ingest path.) No daemon ingests through it — a
+// pipeline cannot raise alerts, since no monitor sees its updates — so it is
+// a measured layer only: BenchmarkPipelineIngest and the fabric benchmark's
+// per-layer pipeline metrics price sharded ingest against the server's
+// inline path.
 //
 // Two ingestion paths exist. Update/UpdateKey submit one update per shard
 // channel send — simple, and any number of producer goroutines may call
@@ -28,16 +31,12 @@ package pipeline
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dcsketch/internal/dcs"
 	"dcsketch/internal/hashing"
 	"dcsketch/internal/tdcs"
-	"dcsketch/internal/telemetry"
-	"dcsketch/internal/tracelog"
 )
 
 // DefaultQueueDepth is the per-shard update queue length, counted in channel
@@ -50,14 +49,10 @@ const DefaultQueueDepth = 1024
 const DefaultBatchSize = 256
 
 // envelope is one shard-queue message: either a single scalar update (batch
-// nil) or a pool-owned staged batch. session/seq carry the originating wire
-// batch's provenance key for the flight recorder; both are 0 for scalar
-// updates and for staged buffers shipped outside FlushTraced.
+// nil) or a pool-owned staged batch.
 type envelope struct {
-	one     dcs.KeyDelta
-	batch   *[]dcs.KeyDelta
-	session uint64
-	seq     uint64
+	one   dcs.KeyDelta
+	batch *[]dcs.KeyDelta
 }
 
 // batchPool recycles staging buffers between producers and workers so the
@@ -86,18 +81,6 @@ type worker struct {
 	sketch  *dcs.Sketch
 	done    chan struct{}
 
-	// tel points at the pipeline's telemetry bundle slot. Loaded per
-	// applied envelope (nil until RegisterTelemetry): workers start before
-	// telemetry can be attached, so the indirection is what lets a running
-	// pipeline be instrumented without a lock on the ingest path.
-	tel *atomic.Pointer[telemetry.PipelineMetrics]
-
-	// ring is this shard's flight-recorder ring, attached (once, via
-	// AttachTracer) after the worker is already running — hence the same
-	// atomic-pointer indirection as tel. Only the loop goroutine Records
-	// into it, honoring the ring's single-writer contract.
-	ring atomic.Pointer[tracelog.Ring]
-
 	statMu sync.Mutex
 	// applied counts updates absorbed into the shard sketch, published at
 	// each quiescent point (fold or exit). guarded by statMu
@@ -117,13 +100,6 @@ func (w *worker) apply(e envelope) uint64 {
 		w.sketch.UpdateBatch(*e.batch)
 		*e.batch = (*e.batch)[:0]
 		batchPool.Put(e.batch)
-	}
-	if tel := w.tel.Load(); tel != nil {
-		tel.AppliedTotal.Add(n)
-		tel.BatchSize.Observe(n)
-	}
-	if ring := w.ring.Load(); ring != nil && e.session != 0 {
-		ring.Record(tracelog.StageShardApply, e.session, e.seq, uint32(n), 0)
 	}
 	return n
 }
@@ -180,20 +156,6 @@ type Pipeline struct {
 	router  *hashing.Tab64
 	n       atomic.Uint64
 	closing sync.Once
-
-	// shed flips the batched ship path from blocking backpressure to
-	// drop-newest load shedding (see EnableShedding). Set before heavy
-	// traffic; never cleared.
-	shed atomic.Bool
-	// shedBatches and shedUpdates count the whole staged batches, and the
-	// updates inside them, dropped by shedding.
-	shedBatches atomic.Uint64
-	shedUpdates atomic.Uint64
-
-	// tel holds the telemetry bundle once RegisterTelemetry attaches one;
-	// nil (and free of cost beyond one atomic load per envelope/fold)
-	// until then.
-	tel atomic.Pointer[telemetry.PipelineMetrics]
 }
 
 // New builds a pipeline with the given number of shard workers (>= 1).
@@ -233,7 +195,6 @@ func New(cfg dcs.Config, workers, queueDepth int) (*Pipeline, error) {
 			folds:   make(chan foldRequest),
 			sketch:  sk,
 			done:    make(chan struct{}),
-			tel:     &p.tel,
 		}
 		p.shards[i] = w
 		go w.loop()
@@ -317,13 +278,7 @@ func (b *Batcher) UpdateKey(key uint64, delta int64) {
 	*buf = append(*buf, dcs.KeyDelta{Key: key, Delta: delta}) //lint:allocok staging buffers carry DefaultBatchSize capacity from the pool
 	if len(*buf) >= b.size {
 		b.bufs[shard] = nil
-		if !b.p.ship(shard, buf, 0, 0) {
-			// Shed: the worker never received the buffer, so this Batcher
-			// still owns it — truncate and keep it staged for the next
-			// updates instead of a pool round trip.
-			*buf = (*buf)[:0]
-			b.bufs[shard] = buf
-		}
+		b.p.ship(shard, buf)
 	}
 }
 
@@ -331,20 +286,6 @@ func (b *Batcher) UpdateKey(key uint64, delta int64) {
 // before the producer queries (to make staged updates visible) and before
 // Pipeline.Close (staged updates would otherwise be lost).
 func (b *Batcher) Flush() {
-	b.FlushTraced(nil, 0, 0)
-}
-
-// FlushTraced is Flush carrying batch provenance for the flight recorder:
-// each shipped buffer's envelope is stamped with (session, seq) so the shard
-// worker can record its StageShardApply, and each ship is recorded as a
-// StageShardStage event in ring (the producer's own ring — FlushTraced runs
-// on the producer goroutine, honoring the ring's single-writer contract)
-// with the shard index in Aux. A nil ring or zero session just ships.
-//
-// Buffers that filled up and auto-shipped from UpdateKey between flushes
-// travel untagged (session 0): the hot staging path stays free of provenance
-// bookkeeping, and a full buffer generally spans wire batches anyway.
-func (b *Batcher) FlushTraced(ring *tracelog.Ring, session, seq uint64) {
 	for shard, buf := range b.bufs {
 		if buf == nil {
 			continue
@@ -354,98 +295,33 @@ func (b *Batcher) FlushTraced(ring *tracelog.Ring, session, seq uint64) {
 			batchPool.Put(buf) //lint:poolok buffer is empty by construction (nothing was staged since Get or the last ship)
 			continue
 		}
-		n := uint32(len(*buf))
-		if ring != nil && session != 0 {
-			ring.Record(tracelog.StageShardStage, session, seq, n, uint64(shard))
-		}
-		if !b.p.ship(shard, buf, session, seq) {
-			*buf = (*buf)[:0]
-			batchPool.Put(buf) //lint:poolok shed path: the worker never received the buffer, so the flusher recycles it
-			if ring != nil && session != 0 {
-				// The stage event above still stands — the batch was
-				// staged, then shed; the pair reads in order in the trace
-				// and keeps StageShardStage strictly before StageShardApply
-				// in GSeq for batches that do land.
-				ring.Record(tracelog.StageShardShed, session, seq, n, uint64(shard))
-			}
-		}
+		b.p.ship(shard, buf)
 	}
 }
 
-// ship hands a staged buffer to a shard worker and reports whether the
-// worker accepted it. On true, ownership transfers on the send: the worker
+// ship hands a staged buffer to a shard worker, blocking while the shard's
+// queue is full (backpressure). Ownership transfers on the send: the worker
 // may recycle the buffer into the pool (and a third goroutine may start
 // filling it) the moment it receives — hence the length is read before.
-// On false the caller retains ownership and must truncate before reuse.
-//
-// With shedding enabled (EnableShedding), a full shard queue sheds the
-// whole batch instead of blocking: the shed counters advance and ship
-// reports false. Dropping at whole-batch granularity keeps the sketch
-// linear in what was applied — a batch is either fully in or fully out,
-// never torn.
-func (p *Pipeline) ship(shard int, buf *[]dcs.KeyDelta, session, seq uint64) bool {
+func (p *Pipeline) ship(shard int, buf *[]dcs.KeyDelta) {
 	n := uint64(len(*buf))
-	if p.shed.Load() {
-		select {
-		case p.shards[shard].updates <- envelope{batch: buf, session: session, seq: seq}:
-		default:
-			p.shedBatches.Add(1)
-			p.shedUpdates.Add(n)
-			return false
-		}
-		p.n.Add(n)
-		return true
-	}
-	p.shards[shard].updates <- envelope{batch: buf, session: session, seq: seq}
+	p.shards[shard].updates <- envelope{batch: buf}
 	p.n.Add(n)
-	return true
-}
-
-// EnableShedding switches the batched ship path from blocking backpressure
-// to deterministic drop-newest load shedding: when a shard queue is full, a
-// staged batch is dropped whole (counted in Shed and the dcsketch_shed_*
-// series, and recorded as a StageShardShed flight-recorder event on traced
-// flushes) instead of stalling — or, at the extreme, OOMing — the producer.
-// The scalar Update/UpdateKey path always blocks: shedding is a whole-batch
-// policy, matching the wire protocol's batch granularity. Call before heavy
-// traffic; shedding cannot be disabled again.
-func (p *Pipeline) EnableShedding() { p.shed.Store(true) }
-
-// Shed reports the whole batches and the updates inside them dropped by
-// load shedding so far. Both are zero unless EnableShedding was called.
-func (p *Pipeline) Shed() (batches, updates uint64) {
-	return p.shedBatches.Load(), p.shedUpdates.Load()
 }
 
 // fold merges every shard's counters into a fresh accumulator and promotes
 // it to a tracking sketch with a single Rebuild.
 func (p *Pipeline) fold() (*tdcs.Sketch, error) {
-	tel := p.tel.Load()
-	var start time.Time
-	if tel != nil {
-		start = time.Now()
-	}
-	acc, err := dcs.New(p.cfg)
+	acc, err := p.FoldBase()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.foldInto(acc); err != nil {
-		return nil, err
-	}
-	snap := tdcs.FromBase(acc)
-	if tel != nil {
-		tel.FoldsTotal.Inc()
-		tel.ServedTotal.Inc()
-		tel.FoldLatency.Observe(uint64(time.Since(start)))
-	}
-	return snap, nil
+	return tdcs.FromBase(acc), nil
 }
 
 // FoldBase merges every shard's counters into a fresh basic sketch and
-// returns it without promoting it to a tracking sketch. Callers that need to
-// combine the pipeline's view with other counter sources (e.g. the server
-// folding in its monitor's sketch) merge into the returned accumulator and
-// pay the single tdcs.FromBase rebuild themselves. The caller owns the
+// returns it without promoting it to a tracking sketch, for callers that
+// time the merge apart from the tdcs.FromBase rebuild. The caller owns the
 // returned sketch.
 func (p *Pipeline) FoldBase() (*dcs.Sketch, error) {
 	acc, err := dcs.New(p.cfg)
@@ -531,41 +407,6 @@ func (p *Pipeline) Stats() []ShardStats {
 		w.statMu.Unlock()
 	}
 	return out
-}
-
-// RegisterTelemetry attaches a telemetry bundle registered on reg and
-// registers the pipeline's scrape-time probes: total submitted updates and
-// one queue-depth gauge per shard. Call it at most once per pipeline and
-// registry pair (series registration panics on duplicates); the pipeline may
-// already be ingesting — the bundle attaches atomically.
-func (p *Pipeline) RegisterTelemetry(reg *telemetry.Registry) {
-	tel := telemetry.NewPipelineMetrics(reg)
-	reg.CounterFunc("dcsketch_pipeline_submitted_total",
-		"Updates submitted to the pipeline (batches count when shipped).",
-		p.Updates)
-	reg.CounterFunc("dcsketch_shed_batches_total",
-		"Whole staged batches dropped by pipeline load shedding.",
-		p.shedBatches.Load)
-	reg.CounterFunc("dcsketch_shed_updates_total",
-		"Updates inside staged batches dropped by pipeline load shedding.",
-		p.shedUpdates.Load)
-	for i, w := range p.shards {
-		w := w
-		reg.GaugeFunc("dcsketch_pipeline_queue_depth{shard=\""+strconv.Itoa(i)+"\"}",
-			"Instantaneous shard queue occupancy in channel messages.",
-			func() int64 { return int64(len(w.updates)) })
-	}
-	p.tel.Store(tel)
-}
-
-// AttachTracer acquires one flight-recorder ring per shard worker (writer
-// tag = shard index) so StageShardApply events land in rec. Call at most
-// once; the pipeline may already be ingesting — rings attach atomically,
-// exactly like RegisterTelemetry's bundle.
-func (p *Pipeline) AttachTracer(rec *tracelog.Recorder) {
-	for i, w := range p.shards {
-		w.ring.Store(rec.Acquire(uint32(i)))
-	}
 }
 
 // Shards returns the worker count.

@@ -6,7 +6,6 @@ import (
 
 	"dcsketch/internal/dcs"
 	"dcsketch/internal/hashing"
-	"dcsketch/internal/tracelog"
 )
 
 // wedgeShard blocks shard 0's worker at a quiescent point: the worker drains
@@ -33,75 +32,8 @@ func wedgeShard(t *testing.T, p *Pipeline) (release func()) {
 	return func() { <-req.done }
 }
 
-// TestSheddingDropsWholeBatches wedges the single shard worker, fills the
-// depth-1 queue, and checks that further staged batches are shed whole:
-// counted, recycled, and absent from the sketch — while everything accepted
-// before saturation is still applied exactly.
-func TestSheddingDropsWholeBatches(t *testing.T) {
-	p, err := New(dcs.Config{Buckets: 64, Seed: 7}, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p.EnableShedding()
-
-	release := wedgeShard(t, p)
-
-	rec := tracelog.New(tracelog.Options{})
-	ring := rec.Acquire(99)
-
-	// Three staged batches against a wedged depth-1 queue: the first
-	// occupies the queue slot, the next two shed.
-	const perBatch = 8
-	shipBatch := func(session, seq uint64) {
-		b := p.NewBatcher()
-		for i := 0; i < perBatch; i++ {
-			b.UpdateKey(hashing.Mix64(seq*1000+uint64(i)), 1)
-		}
-		b.FlushTraced(ring, session, seq)
-	}
-	shipBatch(5, 1)
-	shipBatch(5, 2)
-	shipBatch(5, 3)
-
-	if batches, updates := p.Shed(); batches != 2 || updates != 2*perBatch {
-		t.Fatalf("Shed() = (%d, %d), want (2, %d)", batches, updates, 2*perBatch)
-	}
-	if got := p.Updates(); got != perBatch {
-		t.Fatalf("Updates() = %d, want %d (shed batches must not count as submitted)", got, perBatch)
-	}
-
-	release()
-	p.Close()
-
-	// Exactly the accepted batch's updates are in the sketch.
-	got, err := p.Threshold(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != perBatch {
-		t.Fatalf("sketch holds %d keys, want %d (only the accepted batch)", len(got), perBatch)
-	}
-
-	// The flight recorder shows three stage events and two shed events,
-	// each shed immediately chasing its stage record for the same seq.
-	sheds := 0
-	for _, ev := range rec.Events(nil) {
-		if ev.Stage == tracelog.StageShardShed {
-			sheds++
-			if ev.Session != 5 || ev.Seq < 2 || ev.N != perBatch {
-				t.Fatalf("unexpected shed event %+v", ev)
-			}
-		}
-	}
-	if sheds != 2 {
-		t.Fatalf("recorded %d shard-shed events, want 2", sheds)
-	}
-}
-
-// TestSheddingOffBlocksInstead pins the default contract: without
-// EnableShedding a ship into a full queue blocks rather than drops, so the
-// shed counters stay zero and every update lands.
+// TestSheddingOffBlocksInstead pins the backpressure contract: a ship into a
+// full queue blocks rather than drops, so every update lands.
 func TestSheddingOffBlocksInstead(t *testing.T) {
 	p, err := New(dcs.Config{Buckets: 64, Seed: 11}, 1, 1)
 	if err != nil {
@@ -129,9 +61,6 @@ func TestSheddingOffBlocksInstead(t *testing.T) {
 	<-done
 	p.Close()
 
-	if batches, updates := p.Shed(); batches != 0 || updates != 0 {
-		t.Fatalf("Shed() = (%d, %d) with shedding disabled, want (0, 0)", batches, updates)
-	}
 	if got := p.Updates(); got != 4*DefaultBatchSize {
 		t.Fatalf("Updates() = %d, want %d", got, 4*DefaultBatchSize)
 	}

@@ -122,7 +122,6 @@ func TestChaosRestartFabricExactlyOnce(t *testing.T) {
 		Upstream:     "global",
 		UpstreamDial: dialVia(&globalAddr),
 		Monitor:      sketchCfg(),
-		IngestShards: 2,
 		SpoolBatches: 4096,
 		SessionID:    7,
 		Seed:         7,

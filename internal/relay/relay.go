@@ -44,10 +44,9 @@ type Config struct {
 	// (dimensions and seed) must match the fleet's: regional and global
 	// sketches merge only when built identically.
 	Monitor monitor.Config
-	// IngestShards, MaxConns and MaxSessions mirror server.Config.
-	IngestShards int
-	MaxConns     int
-	MaxSessions  int
+	// MaxConns and MaxSessions mirror server.Config.
+	MaxConns    int
+	MaxSessions int
 	// SpoolBatches bounds the upstream spool (export.Config.SpoolBatches).
 	SpoolBatches int
 	// SessionID identifies the relay's upstream replay session; 0 draws a
@@ -56,9 +55,6 @@ type Config struct {
 	SessionID uint64
 	// Seed drives upstream backoff jitter (export.Config.Seed).
 	Seed uint64
-	// ShedOnFull enables deterministic whole-batch shedding on the ingest
-	// shard queues (server.Config.ShedOnFull).
-	ShedOnFull bool
 	// Trace receives flight-recorder events from both halves — the server
 	// side of each downstream session and the exporter side of the upstream
 	// one — so a batch's full story through this hop reads from one
@@ -98,12 +94,10 @@ func New(cfg Config) (*Relay, error) {
 		return nil, fmt.Errorf("relay: upstream exporter: %w", err)
 	}
 	srv, err := server.New(server.Config{
-		Monitor:      cfg.Monitor,
-		IngestShards: cfg.IngestShards,
-		MaxConns:     cfg.MaxConns,
-		MaxSessions:  cfg.MaxSessions,
-		ShedOnFull:   cfg.ShedOnFull,
-		Trace:        cfg.Trace,
+		Monitor:     cfg.Monitor,
+		MaxConns:    cfg.MaxConns,
+		MaxSessions: cfg.MaxSessions,
+		Trace:       cfg.Trace,
 		// The upstream tap. Export never blocks on the network (it spools,
 		// shedding its own oldest batch past the bound), so holding the
 		// server mutex across it costs one encode. Its only error is
@@ -136,7 +130,7 @@ func (r *Relay) SessionID() uint64 { return r.exp.SessionID() }
 // Tracer returns the relay's flight recorder.
 func (r *Relay) Tracer() *tracelog.Recorder { return r.srv.Tracer() }
 
-// TopK folds the regional sketch (see server.TopK).
+// TopK answers from the regional sketch (see server.TopK).
 func (r *Relay) TopK(k int) []dcs.Estimate { return r.srv.TopK(k) }
 
 // SnapshotState captures the relay's full recovery state: the server

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bufio"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -11,8 +13,9 @@ import (
 )
 
 // Client is an edge-side connection to the monitor daemon: it streams flow
-// updates, ships encoded sketches, and issues top-k queries. A Client is
-// not safe for concurrent use; run one per exporter goroutine.
+// updates as the sequenced batches of one replay session and issues top-k
+// queries. A Client is not safe for concurrent use; run one per exporter
+// goroutine.
 //
 // A Client is poisoned by its first transport error: any mid-frame write or
 // read failure leaves the byte stream desynchronized (the peer may hold a
@@ -26,6 +29,9 @@ type Client struct {
 	w       *bufio.Writer
 	timeout time.Duration
 	scratch []byte
+	// session is the replay session SendUpdates opened with its hello (0
+	// until the first call); seq is the last batch sequence it sent.
+	session, seq uint64
 	// err is the sticky first transport error; once set, roundTrip
 	// refuses without touching the connection.
 	err error
@@ -82,13 +88,32 @@ func (c *Client) roundTrip(t wire.MsgType, payload []byte) (wire.MsgType, []byte
 	return typ, reply, err
 }
 
-// expectAck consumes an Ack reply, surfacing server-side errors.
-func expectAck(typ wire.MsgType, payload []byte, err error) error {
+// SendUpdates ships a batch of flow updates as the next sequenced batch of
+// the client's replay session and waits for its ack. The first call opens
+// the session with a MsgHello under a random nonzero session ID. There is
+// no retransmission here (that is internal/export's job), so the session
+// only gives each batch its (session, seq) identity.
+func (c *Client) SendUpdates(updates []wire.Update) error {
+	if c.session == 0 {
+		if err := c.hello(); err != nil {
+			return err
+		}
+	}
+	c.seq++
+	c.scratch = wire.AppendSeqUpdates(c.scratch[:0], c.seq, updates)
+	typ, payload, err := c.roundTrip(wire.MsgSeqUpdates, c.scratch)
 	if err != nil {
 		return err
 	}
 	switch typ {
-	case wire.MsgAck:
+	case wire.MsgSeqAck:
+		acked, err := wire.DecodeSeqAck(payload)
+		if err != nil {
+			return fmt.Errorf("server: seq ack: %w", err)
+		}
+		if acked != c.seq {
+			return fmt.Errorf("server: ack for seq %d, want %d", acked, c.seq)
+		}
 		return nil
 	case wire.MsgError:
 		return fmt.Errorf("server: remote error: %s", payload)
@@ -97,15 +122,35 @@ func expectAck(typ wire.MsgType, payload []byte, err error) error {
 	}
 }
 
-// SendUpdates ships a batch of flow updates and waits for the ack.
-func (c *Client) SendUpdates(updates []wire.Update) error {
-	c.scratch = wire.AppendUpdates(c.scratch[:0], updates)
-	return expectAck(c.roundTrip(wire.MsgUpdates, c.scratch))
-}
-
-// SendSketch ships an encoded sketch for collector-side merging.
-func (c *Client) SendSketch(encoded []byte) error {
-	return expectAck(c.roundTrip(wire.MsgSketch, encoded))
+// hello opens the client's replay session under a fresh random ID, drawn
+// the way internal/export draws one. Sequences continue above the echoed
+// horizon, so even an ID collision cannot make the server suppress a batch.
+func (c *Client) hello() error {
+	var id uint64
+	for id == 0 {
+		var b [8]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			return fmt.Errorf("server: session id: %w", err)
+		}
+		id = binary.LittleEndian.Uint64(b[:])
+	}
+	typ, payload, err := c.roundTrip(wire.MsgHello, wire.AppendHello(nil, id))
+	if err != nil {
+		return err
+	}
+	switch typ {
+	case wire.MsgHelloAck:
+		last, err := wire.DecodeHelloAck(payload)
+		if err != nil {
+			return fmt.Errorf("server: hello ack: %w", err)
+		}
+		c.session, c.seq = id, last
+		return nil
+	case wire.MsgError:
+		return fmt.Errorf("server: remote error: %s", payload)
+	default:
+		return fmt.Errorf("server: unexpected reply type %d", typ)
+	}
 }
 
 // TopK queries the daemon's current top-k destinations.

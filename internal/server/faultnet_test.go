@@ -39,7 +39,7 @@ func startFaultServer(t *testing.T, cfg Config, inj *faultnet.Injector) (*Server
 func TestStalledReaderTimesOut(t *testing.T) {
 	inj := faultnet.New(faultnet.Config{
 		Seed:            1,
-		CutAfter:        64, // threshold fires while reading the large request
+		CutAfter:        64, // fires on the server's first read (a whole read buffer is charged)
 		MaxCuts:         1,
 		BlackholeWrites: true,
 	})
@@ -50,10 +50,10 @@ func TestStalledReaderTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A request comfortably past the cut threshold: the server's wrapped
-	// connection latches the blackhole while reading it, so the reply write
-	// stalls and only the write deadline can save the handler.
-	if err := wire.WriteFrame(conn, wire.MsgUpdates, wire.AppendUpdates(nil, batchOf(64, 7, 1))); err != nil {
+	// The server's wrapped connection latches the blackhole while reading
+	// the hello, so the hello-ack write stalls and only the write deadline
+	// can save the handler.
+	if err := wire.WriteFrame(conn, wire.MsgHello, wire.AppendHello(nil, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,15 +94,22 @@ func TestMidFrameResetRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			if err := wire.WriteFrame(c, wire.MsgUpdates, wire.AppendUpdates(nil, batchOf(50, 7, 1))); err != nil {
+		// The hello goes ahead of the first batch without waiting for its
+		// ack, so the cut lands inside that batch's frame (hello plus
+		// batch exceed the largest drawn threshold).
+		if err := wire.WriteFrame(c, wire.MsgHello, wire.AppendHello(nil, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(c)
+		for seq := uint64(1); ; seq++ {
+			if err := wire.WriteFrame(c, wire.MsgSeqUpdates, wire.AppendSeqUpdates(nil, seq, batchOf(50, 7, 1))); err != nil {
 				if !errors.Is(err, faultnet.ErrInjectedReset) {
 					t.Fatalf("unexpected write error: %v", err)
 				}
 				cuts++
 				break
 			}
-			if _, _, err := wire.ReadFrame(bufio.NewReader(c)); err != nil {
+			if _, _, err := wire.ReadFrame(r); err != nil {
 				cuts++
 				break
 			}
@@ -161,13 +168,9 @@ func TestSlowLorisWrites(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := wire.WriteFrame(c, wire.MsgUpdates, wire.AppendUpdates(nil, batchOf(20, 11, 1))); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err := wire.ReadFrame(bufio.NewReader(c))
-	if err != nil || typ != wire.MsgAck {
-		t.Fatalf("slow-loris frame reply = (%v, %v), want MsgAck", typ, err)
-	}
+	rc := &sessConn{t: t, conn: c, r: bufio.NewReader(c)}
+	rc.hello(1)
+	rc.seqSend(1, batchOf(20, 11, 1))
 	if st := inj.Stats(); st.PartialWrites == 0 {
 		t.Fatal("WriteChunk=1 injected no partial writes")
 	}
@@ -195,13 +198,19 @@ func TestShutdownRacesInflightDispatch(t *testing.T) {
 			}
 			defer c.Close()
 			r := bufio.NewReader(c)
-			for {
+			if err := wire.WriteFrame(c, wire.MsgHello, wire.AppendHello(nil, seed)); err != nil {
+				return
+			}
+			if _, _, err := wire.ReadFrame(r); err != nil {
+				return
+			}
+			for seq := uint64(1); ; seq++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if err := wire.WriteFrame(c, wire.MsgUpdates, wire.AppendUpdates(nil, batchOf(100, 2, 1))); err != nil {
+				if err := wire.WriteFrame(c, wire.MsgSeqUpdates, wire.AppendSeqUpdates(nil, seq, batchOf(100, 2, 1))); err != nil {
 					return
 				}
 				if _, _, err := wire.ReadFrame(r); err != nil {

@@ -4,227 +4,15 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"dcsketch/internal/dcs"
 	"dcsketch/internal/hashing"
 	"dcsketch/internal/monitor"
-	"dcsketch/internal/tdcs"
 	"dcsketch/internal/wire"
 )
-
-// TestShardedIngestOverWire exercises the pipeline-routed ingest mode end to
-// end: acked update frames must be visible to a query issued afterwards,
-// both over the wire and through the in-process TopK.
-func TestShardedIngestOverWire(t *testing.T) {
-	srv, addr := startServer(t, Config{IngestShards: 4})
-	c := dial(t, addr)
-
-	batch := make([]wire.Update, 0, 200)
-	for i := uint32(0); i < 200; i++ {
-		batch = append(batch, wire.Update{Src: 1000 + i, Dst: 443, Delta: 1})
-	}
-	if err := c.SendUpdates(batch); err != nil {
-		t.Fatalf("SendUpdates: %v", err)
-	}
-	top, err := c.TopK(1)
-	if err != nil {
-		t.Fatalf("TopK: %v", err)
-	}
-	if len(top) != 1 || top[0].Dest != 443 {
-		t.Fatalf("TopK = %+v", top)
-	}
-	if top[0].F < 180 || top[0].F > 220 {
-		t.Fatalf("estimate %d, want ~200", top[0].F)
-	}
-	inproc := srv.TopK(1)
-	if len(inproc) != 1 || inproc[0].Dest != 443 {
-		t.Fatalf("in-process TopK = %+v", inproc)
-	}
-	st := srv.Stats()
-	if st.Updates != 200 || st.Batches != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestShardedIngestDeletes checks that negative deltas routed through the
-// pipeline cancel inserts, as in the inline mode.
-func TestShardedIngestDeletes(t *testing.T) {
-	_, addr := startServer(t, Config{IngestShards: 2})
-	c := dial(t, addr)
-
-	ins := make([]wire.Update, 0, 50)
-	del := make([]wire.Update, 0, 50)
-	for i := uint32(0); i < 50; i++ {
-		ins = append(ins, wire.Update{Src: i, Dst: 80, Delta: 1})
-		del = append(del, wire.Update{Src: i, Dst: 80, Delta: -1})
-	}
-	if err := c.SendUpdates(ins); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SendUpdates(del); err != nil {
-		t.Fatal(err)
-	}
-	top, err := c.TopK(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range top {
-		if e.Dest == 80 && e.F > 5 {
-			t.Fatalf("deleted flow still estimated at %d", e.F)
-		}
-	}
-}
-
-// TestShardedIngestMergesMonitorSketch checks the query fold covers both
-// halves of the split state: updates routed to the pipeline shards and edge
-// sketches merged into the monitor.
-func TestShardedIngestMergesMonitorSketch(t *testing.T) {
-	sketchCfg := dcs.Config{Buckets: 128, Seed: 5}
-	srv, addr := startServer(t, Config{
-		Monitor:      monitor.Config{Sketch: sketchCfg},
-		IngestShards: 2,
-	})
-	c := dial(t, addr)
-
-	edge, err := tdcs.New(sketchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 100; i++ {
-		edge.Update(i, 9, 1)
-	}
-	encoded, err := edge.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SendSketch(encoded); err != nil {
-		t.Fatalf("SendSketch: %v", err)
-	}
-	// Stream a second destination through the pipeline path.
-	batch := make([]wire.Update, 0, 300)
-	for i := uint32(0); i < 300; i++ {
-		batch = append(batch, wire.Update{Src: 2000 + i, Dst: 443, Delta: 1})
-	}
-	if err := c.SendUpdates(batch); err != nil {
-		t.Fatal(err)
-	}
-	top, err := c.TopK(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 || top[0].Dest != 443 || top[1].Dest != 9 {
-		t.Fatalf("folded TopK = %+v, want 443 then 9", top)
-	}
-	if srv.Stats().Sketches != 1 {
-		t.Fatalf("stats = %+v", srv.Stats())
-	}
-}
-
-// TestShardedIngestSeqDedup checks exactly-once replay suppression holds
-// when sequenced batches route through the pipeline.
-func TestShardedIngestSeqDedup(t *testing.T) {
-	srv, addr := startServer(t, Config{IngestShards: 2})
-	rc := dialSess(t, addr)
-	rc.hello(9)
-
-	batch := batchOf(200, 80, 1)
-	rc.seqSend(1, batch)
-	rc.seqSend(1, batch)
-	rc.seqSend(1, batch)
-
-	st := srv.Stats()
-	if st.DuplicateBatches != 2 || st.Batches != 1 || st.Updates != 200 {
-		t.Fatalf("stats = %+v", st)
-	}
-	top := srv.TopK(1)
-	if len(top) != 1 || top[0].Dest != 80 || top[0].F < 100 || top[0].F > 350 {
-		t.Fatalf("TopK after duplicate suppression = %+v (estimate must be ~200, not ~600)", top)
-	}
-}
-
-// TestShardedIngestShutdown checks Shutdown drains handlers and stops the
-// pipeline workers without deadlock, repeatedly.
-func TestShardedIngestShutdown(t *testing.T) {
-	srv, addr := startServer(t, Config{IngestShards: 2})
-	c := dial(t, addr)
-	if err := c.SendUpdates([]wire.Update{{Src: 1, Dst: 2, Delta: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	srv.Shutdown()
-	srv.Shutdown()
-}
-
-// BenchmarkServerIngest measures the whole ingest pipeline per update frame:
-// wire bytes in from a real TCP client, frame read into the pooled arena,
-// in-place decode, pipeline staging, kernel application. One op is one
-// 512-record MsgUpdates frame; the reported updates/s metric is the
-// per-record throughput. The client streams frames without waiting for acks
-// (a drain goroutine consumes them), so the measurement is pipelined
-// throughput, not request-response latency.
-func BenchmarkServerIngest(b *testing.B) {
-	const recordsPerFrame = 512
-
-	srv, err := New(Config{IngestShards: 2, ReadTimeout: -1, WriteTimeout: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Shutdown()
-
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	go func() {
-		// Drain acks so the server's reply writes never block.
-		_, _ = io.Copy(io.Discard, conn)
-	}()
-
-	batch := make([]wire.Update, recordsPerFrame)
-	for i := range batch {
-		batch[i] = wire.Update{Src: uint32(i), Dst: uint32(i % 64), Delta: 1}
-	}
-	payload := wire.AppendUpdates(nil, batch)
-	var frame []byte
-	frame = append(frame, 0, 0, 0, 0, byte(wire.MsgUpdates))
-	frame[0] = byte(len(payload))
-	frame[1] = byte(len(payload) >> 8)
-	frame[2] = byte(len(payload) >> 16)
-	frame[3] = byte(len(payload) >> 24)
-	frame = append(frame, payload...)
-
-	w := bufio.NewWriterSize(conn, 1<<16)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Write(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	// Barrier: every written frame must be decoded and staged before the
-	// clock stops (shard application overlaps, bounded by the queue depth).
-	for srv.Stats().Batches < uint64(b.N) {
-		time.Sleep(50 * time.Microsecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*recordsPerFrame/b.Elapsed().Seconds(), "updates/s")
-	if got := srv.Stats().Updates; got != uint64(b.N)*recordsPerFrame {
-		b.Fatalf("updates counted = %d, want %d", got, uint64(b.N)*recordsPerFrame)
-	}
-}
 
 // churnLive is how many pairs the churn benchmarks keep in flight per
 // connection: each pair is deleted churnLive steps after its insert.
@@ -245,8 +33,8 @@ func churnPair(e int, n uint64) (src, dst uint32) {
 	return uint32(hashing.Mix64(2*k + 1)), 0x0A000000 | uint32(hashing.Mix64(2*k+2))&0x00FFFFFF
 }
 
-// churnFrameBodies encodes stream e's steady-state churn cycle as
-// MsgUpdates bodies of recordsPerFrame records each, plus the warm-up
+// churnFrameBodies encodes stream e's steady-state churn cycle as update
+// bodies of recordsPerFrame records each, plus the warm-up
 // frames that insert the first churnLive pairs.
 func churnFrameBodies(e, recordsPerFrame int) (warmup, cycle [][]byte) {
 	cycleSteps := uint64(churnFrames * recordsPerFrame / 2)
@@ -320,14 +108,14 @@ func (s *seqSender) awaitAck(seq uint64) error {
 	}
 }
 
-// BenchmarkServerIngestSeq measures the ingest path the daemons run: inline
-// mode (IngestShards 0: one monitor behind the server lock, at the daemons'
-// defaults), a MsgHello per connection, then MsgSeqUpdates frames of 512
-// delete-heavy churn records. Each churn step inserts a fresh pair and
-// deletes the pair inserted 20k steps earlier; every connection first
-// inserts its 20k live pairs, untimed. Acks are drained concurrently, so the
-// number is pipelined throughput. One op is one frame, summed over the
-// connections; updates/s is the per-record rate.
+// BenchmarkServerIngestSeq measures the daemons' ingest path: one monitor
+// behind the server lock, at the daemons' defaults, a MsgHello per
+// connection, then MsgSeqUpdates frames of 512 delete-heavy churn records.
+// Each churn step inserts a fresh pair and deletes the pair inserted 20k
+// steps earlier; every connection first inserts its 20k live pairs, untimed.
+// Acks are drained concurrently, so the number is pipelined throughput. One
+// op is one frame, summed over the connections; updates/s is the per-record
+// rate.
 func BenchmarkServerIngestSeq(b *testing.B) {
 	for _, conns := range []int{1, 2} {
 		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) { benchIngestSeq(b, conns) })

@@ -34,9 +34,9 @@ func TestListenShutdownRace(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedTraffic drives updates, sketch shipments, queries, and
-// stat reads from many goroutines at once; under -race it checks the
-// monitor/counter locking end to end.
+// TestConcurrentMixedTraffic drives updates, queries, and stat reads from
+// many goroutines at once; under -race it checks the monitor/counter
+// locking end to end.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	var wg sync.WaitGroup

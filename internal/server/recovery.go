@@ -1,21 +1,20 @@
-// Crash-safe snapshot capture and restore for the server: the merged
-// sketch (pipeline shards + monitor), the monitor's detection profiles,
-// and the session replay horizons, captured atomically under the snapshot
-// admission gate so the file's sections can never disagree about which
-// batches are inside. See DESIGN.md §14 for the recovery model.
+// Crash-safe snapshot capture and restore for the server: the monitor's
+// sketch and detection profiles and the session replay horizons, captured
+// atomically under the snapshot admission gate so the file's sections can
+// never disagree about which batches are inside. See DESIGN.md §14 for the
+// recovery model.
 package server
 
 import (
 	"errors"
 	"fmt"
 
-	"dcsketch/internal/dcs"
 	"dcsketch/internal/snapshot"
 )
 
 // SnapshotState captures the server's full recovery state. It is safe on a
 // live server — the snapshot gate pauses batch admission for the duration
-// of the capture (a pipeline fold plus a few map walks; milliseconds at
+// of the capture (a sketch encode plus a few map walks; milliseconds at
 // Table-2 scale) — and on a Shutdown one, which is how the daemon writes
 // its final flush.
 func (s *Server) SnapshotState() (*snapshot.State, error) {
@@ -30,20 +29,9 @@ func (s *Server) SnapshotStateWith(extra func(st *snapshot.State) error) (*snaps
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 
-	// In sharded mode the recovery sketch is the pipeline fold plus the
-	// monitor's counters, merged by linearity into one exact sketch — the
-	// same fold a top-k query performs. The fold happens under the gate,
-	// so no handler is between its horizon advance and its shard staging.
 	var st snapshot.State
-	var acc *dcs.Sketch
-	if s.pipe != nil {
-		var err error
-		if acc, err = s.pipe.FoldBase(); err != nil {
-			return nil, fmt.Errorf("server: snapshot fold: %w", err)
-		}
-	}
 	s.mu.Lock()
-	err := s.captureLocked(acc, &st)
+	err := s.captureLocked(&st)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("server: snapshot sketch: %w", err)
@@ -57,22 +45,12 @@ func (s *Server) SnapshotStateWith(extra func(st *snapshot.State) error) (*snaps
 	return &st, nil
 }
 
-// captureLocked fills st's sketch, monitor, and sessions sections. In
-// sharded mode acc is the pipeline fold; the monitor's counters merge into
-// it by linearity (the same fold a top-k query performs). Inline mode
-// (acc nil) serializes the monitor's sketch directly.
+// captureLocked fills st's sketch, monitor, and sessions sections.
 //
 //lint:locked mu
-func (s *Server) captureLocked(acc *dcs.Sketch, st *snapshot.State) error {
+func (s *Server) captureLocked(st *snapshot.State) error {
 	var err error
-	if acc != nil {
-		if err = s.mon.MergeBaseInto(acc); err == nil {
-			st.Sketch, err = acc.MarshalBinary()
-		}
-	} else {
-		st.Sketch, err = s.mon.SnapshotSketch()
-	}
-	if err != nil {
+	if st.Sketch, err = s.mon.SnapshotSketch(); err != nil {
 		return err
 	}
 	prof := s.mon.SnapshotProfile()
@@ -82,8 +60,7 @@ func (s *Server) captureLocked(acc *dcs.Sketch, st *snapshot.State) error {
 }
 
 // RestoreState loads a previously captured snapshot into a fresh server:
-// the sketch and profiles into the monitor (pipeline shards restart empty —
-// the snapshot already folded their residue), the horizons into the session
+// the sketch and profiles into the monitor, the horizons into the session
 // table. It must run before Serve; restoring under live traffic would race
 // the very invariants the snapshot exists to preserve.
 func (s *Server) RestoreState(st *snapshot.State) error {

@@ -43,47 +43,47 @@ func restoreInto(t *testing.T, cfg Config, st *snapshot.State) (*Server, string)
 // contract: identical query state, the old replay horizon echoed on hello,
 // and a retransmitted pre-crash batch acked without being re-applied.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	for _, shards := range []int{0, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := Config{Monitor: monCfg(), IngestShards: shards}
-			srv, addr := startServer(t, cfg)
-			sc := dialSess(t, addr)
-			if got := sc.hello(77); got != 0 {
-				t.Fatalf("fresh horizon = %d", got)
-			}
-			for seq := uint64(1); seq <= 5; seq++ {
-				sc.seqSend(seq, batchOf(4, uint32(seq), 1))
-			}
-			want := srv.TopK(10)
-			st, err := srv.SnapshotState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.Shutdown()
+	// shards=0 is the inline ingest path, the server's only one; the
+	// subtest keeps the name it had beside the retired sharded case.
+	t.Run("shards=0", func(t *testing.T) {
+		cfg := Config{Monitor: monCfg()}
+		srv, addr := startServer(t, cfg)
+		sc := dialSess(t, addr)
+		if got := sc.hello(77); got != 0 {
+			t.Fatalf("fresh horizon = %d", got)
+		}
+		for seq := uint64(1); seq <= 5; seq++ {
+			sc.seqSend(seq, batchOf(4, uint32(seq), 1))
+		}
+		want := srv.TopK(10)
+		st, err := srv.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Shutdown()
 
-			srv2, addr2 := restoreInto(t, cfg, st)
-			if got := srv2.TopK(10); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("restored TopK = %v, want %v", got, want)
-			}
-			sc2 := dialSess(t, addr2)
-			if got := sc2.hello(77); got != 5 {
-				t.Fatalf("restored horizon = %d, want 5", got)
-			}
-			// A retransmit of an applied batch: acked, not re-applied.
-			sc2.seqSend(5, batchOf(4, 5, 1))
-			if got := srv2.TopK(10); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("TopK after duplicate replay = %v, want %v", got, want)
-			}
-			if ss := srv2.Stats(); ss.DuplicateBatches != 1 {
-				t.Fatalf("DuplicateBatches = %d, want 1", ss.DuplicateBatches)
-			}
-			// New traffic continues from the restored state.
-			sc2.seqSend(6, batchOf(4, 6, 1))
-			if got := srv2.TopK(10); len(got) != 6 {
-				t.Fatalf("TopK after new batch has %d entries, want 6", len(got))
-			}
-		})
-	}
+		srv2, addr2 := restoreInto(t, cfg, st)
+		if got := srv2.TopK(10); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("restored TopK = %v, want %v", got, want)
+		}
+		sc2 := dialSess(t, addr2)
+		if got := sc2.hello(77); got != 5 {
+			t.Fatalf("restored horizon = %d, want 5", got)
+		}
+		// A retransmit of an applied batch: acked, not re-applied.
+		sc2.seqSend(5, batchOf(4, 5, 1))
+		if got := srv2.TopK(10); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("TopK after duplicate replay = %v, want %v", got, want)
+		}
+		if ss := srv2.Stats(); ss.DuplicateBatches != 1 {
+			t.Fatalf("DuplicateBatches = %d, want 1", ss.DuplicateBatches)
+		}
+		// New traffic continues from the restored state.
+		sc2.seqSend(6, batchOf(4, 6, 1))
+		if got := srv2.TopK(10); len(got) != 6 {
+			t.Fatalf("TopK after new batch has %d entries, want 6", len(got))
+		}
+	})
 }
 
 // TestSnapshotRefusedAfterServe pins RestoreState's precondition.
@@ -124,7 +124,7 @@ func TestSnapshotConfigMismatchRejected(t *testing.T) {
 // assertion, not the exact estimate: DCS distinct counts carry sketch
 // noise, membership of the tracked set does not at this load.
 func TestSnapshotAtomicWithHorizons(t *testing.T) {
-	cfg := Config{Monitor: monitor.Config{Sketch: dcs.Config{Buckets: 256, Seed: 5}}, IngestShards: 2}
+	cfg := Config{Monitor: monitor.Config{Sketch: dcs.Config{Buckets: 256, Seed: 5}}}
 	srv, addr := startServer(t, cfg)
 
 	const batches = 60
@@ -318,11 +318,11 @@ func TestSessionEvictionRacingSnapshot(t *testing.T) {
 }
 
 // TestRestoredServerIngestsLikeFreshSketch restores a snapshot into a fresh
-// server and keeps ingesting churn through both inline paths. The restored
-// sketch is a new object, so the batches the server locates with the
-// monitor's original Locator now meet a sketch with an equal config but
-// other hash-table instances. The server's top-k must equal that of a
-// fresh sketch fed only the live pairs.
+// server and keeps ingesting churn over two sessions: the restored one and a
+// fresh Client's. The restored sketch is a new object, so the batches the
+// server locates with the monitor's original Locator now meet a sketch with
+// an equal config but other hash-table instances. The server's top-k must
+// equal that of a fresh sketch fed only the live pairs.
 func TestRestoredServerIngestsLikeFreshSketch(t *testing.T) {
 	cfg := Config{Monitor: monCfg()}
 	pair := func(i int) wire.Update { return wire.Update{Src: uint32(7919 * i), Dst: uint32(i % 13)} }

@@ -1,19 +1,20 @@
 // Package server implements the DDoS monitor daemon's network front end: a
 // TCP server accepting the wire protocol from edge exporters. Each
-// connection may stream flow-update batches, ship encoded edge sketches for
-// collector-side merging, and issue top-k queries answered from the shared
-// tracking state — realizing the paper's Fig. 1 deployment with one process.
+// connection opens a replay session with MsgHello, streams sequenced
+// flow-update batches (MsgSeqUpdates), and may issue top-k queries answered
+// from the shared tracking state — realizing the paper's Fig. 1 deployment
+// with one process. Every batch is identified by its (session, seq) pair,
+// which the replay dedup table uses to apply each batch once (within the
+// Config.MaxSessions bound).
 //
-// Concurrency model: one goroutine per accepted connection. By default all
-// connections feed one mutex-protected monitor; with Config.IngestShards > 0
-// update frames are instead staged straight into a sharded ingest pipeline
-// (one private sketch per shard worker, merged at query time), which removes
-// the shared sketch lock from the ingest path at the cost of continuous
-// alert detection (see Config.IngestShards). Either way the per-record path
-// is allocation-free: frames are read into pooled per-connection arenas,
-// decoded in place, and fed to the kernel without per-frame slices. The
-// server owns every goroutine it starts: Shutdown stops the listener, closes
-// live connections, and blocks until all handlers have exited.
+// Concurrency model: one goroutine per accepted connection, all feeding one
+// mutex-protected monitor, so every update reaches the tracking sketch and
+// its alert checks as it arrives. The per-record path is allocation-free:
+// frames are read into pooled per-connection arenas, decoded in place, and
+// hashed before the lock, which then covers only the dedup check, the
+// upstream forward and the sketch apply. The server owns every goroutine it
+// starts: Shutdown stops the listener, closes live connections, and blocks
+// until all handlers have exited.
 package server
 
 import (
@@ -29,8 +30,6 @@ import (
 	"dcsketch/internal/dcs"
 	"dcsketch/internal/hashing"
 	"dcsketch/internal/monitor"
-	"dcsketch/internal/pipeline"
-	"dcsketch/internal/tdcs"
 	"dcsketch/internal/telemetry"
 	"dcsketch/internal/tracelog"
 	"dcsketch/internal/wire"
@@ -56,45 +55,26 @@ type Config struct {
 	// MaxSessions bounds the exporter-replay dedup table (default 1024);
 	// past the bound the least-recently-used session's state is evicted.
 	MaxSessions int
-	// IngestShards, when > 0, routes update frames into a sharded ingest
-	// pipeline (that many shard workers, each owning a private sketch)
-	// instead of the shared monitor, so concurrent connections ingest
-	// without contending on one sketch lock. Queries fold the shards plus
-	// the monitor's sketch (MsgSketch merges still land on the monitor).
-	// Tradeoff: the monitor no longer sees individual updates, so
-	// continuous alert detection (OnAlert, Alerting) only covers
-	// monitor-routed traffic — deployments that need per-interval alerting
-	// on streamed updates should keep the default inline path. 0 (default)
-	// preserves the inline single-monitor behavior exactly.
-	IngestShards int
 	// Trace receives the server's flight-recorder events (per-connection
-	// decode/dedup/apply/ack plus shard stage/apply), keyed by the wire
-	// protocol's (session, seq) batch identity. Nil allocates a private
+	// decode/dedup/apply/ack), keyed by the wire protocol's (session, seq)
+	// batch identity. Nil allocates a private
 	// recorder — the recorder is always on; its record path is allocation-
 	// free and a few dozen nanoseconds per frame. Pass a shared recorder to
 	// merge the exporter's half of the story (export.Config.Trace) into the
 	// same /debug/trace timeline.
 	Trace *tracelog.Recorder
 	// Forward, if non-nil, receives every accepted update batch before it
-	// is applied locally — the relay tier's upstream tap. For sequenced
-	// batches it runs under the server mutex, atomically with the replay-
-	// horizon advance: the batch is admitted upstream (spooled) before the
-	// horizon moves and before the ack is written, so "acked downstream
-	// implies spooled upstream" holds even across a crash-safe snapshot. A
+	// is applied locally — the relay tier's upstream tap. It runs under the
+	// server mutex, atomically with the replay-horizon advance: the batch
+	// is admitted upstream (spooled) before the horizon moves and before
+	// the ack is written, so "acked downstream implies spooled upstream"
+	// holds even across a crash-safe snapshot. A
 	// Forward error aborts the batch without advancing the horizon and
 	// drops the connection unacked, so the exporter retransmits. The slice
 	// is only valid for the duration of the call: implementations must
 	// copy or encode it synchronously and must not call back into the
 	// server.
 	Forward func(updates []wire.Update) error
-	// ShedOnFull, with IngestShards > 0, switches the shard queues from
-	// blocking backpressure to deterministic whole-batch shedding: a batch
-	// arriving at a full shard queue is dropped (newest first), counted in
-	// the pipeline's shed telemetry, and recorded in the flight recorder,
-	// instead of parking the connection handler. Default off: the blocking
-	// path preserves lossless ingest for deployments that prefer
-	// backpressure over loss.
-	ShedOnFull bool
 }
 
 // Server is the monitor daemon's network front end.
@@ -103,11 +83,13 @@ type Server struct {
 
 	// snapMu gates batch admission against crash-safe state capture:
 	// handlers hold it shared across dispatch (one uncontended RLock per
-	// frame), SnapshotState takes it exclusively. Without the gate a
-	// sequenced batch could advance its replay horizon under mu and stage
-	// its updates into the shard queues on either side of a live snapshot,
-	// tearing "horizon covers batch" away from "sketch contains batch" —
-	// exactly the invariant a restore must be able to trust.
+	// frame), SnapshotStateWith takes it exclusively. A batch's horizon
+	// advance, apply and upstream forward all happen under mu, but the
+	// embedder's capture hook (the relay's upstream spool) runs after the
+	// server sections are captured and mu is released. Without the gate a
+	// batch could be admitted in between, leaving a spool that holds a
+	// batch the captured horizons do not cover — tearing exactly the
+	// invariant a restore must be able to trust.
 	//
 	//lint:lockorder before(mu)
 	snapMu sync.RWMutex
@@ -125,10 +107,6 @@ type Server struct {
 	// loc is the monitor's Locator: handlers hash their update batches with
 	// it on the connection goroutine, before they take mu. Immutable.
 	loc *dcs.Locator
-	// pipe is the sharded ingest pipeline, nil unless Config.IngestShards
-	// > 0. It serializes itself (shard channels); handlers stage into it
-	// through per-connection Batchers without holding mu.
-	pipe *pipeline.Pipeline
 	// sessions is the exporter-replay dedup table; holding mu across the
 	// dedup check, the batch application, and the lastSeq advance is what
 	// makes replayed-batch suppression atomic with the sketch. guarded by mu
@@ -146,7 +124,7 @@ type Server struct {
 	once     sync.Once
 
 	// Traffic counters. guarded by mu
-	updatesIn, batchesIn, queriesIn, sketchesIn, protocolErrs uint64
+	updatesIn, batchesIn, queriesIn, protocolErrs uint64
 	// Replay-session counters: handshakes, sequenced batches received, and
 	// duplicates suppressed by the dedup table. guarded by mu
 	hellosIn, seqBatchesIn, dupBatches uint64
@@ -158,10 +136,11 @@ type Server struct {
 	// wire.MsgType; index 0 unused). guarded by mu
 	framesByType [wire.MsgTypeCount]uint64
 	// errorsByType attributes protocol errors to the defined frame type
-	// that carried them (decode failures, invalid request types, rejected
-	// sketch merges). guarded by mu
+	// that carried them (decode failures, invalid request types). guarded
+	// by mu
 	errorsByType [wire.MsgTypeCount]uint64
-	// unknownFrames counts frames with an undefined type byte. guarded by mu
+	// unknownFrames counts frames with an undefined type byte (reserved
+	// slots of retired frames included). guarded by mu
 	unknownFrames uint64
 	// oversizedFrames counts frames rejected for exceeding
 	// wire.MaxFrameSize before payload allocation. guarded by mu
@@ -209,37 +188,14 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pipe *pipeline.Pipeline
-	if cfg.IngestShards > 0 {
-		// The pipeline's shard sketches must share the monitor's effective
-		// (defaulted) sketch config so query-time folds merge exactly.
-		//
-		// The shallow queue (vs pipeline.DefaultQueueDepth) is deliberate:
-		// handlers only ship batch envelopes (up to DefaultBatchSize
-		// records each), so even a short queue absorbs large bursts, and a
-		// deep one just parks megabytes of staging buffers outside the
-		// recycle pool — every GC then wipes the pool and the ingest path
-		// re-allocates the parked inventory.
-		pipe, err = pipeline.New(mon.Config().Sketch, cfg.IngestShards, ingestQueueDepth)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.ShedOnFull {
-			pipe.EnableShedding()
-		}
-	}
 	rec := cfg.Trace
 	if rec == nil {
 		rec = tracelog.New(tracelog.Options{})
-	}
-	if pipe != nil {
-		pipe.AttachTracer(rec)
 	}
 	s := &Server{
 		cfg:      cfg,
 		mon:      mon,
 		loc:      mon.Locator(),
-		pipe:     pipe,
 		sessions: newSessionTable(cfg.MaxSessions),
 		conns:    make(map[net.Conn]struct{}),
 		shutdown: make(chan struct{}),
@@ -401,9 +357,6 @@ type connState struct {
 	// scratch holds the connection's pooled ingest buffers for the life of
 	// the connection.
 	scratch *ingestScratch
-	// batcher stages decoded updates into the ingest pipeline; nil in the
-	// inline (monitor) mode.
-	batcher *pipeline.Batcher
 }
 
 // ingestScratch aggregates the reusable per-connection ingest buffers: the
@@ -424,11 +377,6 @@ type ingestScratch struct {
 	// ack is the seq-ack payload staging area (max uvarint64 width).
 	ack [10]byte //lint:scratch
 }
-
-// ingestQueueDepth is the per-shard queue length for the server's ingest
-// pipeline, counted in envelopes. Handlers ship whole batches, so 64
-// envelopes buffer up to 64*pipeline.DefaultBatchSize records per shard.
-const ingestQueueDepth = 64
 
 // ingestScratchPool recycles ingest buffers across connections; buffers keep
 // their grown capacity, so a reconnecting exporter's frames find a warm
@@ -455,13 +403,6 @@ func (s *Server) handle(conn net.Conn) {
 		cs.ring.Record(tracelog.StageServerConnClose, cs.sessionID, 0, 0, uint64(connID))
 		s.rec.Release(cs.ring)
 	}()
-	if s.pipe != nil {
-		cs.batcher = s.pipe.NewBatcher()
-		// A handler that exits with staged updates (peer vanished between
-		// frames) still ships them: updates are acked per frame after an
-		// explicit Flush, so this final flush only covers unacked leftovers.
-		defer cs.batcher.Flush()
-	}
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
@@ -491,7 +432,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 		// The shared snapshot gate makes each frame's state changes (horizon
-		// advance, local staging, upstream forward) atomic with respect to
+		// advance, local apply, upstream forward) atomic with respect to
 		// crash-safe state capture; see Server.snapMu.
 		s.snapMu.RLock()
 		err = s.dispatch(&cs, typ, payload, w)
@@ -537,28 +478,6 @@ func (s *Server) writeReply(cs *connState, w io.Writer, t wire.MsgType, payload 
 // scratch buffers inside cs are only valid for the duration of the call.
 func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.Writer) error {
 	switch typ {
-	case wire.MsgUpdates:
-		updates, err := wire.DecodeUpdatesInto(payload, cs.scratch.ups[:0])
-		cs.scratch.ups = updates[:0]
-		if err != nil {
-			s.noteProtocolError(typ)
-			cs.ring.Record(tracelog.StageServerDecodeReject, cs.sessionID, 0, 0, tracelog.RejectDecode)
-			return s.writeReply(cs, w, wire.MsgError, []byte(err.Error()))
-		}
-		if s.cfg.Forward != nil {
-			s.mu.Lock()
-			err := s.cfg.Forward(updates)
-			if err != nil {
-				s.forwardErrs++
-			}
-			s.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("server: forward: %w", err)
-			}
-		}
-		s.applyBatch(cs, cs.sessionID, 0, updates)
-		return s.writeReply(cs, w, wire.MsgAck, nil)
-
 	case wire.MsgHello:
 		id, err := wire.DecodeHello(payload)
 		if err != nil {
@@ -587,67 +506,15 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		if cs.sessionID == 0 {
 			s.noteProtocolError(typ)
 			cs.ring.Record(tracelog.StageServerDecodeReject, 0, seq, 0, tracelog.RejectNoHello)
-			return wire.WriteFrame(w, wire.MsgError, []byte("sequenced batch before MsgHello handshake"))
+			return s.writeReply(cs, w, wire.MsgError, []byte("sequenced batch before MsgHello handshake"))
 		}
 		cs.ring.Record(tracelog.StageServerDecode, cs.sessionID, seq, uint32(len(updates)), 0)
-		if cs.batcher != nil {
-			// Pipeline mode: the dedup decision (and lastSeq advance)
-			// happens under mu, the staging outside it. The ack is
-			// written only after Flush, so "acked implies visible to
-			// later queries" still holds; a retransmission of seq on
-			// any connection after the advance is suppressed as a
-			// duplicate either way.
-			s.mu.Lock()
-			sess := s.sessions.lookup(cs.sessionID)
-			s.seqBatchesIn++
-			dup := seq <= sess.lastSeq
-			horizon := sess.lastSeq
-			var fwdErr error
-			if dup {
-				// Already applied: the previous ack was lost. Ack
-				// again, apply nothing — this is the exactly-once
-				// half of the at-least-once retransmission contract.
-				s.dupBatches++
-			} else {
-				// The relay tap admits the batch upstream inside the
-				// same critical section that advances the horizon: a
-				// snapshot can never capture an advanced horizon whose
-				// batch is missing from the upstream spool.
-				if s.cfg.Forward != nil {
-					fwdErr = s.cfg.Forward(updates)
-				}
-				if fwdErr == nil {
-					sess.lastSeq = seq
-				} else {
-					s.forwardErrs++
-				}
-			}
-			s.mu.Unlock()
-			if fwdErr != nil {
-				// Dropping the connection unacked (rather than replying
-				// MsgError, which the exporter treats as a terminal
-				// rejection) leaves the batch in the exporter's spool
-				// for retransmission after reconnect.
-				return fmt.Errorf("server: forward session %d seq %d: %w", cs.sessionID, seq, fwdErr)
-			}
-			if dup {
-				cs.ring.Record(tracelog.StageServerDup, cs.sessionID, seq, 0, horizon)
-			} else {
-				s.applyBatch(cs, cs.sessionID, seq, updates)
-			}
-			err := s.writeReply(cs, w, wire.MsgSeqAck, wire.AppendSeqAck(cs.scratch.ack[:0], seq))
-			if err == nil {
-				cs.ring.Record(tracelog.StageServerAck, cs.sessionID, seq, 0, seq)
-			}
-			return err
-		}
-		// Inline mode: re-key and hash outside the lock (same as
-		// MsgUpdates); for a duplicate this work is wasted, but duplicates
-		// are the rare retry path and keeping the lock hold identical to the
-		// fresh-batch case keeps sequence handling off the sketch hot path.
-		// Holding mu across the dedup check, the application, and the
-		// lastSeq advance makes replayed-batch suppression atomic with the
-		// sketch.
+		// Re-key and hash outside the lock; for a duplicate this work is
+		// wasted, but duplicates are the rare retry path and keeping the lock
+		// hold identical to the fresh-batch case keeps sequence handling off
+		// the sketch hot path. Holding mu across the dedup check, the
+		// application, and the lastSeq advance makes replayed-batch
+		// suppression atomic with the sketch.
 		n := s.locateBatch(cs, updates)
 		s.mu.Lock()
 		sess := s.sessions.lookup(cs.sessionID)
@@ -656,11 +523,15 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		horizon := sess.lastSeq
 		var fwdErr error
 		if dup {
+			// Already applied: the previous ack was lost. Ack again, apply
+			// nothing — this is the exactly-once half of the at-least-once
+			// retransmission contract.
 			s.dupBatches++
 		} else {
-			// Same admission order as the pipeline branch: upstream spool
-			// first, then local apply and horizon advance, all atomic
-			// under mu.
+			// The relay tap admits the batch upstream inside the same
+			// critical section that applies it and advances the horizon: a
+			// snapshot can never capture an advanced horizon whose batch is
+			// missing from the upstream spool.
 			if s.cfg.Forward != nil {
 				fwdErr = s.cfg.Forward(updates)
 			}
@@ -675,6 +546,10 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		}
 		s.mu.Unlock()
 		if fwdErr != nil {
+			// Dropping the connection unacked (rather than replying
+			// MsgError, which the exporter treats as a terminal rejection)
+			// leaves the batch in the exporter's spool for retransmission
+			// after reconnect.
 			return fmt.Errorf("server: forward session %d seq %d: %w", cs.sessionID, seq, fwdErr)
 		}
 		if dup {
@@ -699,11 +574,7 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 			s.noteProtocolError(typ)
 			return s.writeReply(cs, w, wire.MsgError, []byte(err.Error()))
 		}
-		ests, err := s.topK(k)
-		if err != nil {
-			s.noteProtocolError(typ)
-			return s.writeReply(cs, w, wire.MsgError, []byte(err.Error()))
-		}
+		ests := s.TopK(k)
 		entries := make([]wire.TopKEntry, len(ests))
 		for i, e := range ests {
 			entries[i] = wire.TopKEntry{Dest: e.Dest, F: e.F}
@@ -717,36 +588,16 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		}
 		return err
 
-	case wire.MsgSketch:
-		edge, err := tdcs.UnmarshalBinary(payload)
-		if err != nil {
-			s.noteProtocolError(typ)
-			return s.writeReply(cs, w, wire.MsgError, []byte(err.Error()))
-		}
-		s.mu.Lock()
-		err = s.mon.MergeSketch(edge)
-		if err == nil {
-			s.sketchesIn++
-		} else {
-			s.protocolErrs++
-			s.errorsByType[wire.MsgSketch]++
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return s.writeReply(cs, w, wire.MsgError, []byte(err.Error()))
-		}
-		return s.writeReply(cs, w, wire.MsgAck, nil)
-
 	default:
 		s.noteProtocolError(typ)
 		return s.writeReply(cs, w, wire.MsgError, []byte(fmt.Sprintf("unknown frame type %d", typ)))
 	}
 }
 
-// locateBatch runs the hash phase of an inline-mode update frame on the
-// connection goroutine: it re-keys updates and locates them into the
-// connection's scratch, ready for the monitor's apply phase under mu. It
-// returns the number of located (non-zero) updates.
+// locateBatch runs the hash phase of an update frame on the connection
+// goroutine: it re-keys updates and locates them into the connection's
+// scratch, ready for the monitor's apply phase under mu. It returns the
+// number of located (non-zero) updates.
 func (s *Server) locateBatch(cs *connState, updates []wire.Update) int {
 	keys := rekeyInto(cs.scratch.keys[:0], updates)
 	cs.scratch.keys = keys[:0]
@@ -767,43 +618,10 @@ func rekeyInto(dst []dcs.KeyDelta, updates []wire.Update) []dcs.KeyDelta {
 	return dst
 }
 
-// applyBatch feeds one decoded update frame into the ingest path: the
-// per-connection pipeline batcher when sharded ingest is configured, the
-// shared monitor otherwise. In pipeline mode the batch is flushed to the
-// shard queues before returning, so the caller's subsequent ack keeps the
-// "acked implies visible to later queries" contract (pipeline folds drain
-// every shard queue before merging).
-func (s *Server) applyBatch(cs *connState, session, seq uint64, updates []wire.Update) {
-	if cs.batcher != nil {
-		var n uint64
-		for _, u := range updates {
-			if u.Delta == 0 {
-				continue
-			}
-			cs.batcher.UpdateKey(hashing.PairKey(u.Src, u.Dst), u.Delta)
-			n++
-		}
-		cs.batcher.FlushTraced(cs.ring, session, seq)
-		s.mu.Lock()
-		s.batchesIn++
-		s.updatesIn += n
-		s.mu.Unlock()
-		cs.ring.Record(tracelog.StageServerApply, session, seq, uint32(n), 0)
-		return
-	}
-	n := s.locateBatch(cs, updates)
-	s.mu.Lock()
-	s.mon.UpdateLocatedBatch(&cs.scratch.located)
-	s.batchesIn++
-	s.updatesIn += uint64(n)
-	s.mu.Unlock()
-	cs.ring.Record(tracelog.StageServerApply, session, seq, uint32(n), 0)
-}
-
 // noteFrame counts one successfully read frame by type.
 func (s *Server) noteFrame(typ wire.MsgType) {
 	s.mu.Lock()
-	if int(typ) > 0 && int(typ) < wire.MsgTypeCount {
+	if typ.Defined() {
 		s.framesByType[typ]++
 	} else {
 		s.unknownFrames++
@@ -817,7 +635,7 @@ func (s *Server) noteFrame(typ wire.MsgType) {
 func (s *Server) noteProtocolError(typ wire.MsgType) {
 	s.mu.Lock()
 	s.protocolErrs++
-	if int(typ) > 0 && int(typ) < wire.MsgTypeCount {
+	if typ.Defined() {
 		s.errorsByType[typ]++
 	}
 	s.mu.Unlock()
@@ -825,43 +643,13 @@ func (s *Server) noteProtocolError(typ wire.MsgType) {
 	s.decodeRejects.Add(1)
 }
 
-// topK answers a top-k query from the configured ingest topology: the shared
-// monitor inline, or a fold of the pipeline shards merged with the monitor's
-// sketch (MsgSketch merges land there) when sharded ingest is on. The folded
-// snapshot is private to this call, so its estimates need no copy.
-func (s *Server) topK(k int) ([]dcs.Estimate, error) {
-	if s.pipe == nil {
-		s.mu.Lock()
-		ests := s.mon.TopK(k)
-		s.queriesIn++
-		s.mu.Unlock()
-		return ests, nil
-	}
-	acc, err := s.pipe.FoldBase()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	err = s.mon.MergeBaseInto(acc)
-	if err == nil {
-		s.queriesIn++
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	snap := tdcs.FromBase(acc)
-	return snap.TopK(k), nil
-}
-
-// TopK answers from the configured ingest topology (for in-process callers).
-// In sharded-ingest mode a fold error yields nil.
+// TopK answers a top-k query from the shared monitor. In-process callers
+// count in Stats().Queries alongside wire queries.
 func (s *Server) TopK(k int) []dcs.Estimate {
-	ests, err := s.topK(k)
-	if err != nil {
-		return nil
-	}
-	return ests
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.queriesIn++
+	return s.mon.TopK(k)
 }
 
 // Alerting reports the shared monitor's alert state for dest.
@@ -873,10 +661,10 @@ func (s *Server) Alerting(dest uint32) bool {
 
 // Stats reports server counters.
 type Stats struct {
-	// Updates..Sketches count successfully applied requests;
+	// Updates, Batches and Queries count successfully applied requests;
 	// ProtocolErrors is the total across every error class below
 	// (per-type, unknown, oversized).
-	Updates, Batches, Queries, Sketches, ProtocolErrors uint64
+	Updates, Batches, Queries, ProtocolErrors uint64
 	// Hellos counts replay handshakes; SeqBatches counts sequenced update
 	// frames received (applied + duplicate); DuplicateBatches counts
 	// retransmissions suppressed by the dedup table (acked, not applied).
@@ -890,13 +678,15 @@ type Stats struct {
 	SessionsActive  int
 	SessionsEvicted uint64
 	// FramesByType[t] counts successfully read frames of defined type t
-	// (indexed by wire.MsgType; index 0 is unused).
+	// (indexed by wire.MsgType; index 0 and the reserved slots of retired
+	// frames are unused).
 	FramesByType [wire.MsgTypeCount]uint64
 	// ErrorsByType[t] attributes protocol errors to the defined frame
-	// type that carried them: payload decode failures, frame types that
-	// are not valid requests, and rejected sketch merges.
+	// type that carried them: payload decode failures and frame types
+	// that are not valid requests.
 	ErrorsByType [wire.MsgTypeCount]uint64
-	// UnknownFrames counts frames whose type byte is undefined.
+	// UnknownFrames counts frames whose type byte is undefined, the
+	// reserved slots of retired frames included.
 	UnknownFrames uint64
 	// OversizedFrames counts frames rejected for exceeding
 	// wire.MaxFrameSize; each also drops its connection.
@@ -917,7 +707,6 @@ func (s *Server) Stats() Stats {
 		Updates:          s.updatesIn,
 		Batches:          s.batchesIn,
 		Queries:          s.queriesIn,
-		Sketches:         s.sketchesIn,
 		ProtocolErrors:   s.protocolErrs,
 		Hellos:           s.hellosIn,
 		SeqBatches:       s.seqBatchesIn,
@@ -961,18 +750,18 @@ func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
 	tel := telemetry.NewServerMetrics(reg)
 
 	reg.CounterFunc("dcsketch_server_updates_total",
-		"Flow updates applied from MsgUpdates frames.",
+		"Flow updates applied from sequenced update batches.",
 		func() uint64 { return s.Stats().Updates })
 	reg.CounterFunc("dcsketch_server_batches_total",
-		"MsgUpdates frames applied.",
+		"Sequenced update batches applied (duplicates excluded).",
 		func() uint64 { return s.Stats().Batches })
 	reg.CounterFunc("dcsketch_server_queries_total",
 		"Top-k query frames answered.",
 		func() uint64 { return s.Stats().Queries })
-	reg.CounterFunc("dcsketch_server_sketches_total",
-		"Edge sketches merged.",
-		func() uint64 { return s.Stats().Sketches })
-	for t := wire.MsgUpdates; int(t) < wire.MsgTypeCount; t++ {
+	for t := wire.MsgType(1); int(t) < wire.MsgTypeCount; t++ {
+		if !t.Defined() {
+			continue // reserved slot; counted in unknown_frames_total
+		}
 		t := t
 		reg.CounterFunc(`dcsketch_server_frames_total{type="`+t.String()+`"}`,
 			"Frames read, by frame type.",
@@ -1022,9 +811,6 @@ func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
 		func() int64 { return int64(s.Stats().ConnsActive) })
 
 	s.Monitor().RegisterTelemetry(reg)
-	if s.pipe != nil {
-		s.pipe.RegisterTelemetry(reg)
-	}
 	s.tel.Store(tel)
 }
 
@@ -1043,11 +829,5 @@ func (s *Server) Shutdown() {
 		s.connMu.Unlock()
 	})
 	s.wg.Wait()
-	// Handlers flush their batchers on the way out (deferred in handle), so
-	// the pipeline workers are only stopped once every handler has exited.
-	// pipeline.Close is idempotent, matching Shutdown's contract.
-	if s.pipe != nil {
-		s.pipe.Close()
-	}
 	s.rec.StopClock()
 }

@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dcsketch/internal/dcs"
 	"dcsketch/internal/monitor"
-	"dcsketch/internal/tdcs"
 	"dcsketch/internal/wire"
 )
 
@@ -88,59 +86,6 @@ func TestDeletesOverWire(t *testing.T) {
 	}
 	if len(top) != 0 {
 		t.Fatalf("TopK after cancellation = %+v", top)
-	}
-}
-
-func TestSketchShipping(t *testing.T) {
-	sketchCfg := dcs.Config{Buckets: 128, Seed: 5}
-	srv, addr := startServer(t, Config{Monitor: monitor.Config{Sketch: sketchCfg}})
-	c := dial(t, addr)
-
-	// Build an edge sketch locally and ship it.
-	edge, err := tdcs.New(sketchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 100; i++ {
-		edge.Update(i, 9, 1)
-	}
-	encoded, err := edge.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SendSketch(encoded); err != nil {
-		t.Fatalf("SendSketch: %v", err)
-	}
-	top := srv.TopK(1)
-	if len(top) != 1 || top[0].Dest != 9 {
-		t.Fatalf("server TopK after sketch merge = %+v", top)
-	}
-	if srv.Stats().Sketches != 1 {
-		t.Fatalf("stats = %+v", srv.Stats())
-	}
-}
-
-func TestSketchSeedMismatchRejected(t *testing.T) {
-	srv, addr := startServer(t, Config{Monitor: monitor.Config{Sketch: dcs.Config{Seed: 1}}})
-	c := dial(t, addr)
-
-	edge, err := tdcs.New(dcs.Config{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := edge.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SendSketch(encoded); err == nil {
-		t.Fatal("mismatched-seed sketch accepted")
-	}
-	if srv.Stats().ProtocolErrors == 0 {
-		t.Fatal("protocol error not counted")
-	}
-	// The connection survives an application-level error.
-	if err := c.SendUpdates([]wire.Update{{Src: 1, Dst: 2, Delta: 1}}); err != nil {
-		t.Fatalf("connection dead after rejected sketch: %v", err)
 	}
 }
 

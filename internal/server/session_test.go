@@ -3,8 +3,12 @@ package server
 import (
 	"bufio"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 
+	"dcsketch/internal/tdcs"
+	"dcsketch/internal/telemetry"
 	"dcsketch/internal/wire"
 )
 
@@ -222,34 +226,63 @@ func TestEvictedSessionReconnectResetsHorizon(t *testing.T) {
 	}
 }
 
-func TestOldProtocolClientsInteroperate(t *testing.T) {
-	// A sequence-less client (the seed protocol) and a session client share
-	// one server; both streams land, and the old client never needs a
-	// handshake.
+// TestRetiredFrameTypesRejected pins the retirement of the sequence-less
+// update frame (type byte 1) and the shipped-sketch frame (type byte 4):
+// each is answered like an undefined type — MsgError, counted as unknown,
+// nothing applied — and telemetry registers no series for their reserved
+// slots.
+func TestRetiredFrameTypesRejected(t *testing.T) {
 	srv, addr := startServer(t, Config{})
-
-	old := dial(t, addr)
-	if err := old.SendUpdates(batchOf(100, 443, 1)); err != nil {
-		t.Fatalf("old-protocol SendUpdates: %v", err)
-	}
-
+	reg := telemetry.NewRegistry()
+	srv.RegisterTelemetry(reg)
 	rc := dialSess(t, addr)
 	rc.hello(42)
 	rc.seqSend(1, batchOf(100, 443, 1))
+	before := srv.TopK(5)
 
-	if err := old.SendUpdates(batchOf(50, 443, 1)); err != nil {
-		t.Fatalf("old-protocol SendUpdates after session traffic: %v", err)
-	}
-	top, err := old.TopK(1)
+	edge, err := tdcs.New(srv.Monitor().Config().Sketch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top) != 1 || top[0].Dest != 443 {
-		t.Fatalf("TopK = %+v", top)
+	for i := uint32(0); i < 300; i++ {
+		edge.Update(i, 9, 1)
 	}
+	encoded, err := edge.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		typ     wire.MsgType
+		payload []byte
+	}{
+		{1, wire.AppendUpdates(nil, batchOf(300, 80, 1))},
+		{4, encoded},
+	} {
+		if typ, payload := rc.send(f.typ, f.payload); typ != wire.MsgError {
+			t.Fatalf("reply to a type-%d frame = %v (%q), want MsgError", f.typ, typ, payload)
+		}
+	}
+
 	st := srv.Stats()
-	if st.Batches != 3 || st.Updates != 250 || st.Hellos != 1 {
-		t.Fatalf("stats = %+v", st)
+	if st.Updates != 100 || st.Batches != 1 || st.UnknownFrames != 2 || st.ProtocolErrors != 2 {
+		t.Fatalf("stats = %+v, want only the sequenced batch applied and 2 unknown frames", st)
+	}
+	if st.FramesByType[1] != 0 || st.FramesByType[4] != 0 || st.ErrorsByType[1] != 0 || st.ErrorsByType[4] != 0 {
+		t.Fatalf("retired types counted as defined: frames %v, errors %v", st.FramesByType, st.ErrorsByType)
+	}
+	if got := srv.TopK(5); !reflect.DeepEqual(got, before) {
+		t.Fatalf("TopK after retired frames = %v, want unchanged %v", got, before)
+	}
+	// The connection survives both rejections.
+	rc.seqSend(2, batchOf(10, 443, 1))
+
+	for _, s := range reg.Snapshot() {
+		if strings.Contains(s.Name, `type="unknown"`) {
+			t.Errorf("telemetry registered %s for a reserved slot", s.Name)
+		}
+		if s.Name == "dcsketch_server_unknown_frames_total" && s.Value != 2 {
+			t.Errorf("%s = %v, want 2", s.Name, s.Value)
+		}
 	}
 }
 

@@ -8,9 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"dcsketch/internal/dcs"
-	"dcsketch/internal/monitor"
-	"dcsketch/internal/tdcs"
 	"dcsketch/internal/telemetry"
 	"dcsketch/internal/wire"
 )
@@ -43,25 +40,13 @@ func expectError(t *testing.T, conn net.Conn, r *bufio.Reader, typ wire.MsgType,
 // TestProtocolErrorsByType drives every in-band protocol-error path over a
 // real connection and checks each lands in its own ErrorsByType slot.
 func TestProtocolErrorsByType(t *testing.T) {
-	srv, addr := startServer(t, Config{Monitor: monitor.Config{Sketch: dcs.Config{Seed: 1}}})
+	srv, addr := startServer(t, Config{})
 	conn, r := rawConn(t, addr)
 
-	// Truncated MsgUpdates: count says 1 update, payload is empty.
-	expectError(t, conn, r, wire.MsgUpdates, []byte{1})
+	// Truncated MsgSeqUpdates: seq 1, count says 1 update, body is empty.
+	expectError(t, conn, r, wire.MsgSeqUpdates, []byte{1, 1})
 	// Malformed MsgTopKQuery: trailing garbage after the varint.
 	expectError(t, conn, r, wire.MsgTopKQuery, []byte{1, 0xff})
-	// Undecodable MsgSketch payload.
-	expectError(t, conn, r, wire.MsgSketch, []byte("not a sketch"))
-	// Decodable sketch that the monitor must refuse to merge (seed mismatch).
-	edge, err := tdcs.New(dcs.Config{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := edge.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectError(t, conn, r, wire.MsgSketch, encoded)
 	// Defined frame types that are not valid requests.
 	expectError(t, conn, r, wire.MsgAck, nil)
 	expectError(t, conn, r, wire.MsgTopKReply, nil)
@@ -71,12 +56,11 @@ func TestProtocolErrorsByType(t *testing.T) {
 
 	st := srv.Stats()
 	wantErrs := map[wire.MsgType]uint64{
-		wire.MsgUpdates:   1,
-		wire.MsgTopKQuery: 1,
-		wire.MsgTopKReply: 1,
-		wire.MsgSketch:    2,
-		wire.MsgAck:       1,
-		wire.MsgError:     1,
+		wire.MsgSeqUpdates: 1,
+		wire.MsgTopKQuery:  1,
+		wire.MsgTopKReply:  1,
+		wire.MsgAck:        1,
+		wire.MsgError:      1,
 	}
 	for typ, want := range wantErrs {
 		if got := st.ErrorsByType[typ]; got != want {
@@ -86,18 +70,17 @@ func TestProtocolErrorsByType(t *testing.T) {
 	if st.UnknownFrames != 1 {
 		t.Errorf("UnknownFrames = %d, want 1", st.UnknownFrames)
 	}
-	// Total in-band errors: 7 typed + 1 unknown.
-	if st.ProtocolErrors != 8 {
-		t.Errorf("ProtocolErrors = %d, want 8", st.ProtocolErrors)
+	// Total in-band errors: 5 typed + 1 unknown.
+	if st.ProtocolErrors != 6 {
+		t.Errorf("ProtocolErrors = %d, want 6", st.ProtocolErrors)
 	}
 	// Every read frame is counted by type regardless of outcome.
 	wantFrames := map[wire.MsgType]uint64{
-		wire.MsgUpdates:   1,
-		wire.MsgTopKQuery: 1,
-		wire.MsgTopKReply: 1,
-		wire.MsgSketch:    2,
-		wire.MsgAck:       1,
-		wire.MsgError:     1,
+		wire.MsgSeqUpdates: 1,
+		wire.MsgTopKQuery:  1,
+		wire.MsgTopKReply:  1,
+		wire.MsgAck:        1,
+		wire.MsgError:      1,
 	}
 	for typ, want := range wantFrames {
 		if got := st.FramesByType[typ]; got != want {
@@ -132,7 +115,7 @@ func TestOversizedFrameCountedAndDropped(t *testing.T) {
 
 	var header [5]byte
 	binary.LittleEndian.PutUint32(header[:4], wire.MaxFrameSize+1)
-	header[4] = byte(wire.MsgUpdates)
+	header[4] = byte(wire.MsgSeqUpdates)
 	if _, err := conn.Write(header[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +138,8 @@ func TestOversizedFrameCountedAndDropped(t *testing.T) {
 		t.Errorf("oversized frame leaked into ErrorsByType: %v", st.ErrorsByType)
 	}
 	// The header was rejected before the frame was read; nothing by type.
-	if st.FramesByType[wire.MsgUpdates] != 0 {
-		t.Errorf("FramesByType[updates] = %d, want 0", st.FramesByType[wire.MsgUpdates])
+	if st.FramesByType[wire.MsgSeqUpdates] != 0 {
+		t.Errorf("FramesByType[seq_updates] = %d, want 0", st.FramesByType[wire.MsgSeqUpdates])
 	}
 }
 
@@ -218,17 +201,17 @@ func TestServerTelemetry(t *testing.T) {
 		hists[s.Name] = s.Hist
 	}
 	for name, want := range map[string]float64{
-		"dcsketch_server_updates_total":                            2,
-		"dcsketch_server_batches_total":                            1,
-		"dcsketch_server_queries_total":                            1,
-		`dcsketch_server_frames_total{type="updates"}`:             1,
-		`dcsketch_server_frames_total{type="topk_query"}`:          2,
-		`dcsketch_server_protocol_errors_total{type="topk_query"}`: 1,
-		`dcsketch_server_protocol_errors_total{type="updates"}`:    0,
-		"dcsketch_server_conns_accepted_total":                     2,
-		"dcsketch_server_conns_active":                             2,
-		"dcsketch_server_unknown_frames_total":                     0,
-		"dcsketch_server_oversized_frames_total":                   0,
+		"dcsketch_server_updates_total":                             2,
+		"dcsketch_server_batches_total":                             1,
+		"dcsketch_server_queries_total":                             1,
+		`dcsketch_server_frames_total{type="seq_updates"}`:          1,
+		`dcsketch_server_frames_total{type="topk_query"}`:           2,
+		`dcsketch_server_protocol_errors_total{type="topk_query"}`:  1,
+		`dcsketch_server_protocol_errors_total{type="seq_updates"}`: 0,
+		"dcsketch_server_conns_accepted_total":                      2,
+		"dcsketch_server_conns_active":                              2,
+		"dcsketch_server_unknown_frames_total":                      0,
+		"dcsketch_server_oversized_frames_total":                    0,
 	} {
 		if vals[name] != want {
 			t.Errorf("%s = %v, want %v", name, vals[name], want)

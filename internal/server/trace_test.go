@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dcsketch/internal/debugapi"
 	"dcsketch/internal/tracelog"
@@ -37,11 +36,10 @@ func hasStage(evs []tracelog.Event, want tracelog.Stage) bool {
 }
 
 // TestTraceRecordsBatchLifecyclePipeline pins the recorded story of one
-// sequenced batch through the sharded pipeline: decode, shard staging,
-// apply, ack — and a replay suppressed as a duplicate with the session
-// horizon in aux.
+// sequenced batch through the server's ingest stages — decode, apply, ack —
+// and a replay suppressed as a duplicate with the session horizon in aux.
 func TestTraceRecordsBatchLifecyclePipeline(t *testing.T) {
-	srv, addr := startServer(t, Config{IngestShards: 2})
+	srv, addr := startServer(t, Config{})
 	rc := dialSess(t, addr)
 	rc.hello(77)
 	rc.seqSend(1, batchOf(32, 443, 1))
@@ -50,38 +48,27 @@ func TestTraceRecordsBatchLifecyclePipeline(t *testing.T) {
 
 	evs := srv.Tracer().Trace(77, 2, nil)
 	for _, want := range []tracelog.Stage{
-		tracelog.StageServerDecode, tracelog.StageShardStage,
-		tracelog.StageServerApply, tracelog.StageServerAck,
-		tracelog.StageServerDup,
+		tracelog.StageServerDecode, tracelog.StageServerApply,
+		tracelog.StageServerAck, tracelog.StageServerDup,
 	} {
 		if !hasStage(evs, want) {
 			t.Errorf("trace of (77,2) missing %v: %v", want, stagesOf(evs))
 		}
 	}
-	// Shard workers apply asynchronously; the staged updates must land
-	// within the shutdown-free window.
-	deadline := time.Now().Add(5 * time.Second)
-	for !hasStage(srv.Tracer().Trace(77, 2, nil), tracelog.StageShardApply) {
-		if time.Now().After(deadline) {
-			t.Fatal("shard-apply never recorded")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	// The duplicate's aux carries the dedup horizon (lastSeq at decision).
-	for _, ev := range srv.Tracer().Trace(77, 2, nil) {
+	for _, ev := range evs {
 		if ev.Stage == tracelog.StageServerDup && ev.Aux != 2 {
 			t.Errorf("dup horizon aux = %d, want 2", ev.Aux)
 		}
 	}
 	// Connection-scoped events exist under the (0,0) key side of the ring.
-	all := srv.Tracer().Events(nil)
-	if !hasStage(all, tracelog.StageServerConnOpen) {
+	if !hasStage(srv.Tracer().Events(nil), tracelog.StageServerConnOpen) {
 		t.Error("no conn-open event recorded")
 	}
 }
 
-// TestTraceRecordsBatchLifecycleInline covers the single-monitor path and
-// the reject events: a decode failure and a sequenced batch before hello.
+// TestTraceRecordsBatchLifecycleInline covers a single applied batch and
+// the reject events: a sequenced batch before hello.
 func TestTraceRecordsBatchLifecycleInline(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 
@@ -104,9 +91,6 @@ func TestTraceRecordsBatchLifecycleInline(t *testing.T) {
 			t.Errorf("inline trace missing %v: %v", want, stagesOf(evs))
 		}
 	}
-	if hasStage(evs, tracelog.StageShardStage) {
-		t.Error("inline mode recorded a shard staging event")
-	}
 
 	found := false
 	for _, ev := range srv.Tracer().Events(nil) {
@@ -122,10 +106,10 @@ func TestTraceRecordsBatchLifecycleInline(t *testing.T) {
 // TestTraceScrapeDuringIngest is the -race contention test the observability
 // contract requires: /debug/trace and /debug/alerts scrapes must be safe —
 // and non-empty — while the server ingests at benchmark shape (a pipelined
-// raw-frame blaster plus a live sequenced session writing the same rings the
+// frame blaster plus a live sequenced session writing the same rings the
 // scrapers read).
 func TestTraceScrapeDuringIngest(t *testing.T) {
-	srv, addr := startServer(t, Config{IngestShards: 2, ReadTimeout: -1, WriteTimeout: -1})
+	srv, addr := startServer(t, Config{ReadTimeout: -1, WriteTimeout: -1})
 	th := httptest.NewServer(tracelog.TraceHandler(srv.Tracer()))
 	defer th.Close()
 	ah := httptest.NewServer(debugapi.AlertsHandler(srv.Monitor()))
@@ -136,8 +120,9 @@ func TestTraceScrapeDuringIngest(t *testing.T) {
 	var wg sync.WaitGroup
 	var scrapes atomic.Uint64
 
-	// Benchmark-shaped load: stream MsgUpdates frames without waiting for
-	// acks. Write errors after stop are expected (the listener is dying).
+	// Benchmark-shaped load: a second session streams sequenced frames
+	// without waiting for acks. Write errors after stop are expected (the
+	// listener is dying).
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -145,19 +130,23 @@ func TestTraceScrapeDuringIngest(t *testing.T) {
 	defer conn.Close()
 	go func() { _, _ = io.Copy(io.Discard, conn) }()
 	batch := batchOf(256, 443, 1)
-	payload := wire.AppendUpdates(nil, batch)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		w := bufio.NewWriterSize(conn, 1<<15)
-		for {
+		if err := wire.WriteFrame(w, wire.MsgHello, wire.AppendHello(nil, session+1)); err != nil {
+			return
+		}
+		var payload []byte
+		for seq := uint64(1); ; seq++ {
 			select {
 			case <-stop:
 				_ = w.Flush()
 				return
 			default:
 			}
-			if err := wire.WriteFrame(w, wire.MsgUpdates, payload); err != nil {
+			payload = wire.AppendSeqUpdates(payload[:0], seq, batch)
+			if err := wire.WriteFrame(w, wire.MsgSeqUpdates, payload); err != nil {
 				return
 			}
 		}

@@ -60,10 +60,9 @@ const (
 // State is the root recovery object. Nil section pointers (and a nil/empty
 // Sketch) mean "not captured"; Decode returns exactly the sections present.
 type State struct {
-	// Sketch is the opaque dcs/tdcs binary encoding of the merged counter
-	// arrays (monitor sketch folded with any pipeline-shard residue). The
-	// occupancy index is not serialized — it is recomputed on decode by
-	// dcs.UnmarshalBinary, exactly as for shipped MsgSketch frames.
+	// Sketch is the opaque dcs/tdcs binary encoding of the monitor
+	// sketch's counter arrays. The occupancy index is not serialized — it
+	// is recomputed on decode by dcs.UnmarshalBinary.
 	Sketch   []byte
 	Monitor  *MonitorState
 	Sessions *SessionsState

@@ -38,35 +38,6 @@ func NewMonitorMetrics(reg *Registry) *MonitorMetrics {
 	}
 }
 
-// PipelineMetrics is the live-instrument bundle for internal/pipeline:
-// batch shape, fold cost, and the applied/served totals. Per-shard queue
-// depth is registered separately as labeled GaugeFunc probes because the
-// shard count is a runtime parameter.
-type PipelineMetrics struct {
-	// AppliedTotal counts updates applied into per-shard sketches.
-	AppliedTotal *Counter
-	// ServedTotal counts queries served from folded snapshots.
-	ServedTotal *Counter
-	// BatchSize observes the number of updates in each applied batch.
-	BatchSize *Histogram
-	// FoldsTotal counts cross-shard folds.
-	FoldsTotal *Counter
-	// FoldLatency observes the wall time of one cross-shard fold in
-	// nanoseconds.
-	FoldLatency *Histogram
-}
-
-// NewPipelineMetrics registers the pipeline bundle on reg.
-func NewPipelineMetrics(reg *Registry) *PipelineMetrics {
-	return &PipelineMetrics{
-		AppliedTotal: reg.Counter("dcsketch_pipeline_applied_total", "Updates applied into per-shard sketches."),
-		ServedTotal:  reg.Counter("dcsketch_pipeline_served_total", "Queries served from folded snapshots."),
-		BatchSize:    reg.Histogram("dcsketch_pipeline_batch_size", "Updates per applied batch."),
-		FoldsTotal:   reg.Counter("dcsketch_pipeline_folds_total", "Cross-shard folds performed."),
-		FoldLatency:  reg.Histogram("dcsketch_pipeline_fold_latency_ns", "Wall time of one cross-shard fold in nanoseconds."),
-	}
-}
-
 // ServerMetrics is the live-instrument bundle for internal/server. Frame and
 // protocol-error counters stay single-writer inside the server (per message
 // type, under its stats lock) and are exported as labeled CounterFunc probes

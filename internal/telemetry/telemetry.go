@@ -25,8 +25,8 @@
 // uncontended atomic on their kernels: they keep plain counters owned by
 // their single writer (dcs.QueryStats) and surface them through scrape-time
 // probes taken under the owning layer's lock. The substrate's atomics are
-// for genuinely concurrent recorders: pipeline workers, server connection
-// handlers, the packet-path detector.
+// for genuinely concurrent recorders: server connection handlers and the
+// packet-path detector.
 package telemetry
 
 import "sync/atomic"

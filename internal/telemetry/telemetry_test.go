@@ -182,22 +182,16 @@ func TestPublishExpvar(t *testing.T) {
 }
 
 func TestMetricSets(t *testing.T) {
-	// All four bundles must register on one registry without name
+	// All three bundles must register on one registry without name
 	// collisions, and every instrument must be non-nil.
 	reg := NewRegistry()
 	m := NewMonitorMetrics(reg)
-	p := NewPipelineMetrics(reg)
 	s := NewServerMetrics(reg)
 	d := NewDetectorMetrics(reg)
 	for name, ptr := range map[string]any{
 		"monitor.ChecksTotal":   m.ChecksTotal,
 		"monitor.CheckLatency":  m.CheckLatency,
 		"monitor.QueryLatency":  m.QueryLatency,
-		"pipeline.AppliedTotal": p.AppliedTotal,
-		"pipeline.ServedTotal":  p.ServedTotal,
-		"pipeline.BatchSize":    p.BatchSize,
-		"pipeline.FoldsTotal":   p.FoldsTotal,
-		"pipeline.FoldLatency":  p.FoldLatency,
 		"server.QueryLatency":   s.QueryLatency,
 		"detector.PacketsTotal": d.PacketsTotal,
 		"detector.CusumAlarms":  d.CusumAlarmsTotal,

@@ -14,8 +14,8 @@ type Options struct {
 	SlotsPerRing int
 	// MaxRings bounds how many released rings are retained for postmortem
 	// reads; the oldest released ring (and its history) is dropped beyond
-	// it. Live rings are bounded by the caller (server MaxConns, shard
-	// count), not by this knob. Default 64.
+	// it. Live rings are bounded by the caller (server MaxConns), not by
+	// this knob. Default 64.
 	MaxRings int
 }
 
@@ -178,8 +178,8 @@ func (r *Recorder) snapshotRings() []*Ring {
 }
 
 // Trace returns every retained event for the (session, seq) batch, merged
-// across rings and sorted by global sequence — the exporter→server→shard
-// story of one batch.
+// across rings and sorted by global sequence — the exporter→server story of
+// one batch.
 func (r *Recorder) Trace(session, seq uint64, dst []Event) []Event {
 	start := len(dst)
 	var buf []Event

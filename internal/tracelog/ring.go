@@ -20,8 +20,8 @@ type slot struct {
 }
 
 // Ring is one single-writer event ring. Exactly one goroutine may call
-// Record (the exporter loop under its mutex, a server connection handler, a
-// shard worker); Snapshot may run concurrently from any goroutine. When the
+// Record (the exporter loop under its mutex or a server connection
+// handler); Snapshot may run concurrently from any goroutine. When the
 // ring wraps, the oldest record is evicted whole — never torn.
 type Ring struct {
 	rec    *Recorder

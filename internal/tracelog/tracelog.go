@@ -1,7 +1,7 @@
 // Package tracelog is the dcsketch flight recorder: fixed-size, per-stage
 // event records in cache-line-sized ring buffers that trace an update batch
 // through the whole pipeline — exporter enqueue/spool/send/ack, server
-// decode/dedup/apply/ack, shard stage/apply, and query visibility — keyed by
+// decode/dedup/apply/ack, and query visibility — keyed by
 // the wire protocol's existing (session, seq) batch identity, so provenance
 // needs no wire-format change.
 //
@@ -16,8 +16,8 @@
 // for the hot path. A global sequence number (Event.GSeq) gives a total
 // order across rings even when the coarse clock lumps events into one tick.
 //
-// Each Ring has exactly one writer (a connection handler, the exporter loop,
-// a shard worker); any number of readers may snapshot it concurrently. Slots
+// Each Ring has exactly one writer (a connection handler or the exporter
+// loop); any number of readers may snapshot it concurrently. Slots
 // are 64-byte seqlocks whose fields are all atomic.Uint64: the writer bumps
 // the slot version to odd, stores the fields, and bumps it back to even;
 // readers retry or discard a slot whose version is odd or changed underfoot.
@@ -75,27 +75,14 @@ const (
 	StageServerDecodeReject
 	// StageServerDup: dedup suppressed a replayed batch (aux = session horizon).
 	StageServerDup
-	// StageServerApply: the batch was applied to the monitor or staged into
-	// the pipeline (n = update count).
+	// StageServerApply: the batch was applied to the monitor (n = update
+	// count).
 	StageServerApply
 	// StageServerAck: the ack for this batch was written back (aux = seq).
 	StageServerAck
 	// StageServerQuery: a top-k query was served on this connection
 	// (session/seq 0; n = k).
 	StageServerQuery
-
-	// Shard (pipeline) lifecycle.
-
-	// StageShardStage: the batcher handed this batch's updates for one shard
-	// to its worker queue (writer = shard, n = updates staged).
-	StageShardStage
-	// StageShardApply: a shard worker folded the staged updates into its
-	// sketch (writer = shard, n = updates applied).
-	StageShardApply
-	// StageShardShed: the shard queue was full with shedding enabled, so the
-	// whole staged batch was dropped instead of blocking the handler
-	// (writer = shard, n = updates shed, aux = shard index).
-	StageShardShed
 
 	stageCount // number of stages, for bounds and tests
 )
@@ -128,9 +115,6 @@ var stageNames = [stageCount]string{
 	StageServerApply:        "server-apply",
 	StageServerAck:          "server-ack",
 	StageServerQuery:        "server-query",
-	StageShardStage:         "shard-stage",
-	StageShardApply:         "shard-apply",
-	StageShardShed:          "shard-shed",
 }
 
 // String returns the stable kebab-case stage name used in JSON output and by
@@ -166,8 +150,8 @@ type Event struct {
 	Seq     uint64
 	// Stage says where in the pipeline the event was recorded.
 	Stage Stage
-	// Writer tags the recording ring (connection id, shard index, 0 for the
-	// exporter loop).
+	// Writer tags the recording ring (connection id, 0 for the exporter
+	// loop).
 	Writer uint32
 	// N is the stage-specific record count (updates decoded, staged, ...).
 	N uint32

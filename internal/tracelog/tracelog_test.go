@@ -47,7 +47,7 @@ func TestMetaPacking(t *testing.T) {
 	}{
 		{StageExportEnqueue, 0, 0},
 		{StageServerDecode, 1, 512},
-		{StageShardApply, 0xFFFFFF, ^uint32(0)},
+		{StageServerApply, 0xFFFFFF, ^uint32(0)},
 		{stageCount - 1, 7, 42},
 	}
 	for _, c := range cases {

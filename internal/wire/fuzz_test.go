@@ -46,7 +46,7 @@ func FuzzDecodeTopKReply(f *testing.F) {
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	_ = WriteFrame(&buf, MsgAck, nil)
-	_ = WriteFrame(&buf, MsgUpdates, []byte("payload"))
+	_ = WriteFrame(&buf, MsgSeqUpdates, []byte("payload"))
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 0, 1})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})

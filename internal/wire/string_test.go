@@ -8,9 +8,10 @@ import (
 )
 
 // declaredMsgTypes parses wire.go and returns the names of every constant
-// declared with type MsgType, in declaration order. Enumerating the source
-// rather than hand-listing the constants means a newly added frame type is
-// covered by TestMsgTypeStringExhaustive without anyone editing this test.
+// declared with type MsgType, in declaration order, reserved slots as "_".
+// Enumerating the source rather than hand-listing the constants means a
+// newly added frame type is covered by TestMsgTypeStringExhaustive without
+// anyone editing this test.
 func declaredMsgTypes(t *testing.T) []string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -47,11 +48,12 @@ func declaredMsgTypes(t *testing.T) []string {
 }
 
 // TestMsgTypeStringExhaustive checks the three-way contract between the
-// declared MsgType constants, MsgTypeCount, and String(): every declared
-// constant (values 1..MsgTypeCount-1, contiguous) has a distinct,
-// non-"unknown" label, and everything outside that range falls back to
-// "unknown". msgexhaustive enforces the String arms statically; this test
-// ground-truths the labels at runtime.
+// declared MsgType constants, MsgTypeCount, and String(): every named
+// constant (values 1..MsgTypeCount-1, contiguous with the reserved `_` slots
+// of retired frames) has a distinct, non-"unknown" label, and the reserved
+// slots and everything outside that range fall back to "unknown".
+// msgexhaustive enforces the String arms statically; this test ground-truths
+// the labels at runtime.
 func TestMsgTypeStringExhaustive(t *testing.T) {
 	names := declaredMsgTypes(t)
 	if len(names) == 0 {
@@ -64,6 +66,12 @@ func TestMsgTypeStringExhaustive(t *testing.T) {
 	for i := range names {
 		v := MsgType(i + 1) // iota+1: declaration order is value order
 		s := v.String()
+		if names[i] == "_" {
+			if s != "unknown" {
+				t.Errorf("reserved MsgType %d has the String label %q, want \"unknown\"", v, s)
+			}
+			continue
+		}
 		if s == "unknown" {
 			t.Errorf("%s (MsgType %d) has no String label; telemetry would report it as unknown", names[i], v)
 			continue

@@ -1,8 +1,7 @@
 // Package wire defines the framed TCP protocol spoken between edge
 // exporters and the DDoS monitor daemon (cmd/ddosmond), realizing the
 // paper's deployment architecture (Fig. 1): network elements export flow
-// updates to a central DDoS MONITOR, and per-edge sketches can be shipped
-// upward for collector-side merging.
+// updates to a central DDoS MONITOR.
 //
 // Every message is one frame:
 //
@@ -10,24 +9,23 @@
 //
 // Payload encodings are varint-based and delta-friendly:
 //
-//	MsgUpdates:    count, then per update: src u32, dst u32 (fixed LE),
-//	               delta zigzag varint
 //	MsgTopKQuery:  k uvarint
 //	MsgTopKReply:  count, then per entry: dest u32 LE, frequency uvarint
-//	MsgSketch:     an encoded sketch (dcs wire format) for merging
-//	MsgAck:        empty
+//	MsgAck:        empty (no longer sent; the byte stays assigned)
 //	MsgError:      UTF-8 message
 //	MsgHello:      version uvarint (currently 1), session ID u64 LE
 //	MsgHelloAck:   last-acked sequence uvarint
-//	MsgSeqUpdates: sequence uvarint, then the MsgUpdates encoding
+//	MsgSeqUpdates: sequence uvarint, then the update body: count, then per
+//	               update: src u32, dst u32 (fixed LE), delta zigzag varint
 //	MsgSeqAck:     acked sequence uvarint
 //
-// MsgHello/MsgSeqUpdates are the replay handshake spoken by resilient
-// exporters (internal/export): an exporter announces a nonzero session ID,
-// the server echoes the highest sequence it has applied for that session,
-// and every subsequent batch carries a strictly increasing sequence so a
-// batch retried after a lost ack is acked but not re-applied. Sequence-less
-// MsgUpdates remains valid and unchanged for old clients.
+// Updates travel only as sequenced batches: an exporter opens with MsgHello
+// announcing a nonzero session ID, the server echoes the highest sequence it
+// has applied for that session, and every subsequent MsgSeqUpdates batch
+// carries a strictly increasing sequence, so a batch retried after a lost ack
+// is acked but not re-applied. Type bytes 1 and 4 belonged to retired frames
+// (a sequence-less update batch and a shipped sketch); they stay reserved and
+// a server answers them like any undefined type.
 package wire
 
 import (
@@ -43,12 +41,12 @@ type MsgType uint8
 
 // Frame types.
 const (
-	MsgUpdates MsgType = iota + 1
+	_ MsgType = iota + 1 // reserved: retired sequence-less update batch
 	MsgTopKQuery
 	MsgTopKReply
-	MsgSketch //lint:msgok payload is a dcs sketch in its own MarshalBinary format, not a wire codec
-	MsgAck    //lint:msgok payload is empty by definition; the frame header is the whole message
-	MsgError  //lint:msgok payload is raw UTF-8 text with no structure to encode or decode
+	_        // reserved: retired shipped sketch
+	MsgAck   //lint:msgok payload is empty by definition, and no request is answered with it any more; the byte stays assigned
+	MsgError //lint:msgok payload is raw UTF-8 text with no structure to encode or decode
 	MsgHello
 	MsgHelloAck
 	MsgSeqUpdates
@@ -56,21 +54,17 @@ const (
 )
 
 // MsgTypeCount is one past the highest defined MsgType, sized for indexing
-// per-type counter arrays (index 0 is unused; unknown types are counted
-// separately by their consumers).
+// per-type counter arrays (index 0 and the reserved slots are unused;
+// unknown types are counted separately by their consumers).
 const MsgTypeCount = int(MsgSeqAck) + 1
 
 // String returns the lowercase frame-type name used in telemetry labels.
 func (t MsgType) String() string {
 	switch t {
-	case MsgUpdates:
-		return "updates"
 	case MsgTopKQuery:
 		return "topk_query"
 	case MsgTopKReply:
 		return "topk_reply"
-	case MsgSketch:
-		return "sketch"
 	case MsgAck:
 		return "ack"
 	case MsgError:
@@ -86,6 +80,10 @@ func (t MsgType) String() string {
 	}
 	return "unknown"
 }
+
+// Defined reports whether t names a frame type. It is false for 0, for the
+// reserved slots of retired frames, and past the last type.
+func (t MsgType) Defined() bool { return t.String() != "unknown" }
 
 // MaxFrameSize bounds a frame payload; larger frames are rejected before
 // allocation (a malicious peer must not make the monitor allocate
@@ -212,12 +210,12 @@ func AppendUpdates(buf []byte, updates []Update) []byte {
 	return buf
 }
 
-// DecodeUpdates decodes a MsgUpdates payload into a freshly allocated slice.
+// DecodeUpdates decodes an update body into a freshly allocated slice.
 func DecodeUpdates(payload []byte) ([]Update, error) {
 	return DecodeUpdatesInto(payload, nil)
 }
 
-// DecodeUpdatesInto decodes a MsgUpdates payload by appending onto dst
+// DecodeUpdatesInto decodes an update body by appending onto dst
 // (which may be nil or a truncated-to-zero pooled buffer) and returns the
 // extended slice. When dst's capacity covers the batch, decoding performs no
 // allocation — this is the zero-copy ingest path: the server hands the same
@@ -366,8 +364,8 @@ func DecodeHelloAck(payload []byte) (uint64, error) {
 }
 
 // AppendSeqUpdates encodes a MsgSeqUpdates payload: a batch sequence number
-// (strictly increasing per session, starting at 1) followed by the
-// MsgUpdates encoding.
+// (strictly increasing per session, starting at 1) followed by the update
+// body (AppendUpdates).
 func AppendSeqUpdates(buf []byte, seq uint64, updates []Update) []byte {
 	buf = binary.AppendUvarint(buf, seq)
 	return AppendUpdates(buf, updates)

@@ -13,7 +13,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, MsgUpdates, payload); err != nil {
+	if err := WriteFrame(&buf, MsgSeqUpdates, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrame(&buf, MsgAck, nil); err != nil {
@@ -21,7 +21,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	r := bufio.NewReader(&buf)
 	typ, got, err := ReadFrame(r)
-	if err != nil || typ != MsgUpdates || !bytes.Equal(got, payload) {
+	if err != nil || typ != MsgSeqUpdates || !bytes.Equal(got, payload) {
 		t.Fatalf("frame 1: (%v,%q,%v)", typ, got, err)
 	}
 	typ, got, err = ReadFrame(r)
@@ -35,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgSketch, []byte("0123456789")); err != nil {
+	if err := WriteFrame(&buf, MsgSeqUpdates, []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -49,11 +49,11 @@ func TestFrameTruncation(t *testing.T) {
 func TestFrameSizeBound(t *testing.T) {
 	// A header claiming a gigantic payload must be rejected without
 	// allocation.
-	huge := []byte{0xff, 0xff, 0xff, 0xff, byte(MsgUpdates)}
+	huge := []byte{0xff, 0xff, 0xff, 0xff, byte(MsgSeqUpdates)}
 	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(huge))); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := WriteFrame(io.Discard, MsgSketch, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(io.Discard, MsgSeqUpdates, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write err = %v", err)
 	}
 }
@@ -210,10 +210,17 @@ func TestSeqAckRoundTrip(t *testing.T) {
 
 func TestMsgTypeStrings(t *testing.T) {
 	// Every defined type must have a distinct non-"unknown" telemetry label;
-	// one past the last must not.
+	// the reserved slots of retired frames and one past the last must not.
+	reserved := map[MsgType]bool{1: true, 4: true}
 	seen := map[string]bool{}
-	for typ := MsgUpdates; int(typ) < MsgTypeCount; typ++ {
+	for typ := MsgType(1); int(typ) < MsgTypeCount; typ++ {
 		s := typ.String()
+		if reserved[typ] {
+			if s != "unknown" {
+				t.Fatalf("reserved type %d label %q, want unknown", typ, s)
+			}
+			continue
+		}
 		if s == "unknown" || seen[s] {
 			t.Fatalf("type %d label %q (unknown or duplicate)", typ, s)
 		}
@@ -310,7 +317,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendFrame(nil, MsgSketch, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := AppendFrame(nil, MsgSeqUpdates, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized append err = %v", err)
 	}
 	// Appending onto an existing prefix must leave it intact.
