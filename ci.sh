@@ -2,11 +2,12 @@
 # CI entry points for the dcsketch repo.
 #
 #   ./ci.sh tier1   build + unit tests (the always-green floor)
-#   ./ci.sh check   tier1 plus vet, the bench/ module's vet and smoke
-#                   test, sketchlint, the perfcheck compiler contract
-#                   gate (allocfree/bce/inline pins from perfpins.txt),
-#                   -race tests, a forced-generic vec pass, dcsdebug
-#                   assertion tests, and a concurrent fuzz smoke pass
+#   ./ci.sh check   tier1 plus vet, a gofmt check, the bench/ module's
+#                   vet and smoke test, sketchlint, the perfcheck
+#                   compiler contract gate (allocfree/bce/inline pins
+#                   from perfpins.txt), -race tests, a forced-generic
+#                   vec pass, dcsdebug assertion tests, and a concurrent
+#                   fuzz smoke pass
 #   ./ci.sh bench   run the Table-2 update/query benchmarks plus the
 #                   tracking churn, pipeline ingest, alert-onset health
 #                   and server ingest benchmarks with -benchmem, record
@@ -26,6 +27,15 @@ tier1() {
 check() {
 	tier1
 	go vet ./...
+	# Every tracked Go file must be gofmt-clean. Listing tracked files keeps
+	# the untracked .bench_build/ module cache out; the analyzers' golden
+	# testdata inputs are left as written.
+	unformatted="$(gofmt -l $(git ls-files '*.go' | grep -v '/testdata/'))"
+	if [ -n "$unformatted" ]; then
+		echo "gofmt -l lists unformatted files:" >&2
+		echo "$unformatted" >&2
+		exit 1
+	fi
 	# The fabric benchmark is its own module (bench/go.mod), so the root
 	# ./... never compiles it. Vet it and run its smoke test (all three
 	# workloads at toy size, oracle included) so a change to an API it

@@ -11,7 +11,7 @@
 //	poolcheck      sync.Pool Get/Put balance and length-reset discipline
 //	lockorder      no cyclic lock acquisition; //lint:lockorder pins declare the order
 //	goroleak       every go spawn needs a provable join or shutdown path
-//	atomicfield    sync/atomic fields are never accessed plainly and stay aligned
+//	atomicfield    shared words are typed atomics, never sync/atomic package functions
 //	msgexhaustive  every wire MsgType is encoded, decoded, tested, printed, routed
 //	asmabi         assembly kernels match their Go stubs: NOSPLIT, ABI0 offsets, parity
 //	metricname     telemetry series are dcsketch_-prefixed snake_case, registered once

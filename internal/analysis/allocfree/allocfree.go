@@ -101,8 +101,8 @@ func run(pass *analysis.Pass) error {
 
 // verdict memoizes the transitive scan of one non-annotated module function.
 type verdict struct {
-	done  bool   // scan finished (false while on the recursion stack)
-	clean bool   // valid once done
+	done  bool // scan finished (false while on the recursion stack)
+	clean bool // valid once done
 	pos   token.Pos
 	msg   string
 }

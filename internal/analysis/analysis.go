@@ -11,9 +11,8 @@
 // over the whole module by cmd/sketchlint; each is unit-tested against golden
 // packages with the analysistest subpackage. Analyzers that reason across
 // package boundaries (allocfree's call-graph proofs, lockorder's
-// acquisition graph, goroleak's join search, atomicfield's module-wide
-// access scan, msgexhaustive's dispatch scan) additionally receive a Module
-// index over every loaded package.
+// acquisition graph, goroleak's join search, msgexhaustive's dispatch
+// scan) additionally receive a Module index over every loaded package.
 //
 // # The //lint: annotation vocabulary
 //

@@ -1,34 +1,25 @@
 // Package atomicfield implements the sketchlint analyzer enforcing atomics
-// discipline: a struct field or package variable touched through sync/atomic
-// anywhere in the module must be touched that way everywhere. One plain
-// read beside an atomic.AddInt64 is a torn read on 32-bit platforms and a
-// data race on all of them — exactly the bug class the telemetry counters
-// and the documented single-writer claims must never regress into.
+// discipline: a word shared between goroutines without a lock is declared
+// as one of sync/atomic's typed atomics (atomic.Uint64, atomic.Int64,
+// atomic.Pointer, ...) or a telemetry instrument built on them, and is never
+// passed to sync/atomic's package functions (atomic.AddInt64(&x, 1) and
+// friends).
 //
-// Three rules:
+// One rule: any use of a sync/atomic package function is a finding. The
+// typed atomics make the bug classes of the function forms impossible to
+// write: the compiler rejects plain access to an atomic.Uint64, go vet's
+// copylocks check rejects copying one, and Go aligns atomic.Int64 and
+// atomic.Uint64 to 8 bytes on every platform. A plain word handed to the
+// function forms has none of these guarantees: one plain read beside an
+// atomic.AddInt64 is a data race, and on 32-bit platforms a word at a
+// 4-byte offset tears or faults.
 //
-//   - Mixed access: a field/variable that is the operand of a sync/atomic
-//     call (atomic.AddInt64(&x, ...) and friends) must not be read or
-//     written non-atomically anywhere in the module. Composite-literal keys
-//     are exempt (initialization before publication).
-//   - Alignment: a plain (non-atomic.Int64-typed) field used with 64-bit
-//     sync/atomic calls must sit at an 8-byte-aligned offset under 32-bit
-//     layout rules (GOARCH=386), where int64 fields align to 4 bytes. The
-//     typed atomic.Int64/Uint64 wrappers are always safe and preferred.
-//   - Mixed discipline: a field carrying a '// guarded by <mu>' annotation
-//     must not also be accessed atomically — pick the lock or the atomic,
-//     not both.
-//
-// //lint:atomicok on the access line suppresses a reviewed finding (e.g. a
-// deliberately approximate racy read).
+// //lint:atomicok on the line suppresses a reviewed finding.
 package atomicfield
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"regexp"
-	"strings"
 
 	"dcsketch/internal/analysis"
 )
@@ -36,226 +27,26 @@ import (
 // Analyzer is the atomicfield analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "atomicfield",
-	Doc:       "fields touched via sync/atomic must never be accessed non-atomically, and 64-bit atomics must be alignment-safe",
+	Doc:       "shared words use sync/atomic's typed atomics, never its package functions",
 	Directive: "atomicok",
 	Run:       run,
 }
 
-var guardedRe = regexp.MustCompile(`guarded by (\w+)`)
-
-// atomicUse records how a field or variable is touched atomically.
-type atomicUse struct {
-	is64 bool // some sync/atomic call on it is 64-bit
-}
-
 func run(pass *analysis.Pass) error {
-	flagged := collectAtomicOperands(pass.ModulePackages())
-	if len(flagged) == 0 {
-		return nil
-	}
-	for _, file := range pass.Files {
-		checkFile(pass, file, flagged)
-	}
-	checkStructs(pass, flagged)
-	return nil
-}
-
-// collectAtomicOperands finds every field or package variable passed by
-// address to a sync/atomic function anywhere in the module.
-func collectAtomicOperands(pkgs []*analysis.Package) map[types.Object]*atomicUse {
-	flagged := map[types.Object]*atomicUse{}
-	for _, pkg := range pkgs {
-		info := pkg.TypesInfo
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, ok := atomicFuncName(info, call)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				addr, ok := call.Args[0].(*ast.UnaryExpr)
-				if !ok || addr.Op != token.AND {
-					return true
-				}
-				obj := operandObj(info, addr.X)
-				if obj == nil {
-					return true
-				}
-				u := flagged[obj]
-				if u == nil {
-					u = &atomicUse{}
-					flagged[obj] = u
-				}
-				u.is64 = u.is64 || strings.Contains(name, "64")
-				return true
-			})
-		}
-	}
-	return flagged
-}
-
-// atomicFuncName recognizes a call to a sync/atomic package function and
-// returns its name.
-func atomicFuncName(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	pkgID, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pn, ok := info.Uses[pkgID].(*types.PkgName)
-	if !ok || pn.Imported().Path() != "sync/atomic" {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
-// operandObj resolves the expression under & to a field or package-variable
-// object; locals are skipped (they cannot be shared without also being
-// flagged where shared).
-func operandObj(info *types.Info, e ast.Expr) types.Object {
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := info.Uses[x]
-		if v, ok := obj.(*types.Var); ok && !v.IsField() {
-			// Keep package-level variables, drop function locals.
-			if v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-				return nil
-			}
-		}
-		return obj
-	case *ast.SelectorExpr:
-		return info.Uses[x.Sel]
-	case *ast.ParenExpr:
-		return operandObj(info, x.X)
-	case *ast.IndexExpr:
-		return nil // element of a slice/array: identity is per-index, skip
-	}
-	return nil
-}
-
-// checkFile reports every non-atomic use of a flagged object in file.
-func checkFile(pass *analysis.Pass, file *ast.File, flagged map[types.Object]*atomicUse) {
-	// skip marks identifier occurrences that are legitimate: operands of
-	// sync/atomic calls and composite-literal keys (pre-publication init).
-	skip := map[*ast.Ident]bool{}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if _, ok := atomicFuncName(pass.TypesInfo, n); ok && len(n.Args) > 0 {
-				ast.Inspect(n.Args[0], func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						skip[id] = true
-					}
-					return true
-				})
-			}
-		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						skip[id] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	ast.Inspect(file, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || skip[id] {
-			return true
-		}
-		obj := pass.TypesInfo.Uses[id]
-		if obj == nil {
-			return true
-		}
-		if _, isFlagged := flagged[obj]; !isFlagged {
-			return true
-		}
-		pass.Reportf(id.Pos(), "%s is accessed with sync/atomic elsewhere; this plain access races with it (use sync/atomic or a typed atomic value)", objDisplay(obj))
-		return true
-	})
-}
-
-// checkStructs reports alignment hazards and discipline conflicts on the
-// flagged fields declared in this pass's files.
-func checkStructs(pass *analysis.Pass, flagged map[types.Object]*atomicUse) {
-	// 32-bit layout is the strict case: int64 aligns to 4, so any 64-bit
-	// atomic field not explicitly kept at an 8-byte offset can fault or
-	// tear on GOARCH=386/arm.
-	sizes := types.SizesFor("gc", "386")
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			tn := pass.TypesInfo.Defs[ts.Name]
-			if tn == nil {
-				return true
-			}
-			structType, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				return true
-			}
-			fields := make([]*types.Var, structType.NumFields())
-			for i := range fields {
-				fields[i] = structType.Field(i)
-			}
-			offsets := sizes.Offsetsof(fields)
-			for _, field := range st.Fields.List {
-				for _, name := range field.Names {
-					obj := pass.TypesInfo.Defs[name]
-					use, isFlagged := flagged[obj]
-					if !isFlagged {
-						continue
-					}
-					if m := guardedRe.FindStringSubmatch(fieldComments(field)); m != nil {
-						pass.Reportf(name.Pos(), "field %s mixes '// guarded by %s' locking with sync/atomic access; pick one discipline", name.Name, m[1])
-					}
-					if use.is64 {
-						for i, f := range fields {
-							if f == obj && offsets[i]%8 != 0 {
-								pass.Reportf(name.Pos(), "64-bit atomic field %s is not 8-byte aligned under 32-bit layout (offset %d); move it first in the struct or use atomic.Int64/Uint64", name.Name, offsets[i])
-							}
-						}
-					}
-				}
+			// Methods of the typed atomics are Funcs too; only the
+			// receiverless package functions are reported.
+			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(id.Pos(), "sync/atomic.%s operates on a plain word; declare the word as a typed atomic (atomic.Int64, atomic.Uint64, ...) instead", fn.Name())
 			}
 			return true
 		})
 	}
-}
-
-// fieldComments joins a field's doc and trailing comments.
-func fieldComments(field *ast.Field) string {
-	var parts []string
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg != nil {
-			parts = append(parts, cg.Text())
-		}
-	}
-	return strings.Join(parts, "\n")
-}
-
-// objDisplay renders a flagged object for diagnostics: Type.field for
-// fields (when recoverable), pkg.name for package variables.
-func objDisplay(obj types.Object) string {
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		return "field " + v.Name()
-	}
-	if obj.Pkg() != nil {
-		return obj.Pkg().Name() + "." + obj.Name()
-	}
-	return obj.Name()
+	return nil
 }

@@ -1,80 +1,52 @@
 // Package atomicfield is the golden input for the atomicfield analyzer:
-// mixed atomic/plain access, 64-bit misalignment, discipline conflicts,
-// and suppressions.
+// every use of a sync/atomic package function is reported, whatever the
+// import name and whether it is called or taken as a value; the typed
+// atomics are not; and a suppression silences one reviewed line.
 package atomicfield
 
 import (
-	"sync"
 	"sync/atomic"
+	sa "sync/atomic"
 )
 
-// counter mixes an atomic increment with a plain read.
+// counter keeps a plain word that the function forms update.
 type counter struct {
 	hits int64
 }
 
-func (c *counter) inc() { atomic.AddInt64(&c.hits, 1) }
+func (c *counter) inc() { atomic.AddInt64(&c.hits, 1) } // want `sync/atomic.AddInt64 operates on a plain word`
 
 func (c *counter) get() int64 {
-	return c.hits // want `accessed with sync/atomic elsewhere`
+	return atomic.LoadInt64(&c.hits) // want `sync/atomic.LoadInt64 operates on a plain word`
 }
 
-// newCounter initializes the field in a composite literal, which happens
-// before publication and is exempt.
-func newCounter() *counter {
-	return &counter{hits: 0}
-}
+// flag is a package-level word stored through a renamed import.
+var flag uint32
 
-// approx carries a reviewed suppression for a deliberately racy read.
+func raise() { sa.StoreUint32(&flag, 1) } // want `sync/atomic.StoreUint32 operates on a plain word`
+
+// adder takes a package function as a value instead of calling it.
+var adder = atomic.AddUint64 // want `sync/atomic.AddUint64 operates on a plain word`
+
+// approx carries a reviewed suppression.
 func (c *counter) approx() int64 {
-	return c.hits //lint:atomicok approximate read reviewed, staleness is acceptable here
+	return atomic.LoadInt64(&c.hits) //lint:atomicok reviewed: the golden suppression case
 }
 
-// staleOK carries a suppression on a line with nothing to suppress; the
-// analyzer must stay silent rather than misapply it.
-func (c *counter) staleOK() {
-	atomic.AddInt64(&c.hits, 1) //lint:atomicok nothing is reported on this line
-}
-
-// misaligned puts a 64-bit atomic after a bool: offset 4 under 32-bit
-// layout, where 64-bit atomic access faults or tears.
-type misaligned struct {
-	flag bool
-	n    int64 // want `not 8-byte aligned`
-}
-
-func (m *misaligned) bump() { atomic.AddInt64(&m.n, 1) }
-
-// aligned keeps the 64-bit word first, which is safe on every layout.
-type aligned struct {
-	n    int64
-	flag bool
-}
-
-func (a *aligned) bump() { atomic.AddInt64(&a.n, 1) }
-
-// typed uses the typed atomic wrapper, which the runtime always aligns.
+// typed uses the typed atomics, which the compiler keeps atomic and the
+// runtime keeps aligned: no finding.
 type typed struct {
 	flag bool
 	n    atomic.Int64
+	p    atomic.Pointer[counter]
 }
 
-func (t *typed) bump() { t.n.Add(1) }
-
-// mixed declares a lock discipline and then bypasses it atomically.
-type mixed struct {
-	mu sync.Mutex
-	// guarded by mu
-	n int64 // want `mixes '// guarded by mu' locking with sync/atomic access`
+func (t *typed) bump() int64 {
+	t.p.Store(&counter{})
+	return t.n.Add(1)
 }
 
-func (m *mixed) inc() { atomic.AddInt64(&m.n, 1) }
+// AddInt64 is a local function that shares a sync/atomic name: no finding.
+func AddInt64(p *int64, d int64) int64 { *p += d; return *p }
 
-// total is a package-level variable with the same mixed-access defect.
-var total int64
-
-func addTotal(n int64) { atomic.AddInt64(&total, n) }
-
-func readTotal() int64 {
-	return total // want `accessed with sync/atomic elsewhere`
-}
+func local(c *counter) int64 { return AddInt64(&c.hits, 1) }

@@ -93,11 +93,12 @@ type Server struct {
 	//
 	//lint:lockorder before(mu)
 	snapMu sync.RWMutex
-	// mu serializes monitor access with the counter snapshots so Stats
-	// is consistent with the detection state. Monitor calls made under it
-	// take the monitor's own lock, so that nesting is the sanctioned
-	// order module-wide. The relay's Forward tap also runs under it, so
-	// the exporter spool lock nests the same way.
+	// mu serializes the session table, the Forward tap and the monitor's
+	// sketch apply, so a batch's dedup check, upstream admission, apply
+	// and horizon advance are one atomic step. It guards no counter.
+	// Monitor calls made under it take the monitor's own lock, so that
+	// nesting is the sanctioned order module-wide. The relay's Forward tap
+	// runs under it, so the exporter spool lock nests the same way.
 	//
 	//lint:lockorder before(monitor.Monitor.mu)
 	//lint:lockorder before(export.Exporter.mu)
@@ -123,35 +124,26 @@ type Server struct {
 	shutdown chan struct{}
 	once     sync.Once
 
-	// Traffic counters. guarded by mu
-	updatesIn, batchesIn, queriesIn, protocolErrs uint64
-	// Replay-session counters: handshakes, sequenced batches received, and
-	// duplicates suppressed by the dedup table. guarded by mu
-	hellosIn, seqBatchesIn, dupBatches uint64
+	// The counters below are lock-free and each is incremented once, where
+	// its event happens; Stats, the telemetry probes and the evidence probe
+	// all read them, and totals that are sums of them are derived on read.
+	// updatesIn and batchesIn are incremented inside mu after the sketch
+	// apply, so a reader that sees them finds the batch in the sketch.
+	updatesIn, batchesIn, queriesIn, hellosIn telemetry.Counter
+	// dupBatches counts retransmissions suppressed by the dedup table;
 	// forwardErrs counts batches aborted because the Forward tap refused
-	// them (relay shutting down); each also drops its connection unacked.
-	// guarded by mu
-	forwardErrs uint64
-	// framesByType counts dispatched frames per defined type (indexed by
-	// wire.MsgType; index 0 unused). guarded by mu
-	framesByType [wire.MsgTypeCount]uint64
-	// errorsByType attributes protocol errors to the defined frame type
-	// that carried them (decode failures, invalid request types). guarded
-	// by mu
-	errorsByType [wire.MsgTypeCount]uint64
-	// unknownFrames counts frames with an undefined type byte (reserved
-	// slots of retired frames included). guarded by mu
-	unknownFrames uint64
-	// oversizedFrames counts frames rejected for exceeding
-	// wire.MaxFrameSize before payload allocation. guarded by mu
-	oversizedFrames uint64
-
-	// Connection lifecycle counters. guarded by connMu
-	connsAccepted, connsRejected, connsClosed uint64
-	// acceptErrors counts listener Accept failures (all of which are now
-	// retried with backoff rather than silently killing the accept loop).
-	// guarded by connMu
-	acceptErrors uint64
+	// them, each of which also drops its connection unacked.
+	dupBatches, forwardErrs telemetry.Counter
+	// framesByType counts read frames per defined type and errorsByType the
+	// protocol errors they carried (indexed by wire.MsgType; index 0 and
+	// the reserved slots unused). unknownFrames counts frames with an
+	// undefined type byte, oversizedFrames those rejected for exceeding
+	// wire.MaxFrameSize before payload allocation.
+	framesByType, errorsByType     [wire.MsgTypeCount]telemetry.Counter
+	unknownFrames, oversizedFrames telemetry.Counter
+	// Connection lifecycle counters; acceptErrors counts listener Accept
+	// failures, which the accept loop retries with backoff.
+	connsAccepted, connsRejected, connsClosed, acceptErrors telemetry.Counter
 
 	// tel holds the telemetry bundle once RegisterTelemetry attaches one;
 	// nil (one atomic load per query frame) until then.
@@ -163,11 +155,6 @@ type Server struct {
 	rec *tracelog.Recorder
 	// connSeq mints the writer tag stamped into each connection ring.
 	connSeq atomic.Uint64
-	// decodeRejects counts frames whose payload was rejected before any
-	// state change; kept as a lock-free mirror of the per-type error
-	// counters so the monitor's alert-evidence ledger can snapshot it from
-	// inside its own critical section without touching mu.
-	decodeRejects atomic.Uint64
 }
 
 // New builds a server.
@@ -201,7 +188,7 @@ func New(cfg Config) (*Server, error) {
 		shutdown: make(chan struct{}),
 		rec:      rec,
 	}
-	mon.SetDecodeRejectProbe(s.decodeRejects.Load)
+	mon.SetDecodeRejectProbe(s.decodeRejects)
 	return s, nil
 }
 
@@ -278,7 +265,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 				// The listener itself is gone; nothing left to accept.
 				return
 			}
-			s.noteAcceptError()
+			s.acceptErrors.Inc()
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				continue
@@ -313,13 +300,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// noteAcceptError counts one listener Accept failure.
-func (s *Server) noteAcceptError() {
-	s.connMu.Lock()
-	s.acceptErrors++
-	s.connMu.Unlock()
-}
-
 func (s *Server) track(conn net.Conn) bool {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
@@ -329,18 +309,18 @@ func (s *Server) track(conn net.Conn) bool {
 	default:
 	}
 	if len(s.conns) >= s.cfg.MaxConns {
-		s.connsRejected++
+		s.connsRejected.Inc()
 		return false
 	}
 	s.conns[conn] = struct{}{}
-	s.connsAccepted++
+	s.connsAccepted.Inc()
 	return true
 }
 
 func (s *Server) untrack(conn net.Conn) {
 	s.connMu.Lock()
 	delete(s.conns, conn)
-	s.connsClosed++
+	s.connsClosed.Inc()
 	s.connMu.Unlock()
 	_ = conn.Close()
 }
@@ -415,10 +395,7 @@ func (s *Server) handle(conn net.Conn) {
 				// The length prefix cannot be trusted for resync,
 				// so the connection is dropped; count the rejection
 				// separately from in-band protocol errors.
-				s.mu.Lock()
-				s.oversizedFrames++
-				s.protocolErrs++
-				s.mu.Unlock()
+				s.oversizedFrames.Inc()
 			}
 			return
 		}
@@ -487,8 +464,8 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		s.mu.Lock()
 		sess := s.sessions.lookup(id)
 		lastAcked := sess.lastSeq
-		s.hellosIn++
 		s.mu.Unlock()
+		s.hellosIn.Inc()
 		cs.sessionID = id
 		// Echo the replay horizon: everything at or below lastAcked is
 		// applied and will never be re-applied; the exporter prunes its
@@ -518,7 +495,6 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		n := s.locateBatch(cs, updates)
 		s.mu.Lock()
 		sess := s.sessions.lookup(cs.sessionID)
-		s.seqBatchesIn++
 		dup := seq <= sess.lastSeq
 		horizon := sess.lastSeq
 		var fwdErr error
@@ -526,7 +502,7 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 			// Already applied: the previous ack was lost. Ack again, apply
 			// nothing — this is the exactly-once half of the at-least-once
 			// retransmission contract.
-			s.dupBatches++
+			s.dupBatches.Inc()
 		} else {
 			// The relay tap admits the batch upstream inside the same
 			// critical section that applies it and advances the horizon: a
@@ -537,11 +513,11 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 			}
 			if fwdErr == nil {
 				s.mon.UpdateLocatedBatch(&cs.scratch.located)
-				s.batchesIn++
-				s.updatesIn += uint64(n)
+				s.batchesIn.Inc()
+				s.updatesIn.Add(uint64(n))
 				sess.lastSeq = seq
 			} else {
-				s.forwardErrs++
+				s.forwardErrs.Inc()
 			}
 		}
 		s.mu.Unlock()
@@ -620,27 +596,32 @@ func rekeyInto(dst []dcs.KeyDelta, updates []wire.Update) []dcs.KeyDelta {
 
 // noteFrame counts one successfully read frame by type.
 func (s *Server) noteFrame(typ wire.MsgType) {
-	s.mu.Lock()
 	if typ.Defined() {
-		s.framesByType[typ]++
+		s.framesByType[typ].Inc()
 	} else {
-		s.unknownFrames++
+		s.unknownFrames.Inc()
 	}
-	s.mu.Unlock()
 }
 
-// noteProtocolError counts one protocol error, attributed to its frame type
-// when that type is defined (undefined types are already visible as
-// unknownFrames).
+// noteProtocolError counts one in-band protocol error, attributed to its
+// frame type when that type is defined (an undefined type is already
+// counted once, in unknownFrames).
 func (s *Server) noteProtocolError(typ wire.MsgType) {
-	s.mu.Lock()
-	s.protocolErrs++
 	if typ.Defined() {
-		s.errorsByType[typ]++
+		s.errorsByType[typ].Inc()
 	}
-	s.mu.Unlock()
-	// Lock-free mirror for the alert-evidence ledger (see decodeRejects).
-	s.decodeRejects.Add(1)
+}
+
+// decodeRejects is the alert-evidence ledger's transport reject count: the
+// frames refused in-band before any state change, i.e. every per-type
+// protocol error plus every undefined-type frame. It is lock-free, as the
+// monitor calls it under its own lock.
+func (s *Server) decodeRejects() uint64 {
+	n := s.unknownFrames.Load()
+	for t := range s.errorsByType {
+		n += s.errorsByType[t].Load()
+	}
+	return n
 }
 
 // TopK answers a top-k query from the shared monitor. In-process callers
@@ -648,7 +629,7 @@ func (s *Server) noteProtocolError(typ wire.MsgType) {
 func (s *Server) TopK(k int) []dcs.Estimate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.queriesIn++
+	s.queriesIn.Inc()
 	return s.mon.TopK(k)
 }
 
@@ -666,8 +647,9 @@ type Stats struct {
 	// (per-type, unknown, oversized).
 	Updates, Batches, Queries, ProtocolErrors uint64
 	// Hellos counts replay handshakes; SeqBatches counts sequenced update
-	// frames received (applied + duplicate); DuplicateBatches counts
-	// retransmissions suppressed by the dedup table (acked, not applied).
+	// frames received (Batches + DuplicateBatches + ForwardErrors);
+	// DuplicateBatches counts retransmissions suppressed by the dedup table
+	// (acked, not applied).
 	Hellos, SeqBatches, DuplicateBatches uint64
 	// ForwardErrors counts batches aborted by the Forward tap (each also
 	// dropped its connection unacked, so the batch stays retransmittable).
@@ -692,7 +674,8 @@ type Stats struct {
 	// wire.MaxFrameSize; each also drops its connection.
 	OversizedFrames uint64
 	// ConnsAccepted, ConnsRejected (over MaxConns), and ConnsClosed count
-	// connection lifecycle events; ConnsActive is the live count.
+	// connection lifecycle events; ConnsActive is the live count
+	// (ConnsAccepted − ConnsClosed).
 	ConnsAccepted, ConnsRejected, ConnsClosed uint64
 	ConnsActive                               int
 	// AcceptErrors counts listener Accept failures; the accept loop
@@ -700,34 +683,48 @@ type Stats struct {
 	AcceptErrors uint64
 }
 
-// Stats returns a consistent snapshot of the counters.
+// Stats returns the server counters. Every counter is read without a lock,
+// each at its own instant, so under live traffic two fields may be a few
+// events apart; the totals (ProtocolErrors, SeqBatches, ConnsActive) are
+// derived from the fields returned beside them, so they always agree with
+// their parts. Only SessionsActive and SessionsEvicted, which live in the
+// session table, are read under mu. Updates and Batches are counted after
+// their batch is applied, so a reader that sees Updates ≥ n finds those n
+// updates in the sketch.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
 	st := Stats{
-		Updates:          s.updatesIn,
-		Batches:          s.batchesIn,
-		Queries:          s.queriesIn,
-		ProtocolErrors:   s.protocolErrs,
-		Hellos:           s.hellosIn,
-		SeqBatches:       s.seqBatchesIn,
-		DuplicateBatches: s.dupBatches,
-		ForwardErrors:    s.forwardErrs,
-		SessionsActive:   s.sessions.len(),
-		SessionsEvicted:  s.sessions.evicted,
-		FramesByType:     s.framesByType,
-		ErrorsByType:     s.errorsByType,
-		UnknownFrames:    s.unknownFrames,
-		OversizedFrames:  s.oversizedFrames,
+		Updates:          s.updatesIn.Load(),
+		Batches:          s.batchesIn.Load(),
+		Queries:          s.queriesIn.Load(),
+		Hellos:           s.hellosIn.Load(),
+		DuplicateBatches: s.dupBatches.Load(),
+		ForwardErrors:    s.forwardErrs.Load(),
+		UnknownFrames:    s.unknownFrames.Load(),
+		OversizedFrames:  s.oversizedFrames.Load(),
+		ConnsRejected:    s.connsRejected.Load(),
+		ConnsClosed:      s.connsClosed.Load(),
+		AcceptErrors:     s.acceptErrors.Load(),
 	}
-	s.mu.Unlock()
-	s.connMu.Lock()
-	st.ConnsAccepted = s.connsAccepted
-	st.ConnsRejected = s.connsRejected
-	st.ConnsClosed = s.connsClosed
-	st.ConnsActive = len(s.conns)
-	st.AcceptErrors = s.acceptErrors
-	s.connMu.Unlock()
+	// Accepted is read after closed, so the live count never goes negative.
+	st.ConnsAccepted = s.connsAccepted.Load()
+	st.ConnsActive = int(st.ConnsAccepted - st.ConnsClosed)
+	st.SeqBatches = st.Batches + st.DuplicateBatches + st.ForwardErrors
+	st.ProtocolErrors = st.UnknownFrames + st.OversizedFrames
+	for t := range st.FramesByType {
+		st.FramesByType[t] = s.framesByType[t].Load()
+		st.ErrorsByType[t] = s.errorsByType[t].Load()
+		st.ProtocolErrors += st.ErrorsByType[t]
+	}
+	st.SessionsActive, st.SessionsEvicted = s.sessionCounts()
 	return st
+}
+
+// sessionCounts reads the session table's size and eviction count; the
+// table is not self-locking, so this is the one counter read under mu.
+func (s *Server) sessionCounts() (active int, evicted uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sessions.len(), s.sessions.evicted
 }
 
 // Monitor exposes the shared monitor, e.g. so embedders can read
@@ -751,64 +748,63 @@ func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
 
 	reg.CounterFunc("dcsketch_server_updates_total",
 		"Flow updates applied from sequenced update batches.",
-		func() uint64 { return s.Stats().Updates })
+		s.updatesIn.Load)
 	reg.CounterFunc("dcsketch_server_batches_total",
 		"Sequenced update batches applied (duplicates excluded).",
-		func() uint64 { return s.Stats().Batches })
+		s.batchesIn.Load)
 	reg.CounterFunc("dcsketch_server_queries_total",
 		"Top-k query frames answered.",
-		func() uint64 { return s.Stats().Queries })
+		s.queriesIn.Load)
 	for t := wire.MsgType(1); int(t) < wire.MsgTypeCount; t++ {
 		if !t.Defined() {
 			continue // reserved slot; counted in unknown_frames_total
 		}
-		t := t
 		reg.CounterFunc(`dcsketch_server_frames_total{type="`+t.String()+`"}`,
 			"Frames read, by frame type.",
-			func() uint64 { return s.Stats().FramesByType[t] })
+			s.framesByType[t].Load)
 		reg.CounterFunc(`dcsketch_server_protocol_errors_total{type="`+t.String()+`"}`,
 			"Protocol errors, by the frame type that carried them.",
-			func() uint64 { return s.Stats().ErrorsByType[t] })
+			s.errorsByType[t].Load)
 	}
 	reg.CounterFunc("dcsketch_server_hellos_total",
 		"Replay-session handshakes (MsgHello) accepted.",
-		func() uint64 { return s.Stats().Hellos })
+		s.hellosIn.Load)
 	reg.CounterFunc("dcsketch_server_seq_batches_total",
-		"Sequenced update frames received (applied plus duplicate).",
-		func() uint64 { return s.Stats().SeqBatches })
+		"Sequenced update frames received (applied, duplicate, or refused by the forward tap).",
+		func() uint64 { return s.batchesIn.Load() + s.dupBatches.Load() + s.forwardErrs.Load() })
 	reg.CounterFunc("dcsketch_server_duplicate_batches_total",
 		"Retransmitted batches suppressed by the replay dedup table.",
-		func() uint64 { return s.Stats().DuplicateBatches })
+		s.dupBatches.Load)
 	reg.CounterFunc("dcsketch_server_forward_errors_total",
 		"Batches aborted by the relay forward tap (connection dropped unacked).",
-		func() uint64 { return s.Stats().ForwardErrors })
+		s.forwardErrs.Load)
 	reg.GaugeFunc("dcsketch_server_sessions_active",
 		"Live replay sessions in the dedup table.",
-		func() int64 { return int64(s.Stats().SessionsActive) })
+		func() int64 { n, _ := s.sessionCounts(); return int64(n) })
 	reg.CounterFunc("dcsketch_server_sessions_evicted_total",
 		"Replay sessions LRU-evicted past the MaxSessions bound.",
-		func() uint64 { return s.Stats().SessionsEvicted })
+		func() uint64 { _, n := s.sessionCounts(); return n })
 	reg.CounterFunc("dcsketch_server_accept_errors_total",
 		"Listener accept failures (retried with backoff).",
-		func() uint64 { return s.Stats().AcceptErrors })
+		s.acceptErrors.Load)
 	reg.CounterFunc("dcsketch_server_unknown_frames_total",
 		"Frames with an undefined type byte.",
-		func() uint64 { return s.Stats().UnknownFrames })
+		s.unknownFrames.Load)
 	reg.CounterFunc("dcsketch_server_oversized_frames_total",
 		"Frames rejected for exceeding the maximum frame size.",
-		func() uint64 { return s.Stats().OversizedFrames })
+		s.oversizedFrames.Load)
 	reg.CounterFunc("dcsketch_server_conns_accepted_total",
 		"Connections accepted.",
-		func() uint64 { return s.Stats().ConnsAccepted })
+		s.connsAccepted.Load)
 	reg.CounterFunc("dcsketch_server_conns_rejected_total",
 		"Connections rejected over the MaxConns limit.",
-		func() uint64 { return s.Stats().ConnsRejected })
+		s.connsRejected.Load)
 	reg.CounterFunc("dcsketch_server_conns_closed_total",
 		"Connections closed.",
-		func() uint64 { return s.Stats().ConnsClosed })
+		s.connsClosed.Load)
 	reg.GaugeFunc("dcsketch_server_conns_active",
 		"Live connections.",
-		func() int64 { return int64(s.Stats().ConnsActive) })
+		func() int64 { closed := s.connsClosed.Load(); return int64(s.connsAccepted.Load() - closed) })
 
 	s.Monitor().RegisterTelemetry(reg)
 	s.tel.Store(tel)

@@ -204,10 +204,13 @@ func TestShutdownIdempotent(t *testing.T) {
 	srv.Shutdown()
 }
 
+// TestAlertOverServer floods one destination over the wire until it alerts.
+// Two frames the server rejects in-band precede the flood, and the alert's
+// evidence must record both through the server's decode-reject probe.
 func TestAlertOverServer(t *testing.T) {
 	var mu sync.Mutex
 	var alerts []monitor.Alert
-	_, addr := startServer(t, Config{
+	srv, addr := startServer(t, Config{
 		Monitor: monitor.Config{CheckInterval: 100, MinFrequency: 50},
 		OnAlert: func(a monitor.Alert) {
 			mu.Lock()
@@ -215,6 +218,9 @@ func TestAlertOverServer(t *testing.T) {
 			mu.Unlock()
 		},
 	})
+	conn, r := rawConn(t, addr)
+	expectError(t, conn, r, wire.MsgSeqUpdates, []byte{1, 1}) // truncated
+	expectError(t, conn, r, wire.MsgType(200), nil)           // undefined type
 	c := dial(t, addr)
 	batch := make([]wire.Update, 500)
 	for i := range batch {
@@ -227,5 +233,9 @@ func TestAlertOverServer(t *testing.T) {
 	defer mu.Unlock()
 	if len(alerts) == 0 || alerts[0].Dest != 443 {
 		t.Fatalf("alerts = %+v", alerts)
+	}
+	ev := srv.Monitor().Evidence()
+	if len(ev) == 0 || ev[0].DecodeRejects != 2 {
+		t.Fatalf("evidence = %+v, want the first entry to record 2 decode rejects", ev)
 	}
 }

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dcsketch/internal/tdcs"
 	"dcsketch/internal/telemetry"
@@ -143,6 +146,63 @@ func TestSessionSurvivesReconnect(t *testing.T) {
 	}
 }
 
+// TestForwardErrorDropsBatchUnacked pins the Config.Forward error contract:
+// a batch the tap refuses is neither applied nor acked, its connection is
+// dropped, and the session horizon stays put, so the exporter's
+// retransmission after reconnect applies once and only once.
+func TestForwardErrorDropsBatchUnacked(t *testing.T) {
+	var refuse atomic.Bool
+	refuse.Store(true)
+	var forwarded atomic.Int64
+	srv, addr := startServer(t, Config{Forward: func(updates []wire.Update) error {
+		if refuse.Swap(false) {
+			return errors.New("upstream spool closed")
+		}
+		forwarded.Add(int64(len(updates)))
+		return nil
+	}})
+	batch := batchOf(100, 443, 1)
+
+	rc := dialSess(t, addr)
+	rc.hello(7)
+	if err := wire.WriteFrame(rc.conn, wire.MsgSeqUpdates, wire.AppendSeqUpdates(nil, 1, batch)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := wire.ReadFrame(rc.r)
+	var ne net.Error
+	if err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("refused batch: reply (%v, %q, %v), want the connection dropped", typ, payload, err)
+	}
+	st := srv.Stats()
+	if st.ForwardErrors != 1 || st.Updates != 0 || st.Batches != 0 {
+		t.Fatalf("after the refusal: stats = %+v", st)
+	}
+	if top := srv.TopK(5); len(top) != 0 {
+		t.Fatalf("refused batch reached the sketch: top-k = %v", top)
+	}
+
+	// The horizon did not move, so the reconnecting exporter retransmits.
+	rc = dialSess(t, addr)
+	if last := rc.hello(7); last != 0 {
+		t.Fatalf("horizon after a refused batch = %d, want 0", last)
+	}
+	rc.seqSend(1, batch)
+	rc.seqSend(1, batch) // the ack was lost again: a duplicate
+	st = srv.Stats()
+	if st.Updates != 100 || st.Batches != 1 || st.DuplicateBatches != 1 || st.ForwardErrors != 1 {
+		t.Fatalf("after the retransmissions: stats = %+v", st)
+	}
+	if st.SeqBatches != st.Batches+st.DuplicateBatches+st.ForwardErrors || st.SeqBatches != 3 {
+		t.Fatalf("SeqBatches = %d, want Batches + DuplicateBatches + ForwardErrors = 3", st.SeqBatches)
+	}
+	if n := forwarded.Load(); n != int64(len(batch)) {
+		t.Fatalf("forwarded %d updates, want the one applied batch of %d", n, len(batch))
+	}
+}
+
 func TestSeqUpdatesWithoutHelloRejected(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	rc := dialSess(t, addr)
@@ -227,10 +287,10 @@ func TestEvictedSessionReconnectResetsHorizon(t *testing.T) {
 }
 
 // TestRetiredFrameTypesRejected pins the retirement of the sequence-less
-// update frame (type byte 1) and the shipped-sketch frame (type byte 4):
-// each is answered like an undefined type — MsgError, counted as unknown,
-// nothing applied — and telemetry registers no series for their reserved
-// slots.
+// update frame (type byte 1), the shipped-sketch frame (type byte 4) and
+// their empty ack (type byte 5): each is answered like an undefined type —
+// MsgError, counted as unknown, nothing applied — and telemetry registers
+// no series for their reserved slots.
 func TestRetiredFrameTypesRejected(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	reg := telemetry.NewRegistry()
@@ -257,6 +317,7 @@ func TestRetiredFrameTypesRejected(t *testing.T) {
 	}{
 		{1, wire.AppendUpdates(nil, batchOf(300, 80, 1))},
 		{4, encoded},
+		{5, nil},
 	} {
 		if typ, payload := rc.send(f.typ, f.payload); typ != wire.MsgError {
 			t.Fatalf("reply to a type-%d frame = %v (%q), want MsgError", f.typ, typ, payload)
@@ -264,24 +325,26 @@ func TestRetiredFrameTypesRejected(t *testing.T) {
 	}
 
 	st := srv.Stats()
-	if st.Updates != 100 || st.Batches != 1 || st.UnknownFrames != 2 || st.ProtocolErrors != 2 {
-		t.Fatalf("stats = %+v, want only the sequenced batch applied and 2 unknown frames", st)
+	if st.Updates != 100 || st.Batches != 1 || st.UnknownFrames != 3 || st.ProtocolErrors != 3 {
+		t.Fatalf("stats = %+v, want only the sequenced batch applied and 3 unknown frames", st)
 	}
-	if st.FramesByType[1] != 0 || st.FramesByType[4] != 0 || st.ErrorsByType[1] != 0 || st.ErrorsByType[4] != 0 {
-		t.Fatalf("retired types counted as defined: frames %v, errors %v", st.FramesByType, st.ErrorsByType)
+	for _, typ := range []wire.MsgType{1, 4, 5} {
+		if st.FramesByType[typ] != 0 || st.ErrorsByType[typ] != 0 {
+			t.Fatalf("retired types counted as defined: frames %v, errors %v", st.FramesByType, st.ErrorsByType)
+		}
 	}
 	if got := srv.TopK(5); !reflect.DeepEqual(got, before) {
 		t.Fatalf("TopK after retired frames = %v, want unchanged %v", got, before)
 	}
-	// The connection survives both rejections.
+	// The connection survives every rejection.
 	rc.seqSend(2, batchOf(10, 443, 1))
 
 	for _, s := range reg.Snapshot() {
 		if strings.Contains(s.Name, `type="unknown"`) {
 			t.Errorf("telemetry registered %s for a reserved slot", s.Name)
 		}
-		if s.Name == "dcsketch_server_unknown_frames_total" && s.Value != 2 {
-			t.Errorf("%s = %v, want 2", s.Name, s.Value)
+		if s.Name == "dcsketch_server_unknown_frames_total" && s.Value != 3 {
+			t.Errorf("%s = %v, want 3", s.Name, s.Value)
 		}
 	}
 }

@@ -25,10 +25,14 @@ func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 }
 
 // expectError sends one frame and requires a MsgError reply on the same
-// connection (the in-band error path keeps the connection alive).
+// connection within a few seconds (the in-band error path keeps the
+// connection alive).
 func expectError(t *testing.T, conn net.Conn, r *bufio.Reader, typ wire.MsgType, payload []byte) {
 	t.Helper()
 	if err := wire.WriteFrame(conn, typ, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	reply, msg, err := wire.ReadFrame(r)
@@ -38,28 +42,34 @@ func expectError(t *testing.T, conn net.Conn, r *bufio.Reader, typ wire.MsgType,
 }
 
 // TestProtocolErrorsByType drives every in-band protocol-error path over a
-// real connection and checks each lands in its own ErrorsByType slot.
+// real connection and checks each lands in its own ErrorsByType slot. The
+// frames are sent while the test holds the ingest lock: counting an error
+// must never wait on it.
 func TestProtocolErrorsByType(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	conn, r := rawConn(t, addr)
 
-	// Truncated MsgSeqUpdates: seq 1, count says 1 update, body is empty.
-	expectError(t, conn, r, wire.MsgSeqUpdates, []byte{1, 1})
-	// Malformed MsgTopKQuery: trailing garbage after the varint.
-	expectError(t, conn, r, wire.MsgTopKQuery, []byte{1, 0xff})
-	// Defined frame types that are not valid requests.
-	expectError(t, conn, r, wire.MsgAck, nil)
-	expectError(t, conn, r, wire.MsgTopKReply, nil)
-	expectError(t, conn, r, wire.MsgError, []byte("client-side error"))
-	// Undefined type byte: counted as unknown, not attributed to a type.
-	expectError(t, conn, r, wire.MsgType(200), []byte("??"))
+	func() {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		// Truncated MsgSeqUpdates: seq 1, count says 1 update, body is empty.
+		expectError(t, conn, r, wire.MsgSeqUpdates, []byte{1, 1})
+		// Malformed MsgTopKQuery: trailing garbage after the varint.
+		expectError(t, conn, r, wire.MsgTopKQuery, []byte{1, 0xff})
+		// Defined frame types that are not valid requests.
+		expectError(t, conn, r, wire.MsgSeqAck, wire.AppendSeqAck(nil, 1))
+		expectError(t, conn, r, wire.MsgTopKReply, nil)
+		expectError(t, conn, r, wire.MsgError, []byte("client-side error"))
+		// Undefined type byte: counted as unknown, not attributed to a type.
+		expectError(t, conn, r, wire.MsgType(200), []byte("??"))
+	}()
 
 	st := srv.Stats()
 	wantErrs := map[wire.MsgType]uint64{
 		wire.MsgSeqUpdates: 1,
 		wire.MsgTopKQuery:  1,
 		wire.MsgTopKReply:  1,
-		wire.MsgAck:        1,
+		wire.MsgSeqAck:     1,
 		wire.MsgError:      1,
 	}
 	for typ, want := range wantErrs {
@@ -79,7 +89,7 @@ func TestProtocolErrorsByType(t *testing.T) {
 		wire.MsgSeqUpdates: 1,
 		wire.MsgTopKQuery:  1,
 		wire.MsgTopKReply:  1,
-		wire.MsgAck:        1,
+		wire.MsgSeqAck:     1,
 		wire.MsgError:      1,
 	}
 	for typ, want := range wantFrames {

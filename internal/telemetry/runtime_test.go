@@ -59,33 +59,58 @@ func TestRuntimeMetricsExport(t *testing.T) {
 	}
 }
 
-// TestRuntimeMutexWaitCounts checks the mutex-wait counter moves when a
-// goroutine blocks on a held sync.Mutex.
+// TestRuntimeMutexWaitCounts checks the mutex-wait counter moves when
+// goroutines block on a held sync.Mutex. The runtime times a wait on only
+// one in eight goroutine block transitions, so a single blocked goroutine is
+// usually not recorded: the test keeps blocking fresh goroutines until the
+// counter moves, under a deadline, and reads it through a new registry each
+// time because the runtime sampler caches its reads.
 func TestRuntimeMutexWaitCounts(t *testing.T) {
-	var mu sync.Mutex
-	mu.Lock()
-	blocked := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		close(blocked)
-		mu.Lock()
-		mu.Unlock()
-		close(done)
-	}()
-	<-blocked
-	time.Sleep(20 * time.Millisecond)
-	mu.Unlock()
-	<-done
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		blockOnHeldMutex(8, 2*time.Millisecond)
+		if v := mutexWaitNS(t); v > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("mutex_wait_ns_total = 0 after 10s of goroutines blocking on a held mutex, want > 0")
+		}
+	}
+}
 
+// blockOnHeldMutex starts n goroutines that block on a mutex held for d,
+// and returns once all of them have acquired and released it.
+func blockOnHeldMutex(n int, d time.Duration) {
+	var mu sync.Mutex
+	var started, done sync.WaitGroup
+	mu.Lock()
+	for i := 0; i < n; i++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			started.Done()
+			mu.Lock()
+			mu.Unlock()
+		}()
+	}
+	started.Wait()
+	time.Sleep(d)
+	mu.Unlock()
+	done.Wait()
+}
+
+// mutexWaitNS reads dcsketch_runtime_mutex_wait_ns_total from a fresh
+// registry, so the value is sampled now rather than served from a cache.
+func mutexWaitNS(t *testing.T) float64 {
+	t.Helper()
 	reg := NewRegistry()
 	RegisterRuntimeMetrics(reg)
 	for _, s := range reg.Snapshot() {
 		if s.Name == "dcsketch_runtime_mutex_wait_ns_total" {
-			if s.Value <= 0 {
-				t.Fatalf("mutex_wait_ns_total = %v after a goroutine blocked ~20ms on a mutex, want > 0", s.Value)
-			}
-			return
+			return s.Value
 		}
 	}
 	t.Fatal("dcsketch_runtime_mutex_wait_ns_total not registered")
+	return 0
 }

@@ -38,10 +38,10 @@ func NewMonitorMetrics(reg *Registry) *MonitorMetrics {
 	}
 }
 
-// ServerMetrics is the live-instrument bundle for internal/server. Frame and
-// protocol-error counters stay single-writer inside the server (per message
-// type, under its stats lock) and are exported as labeled CounterFunc probes
-// by RegisterTelemetry; only the genuinely concurrent instruments live here.
+// ServerMetrics is the live-instrument bundle for internal/server: the
+// query-latency histogram, attached after the server may already be serving.
+// The server's counters are Counter fields of the Server itself, exported by
+// its RegisterTelemetry as CounterFunc probes over their Load methods.
 type ServerMetrics struct {
 	// QueryLatency observes the wall time of serving one top-k query frame
 	// (decode + query + reply encode), in nanoseconds.

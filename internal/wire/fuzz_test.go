@@ -45,7 +45,7 @@ func FuzzDecodeTopKReply(f *testing.F) {
 
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
-	_ = WriteFrame(&buf, MsgAck, nil)
+	_ = WriteFrame(&buf, MsgError, nil)
 	_ = WriteFrame(&buf, MsgSeqUpdates, []byte("payload"))
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 0, 1})
@@ -91,7 +91,7 @@ func FuzzDecodeHello(f *testing.F) {
 // from a previous frame past its length, as the pooled server scratch does).
 func FuzzDecodeUpdatesInto(f *testing.F) {
 	f.Add(AppendUpdates(nil, []Update{{1, 2, 1}, {3, 4, -1}}))
-	f.Add(AppendUpdates(nil, []Update{{1, 2, 1}, {3, 4, -1}})[:5]) // truncated mid-record
+	f.Add(AppendUpdates(nil, []Update{{1, 2, 1}, {3, 4, -1}})[:5])            // truncated mid-record
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // oversized count
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Add([]byte{})

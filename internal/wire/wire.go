@@ -11,7 +11,6 @@
 //
 //	MsgTopKQuery:  k uvarint
 //	MsgTopKReply:  count, then per entry: dest u32 LE, frequency uvarint
-//	MsgAck:        empty (no longer sent; the byte stays assigned)
 //	MsgError:      UTF-8 message
 //	MsgHello:      version uvarint (currently 1), session ID u64 LE
 //	MsgHelloAck:   last-acked sequence uvarint
@@ -23,9 +22,9 @@
 // announcing a nonzero session ID, the server echoes the highest sequence it
 // has applied for that session, and every subsequent MsgSeqUpdates batch
 // carries a strictly increasing sequence, so a batch retried after a lost ack
-// is acked but not re-applied. Type bytes 1 and 4 belonged to retired frames
-// (a sequence-less update batch and a shipped sketch); they stay reserved and
-// a server answers them like any undefined type.
+// is acked but not re-applied. Type bytes 1, 4 and 5 belonged to retired
+// frames (a sequence-less update batch, a shipped sketch and its empty ack);
+// they stay reserved and a server answers them like any undefined type.
 package wire
 
 import (
@@ -45,7 +44,7 @@ const (
 	MsgTopKQuery
 	MsgTopKReply
 	_        // reserved: retired shipped sketch
-	MsgAck   //lint:msgok payload is empty by definition, and no request is answered with it any more; the byte stays assigned
+	_        // reserved: retired empty ack of types 1 and 4
 	MsgError //lint:msgok payload is raw UTF-8 text with no structure to encode or decode
 	MsgHello
 	MsgHelloAck
@@ -65,8 +64,6 @@ func (t MsgType) String() string {
 		return "topk_query"
 	case MsgTopKReply:
 		return "topk_reply"
-	case MsgAck:
-		return "ack"
 	case MsgError:
 		return "error"
 	case MsgHello:

@@ -16,7 +16,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, MsgSeqUpdates, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, MsgAck, nil); err != nil {
+	if err := WriteFrame(&buf, MsgError, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(&buf)
@@ -25,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame 1: (%v,%q,%v)", typ, got, err)
 	}
 	typ, got, err = ReadFrame(r)
-	if err != nil || typ != MsgAck || len(got) != 0 {
+	if err != nil || typ != MsgError || len(got) != 0 {
 		t.Fatalf("frame 2: (%v,%q,%v)", typ, got, err)
 	}
 	if _, _, err := ReadFrame(r); !errors.Is(err, io.EOF) {
@@ -211,7 +211,7 @@ func TestSeqAckRoundTrip(t *testing.T) {
 func TestMsgTypeStrings(t *testing.T) {
 	// Every defined type must have a distinct non-"unknown" telemetry label;
 	// the reserved slots of retired frames and one past the last must not.
-	reserved := map[MsgType]bool{1: true, 4: true}
+	reserved := map[MsgType]bool{1: true, 4: true, 5: true}
 	seen := map[string]bool{}
 	for typ := MsgType(1); int(typ) < MsgTypeCount; typ++ {
 		s := typ.String()
@@ -321,7 +321,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 		t.Fatalf("oversized append err = %v", err)
 	}
 	// Appending onto an existing prefix must leave it intact.
-	out, err := AppendFrame([]byte("prefix"), MsgAck, []byte{1, 2})
+	out, err := AppendFrame([]byte("prefix"), MsgError, []byte{1, 2})
 	if err != nil || !bytes.HasPrefix(out, []byte("prefix")) {
 		t.Fatalf("prefix clobbered: %q (%v)", out, err)
 	}
