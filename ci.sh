@@ -6,8 +6,10 @@
 #                   vet and smoke test, sketchlint, the perfcheck
 #                   compiler contract gate (allocfree/bce/inline pins
 #                   from perfpins.txt), -race tests, a forced-generic
-#                   vec pass, dcsdebug assertion tests, and a concurrent
-#                   fuzz smoke pass
+#                   vec pass, the chaos and capture-oracle passes, the
+#                   daemon's debug-surface smokes at both tiers,
+#                   dcsdebug assertion tests, and a concurrent fuzz
+#                   smoke pass
 #   ./ci.sh bench   run the Table-2 update/query benchmarks plus the
 #                   tracking churn, pipeline ingest, alert-onset health
 #                   and server ingest benchmarks with -benchmem, record
@@ -81,6 +83,15 @@ check() {
 	# must keep the global top-k byte-identical to a single-box run with
 	# flight-recorder proof of exactly-one apply per (session, seq).
 	go test -race -run '^TestChaos' -count 1 ./internal/export ./internal/relay
+	# Capture-oracle pass: crash-safe captures taken in a loop under live
+	# ingest must never tear. At the server, every capture's sketch holds
+	# exactly the batches its horizons promise, and LRU eviction racing the
+	# captures never widens a horizon; at the relay, every capture's
+	# downstream horizons sum to the upstream sequence numbers its spool
+	# section has assigned. Repeated, because a tear is a timing accident.
+	go test -race -count 5 \
+		-run '^(TestSnapshotAtomicWithHorizons|TestSessionEvictionRacingSnapshot|TestRelaySnapshotAtomicWithSpool)$' \
+		./internal/server ./internal/relay
 	# Telemetry smoke: start the daemon with -debug-addr, drive real
 	# traffic over a client connection, and scrape /metrics end to end
 	# (decode failures, level occupancy, query-latency histogram).
@@ -89,6 +100,13 @@ check() {
 	# exporter's batch traced through /debug/trace and a flood's evidence
 	# served from /debug/alerts/{id}.
 	go test -run '^TestDebugTraceAndAlertsSmoke$' -count 1 ./cmd/ddosmond
+	# Relay-tier smoke: `ddosmond -upstream` serves the same debug surface.
+	# One batch forwarded to a global tier must show the upstream
+	# exporter's dcsketch_export_* series on /metrics and its enqueue,
+	# send and ack in /debug/trace for the relay's own upstream session
+	# (both halves of the hop write one recorder), and /debug/alerts must
+	# answer.
+	go test -run '^TestRelayTierDebugSmoke$' -count 1 ./cmd/ddosmond
 	# Runtime invariant assertions (counter non-negativity, tracking/
 	# counter consistency) compiled in via the dcsdebug build tag.
 	go test -tags dcsdebug ./internal/dcs ./internal/tdcs

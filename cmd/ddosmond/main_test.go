@@ -77,3 +77,22 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("bad debug address accepted")
 	}
 }
+
+// TestRelayTierRunErrors checks that the relay tier (-upstream) fails the
+// same ways as the plain daemon, and stops its upstream exporter on the way
+// out.
+func TestRelayTierRunErrors(t *testing.T) {
+	stop := make(chan os.Signal)
+	if err := run([]string{"-upstream", "127.0.0.1:1", "-bogus"}, stop, nil); err == nil {
+		t.Fatal("relay tier: bad flag accepted")
+	}
+	if err := run([]string{"-upstream", "127.0.0.1:1", "-listen", "not-an-address"}, stop, nil); err == nil {
+		t.Fatal("relay tier: bad listen address accepted")
+	}
+	if err := run([]string{"-upstream", "127.0.0.1:1", "-s", "1"}, stop, nil); err == nil {
+		t.Fatal("relay tier: invalid sketch config accepted")
+	}
+	if err := run([]string{"-upstream", "127.0.0.1:1", "-listen", "127.0.0.1:0", "-debug-addr", "not-an-address"}, stop, nil); err == nil {
+		t.Fatal("relay tier: bad debug address accepted")
+	}
+}

@@ -259,3 +259,82 @@ func TestDebugTraceAndAlertsSmoke(t *testing.T) {
 		t.Fatalf("by-id entry mismatch: %v %s", err, body)
 	}
 }
+
+// TestRelayTierDebugSmoke is the relay tier's debug surface end to end: a
+// relay-tier daemon with -debug-addr forwards one batch to the global tier,
+// and its /metrics carries the upstream exporter's ledger, its /debug/trace
+// shows the upstream half of the hop for the relay's own session, and
+// /debug/alerts answers. It is declared after TestTelemetrySmoke: the first
+// daemon in the process to serve /debug/vars claims the expvar slot that
+// test reads.
+func TestRelayTierDebugSmoke(t *testing.T) {
+	global, globalAddr := startGlobal(t)
+	relayAddr, debugAddr := startDaemon(t, "-upstream", globalAddr, "-debug-addr", "127.0.0.1:0")
+	sendThrough(t, relayAddr.String(), 5, 1, 1)
+
+	// The relay's upstream session is the one the global tier applied.
+	var session uint64
+	deadline := time.Now().Add(5 * time.Second)
+	for session == 0 {
+		for _, ev := range global.Tracer().Events(nil) {
+			if ev.Stage == tracelog.StageServerApply {
+				session = ev.Session
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("relay never delivered upstream")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The upstream ack lands on the relay after the global apply.
+	var body []byte
+	for {
+		var code int
+		code, body = httpGet(t, "http://"+debugAddr.String()+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("/metrics status %d", code)
+		}
+		if metricValue(body, "dcsketch_export_batches_acked_total") >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("relay /metrics never showed the upstream ack:\n%s", body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := telemetry.ValidatePrometheusText(body); err != nil {
+		t.Fatalf("/metrics exposition invalid: %v", err)
+	}
+	for series, want := range map[string]float64{
+		"dcsketch_export_batches_enqueued_total": 1,
+		"dcsketch_export_updates_acked_total":    3,
+		"dcsketch_server_batches_total":          1,
+	} {
+		if got := metricValue(body, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+
+	code, body := httpGet(t, fmt.Sprintf("http://%s/debug/trace?session=%d&seq=1", debugAddr, session))
+	if code != http.StatusOK {
+		t.Fatalf("/debug/trace status %d: %s", code, body)
+	}
+	var dump tracelog.Dump
+	if err := json.Unmarshal(body, &dump); err != nil {
+		t.Fatalf("trace dump: %v\n%s", err, body)
+	}
+	stages := map[string]bool{}
+	for _, ev := range dump.Events {
+		stages[ev.Stage] = true
+	}
+	for _, want := range []string{"export-enqueue", "export-send", "export-ack"} {
+		if !stages[want] {
+			t.Errorf("relay trace of upstream (session %d, seq 1) missing stage %s: %+v", session, want, dump.Events)
+		}
+	}
+
+	if code, body := httpGet(t, "http://"+debugAddr.String()+"/debug/alerts"); code != http.StatusOK {
+		t.Fatalf("/debug/alerts status %d: %s", code, body)
+	}
+}

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"dcsketch/internal/dcs"
 	"dcsketch/internal/export"
+	"dcsketch/internal/monitor"
 	"dcsketch/internal/server"
 	"dcsketch/internal/wire"
 )
@@ -164,5 +166,136 @@ func TestSnapshotSurvivesSigtermMidIngest(t *testing.T) {
 	}
 	if acked < 20 {
 		t.Fatalf("acked = %d, mid-ingest setup broken", acked)
+	}
+}
+
+// startGlobal runs an in-process global collector with the daemon's default
+// sketch, the upstream for a relay-tier daemon under test.
+func startGlobal(t *testing.T) (*server.Server, string) {
+	t.Helper()
+	global, err := server.New(server.Config{
+		Monitor: monitor.Config{Sketch: dcs.Config{Tables: 3, Buckets: 128, Seed: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := global.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(global.Shutdown)
+	return global, addr.String()
+}
+
+// sendThrough streams snapBatch(from..to) through a fresh edge exporter
+// (session id) into the relay at addr and waits until the relay has acked
+// them all.
+func sendThrough(t *testing.T, addr string, id, from, to uint64) {
+	t.Helper()
+	exp, err := export.New(export.Config{Addr: addr, SessionID: id, Seed: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	for dst := from; dst <= to; dst++ {
+		if err := exp.Export(snapBatch(dst)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := exp.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// globalDests returns the destinations the global sketch tracks, failing
+// on any outside 1..max.
+func globalDests(t *testing.T, global *server.Server, max uint64) map[uint32]bool {
+	t.Helper()
+	seen := map[uint32]bool{}
+	for _, e := range global.TopK(int(max) + 5) {
+		if e.Dest == 0 || uint64(e.Dest) > max {
+			t.Fatalf("global sketch holds unknown dest %d", e.Dest)
+		}
+		seen[e.Dest] = true
+	}
+	return seen
+}
+
+// TestRelayTierFansInToGlobal drives an edge exporter through a relay-tier
+// daemon into a real global server, restarts the relay from its snapshot,
+// and checks the global sketch saw the whole trace exactly once. The
+// restarted relay's upstream session comes from the snapshot alone.
+func TestRelayTierFansInToGlobal(t *testing.T) {
+	global, globalAddr := startGlobal(t)
+
+	dir := t.TempDir()
+	flags := []string{
+		"-upstream", globalAddr,
+		"-snapshot-dir", dir,
+		"-snapshot-interval", "0",
+		"-drain-budget", "5s",
+	}
+	relayAddr, _, stopRelay := startDaemonIn(t, flags...)
+	const batches = 20
+	sendThrough(t, relayAddr.String(), 5, 1, batches)
+
+	// Graceful stop drains the upstream spool, then flushes the snapshot
+	// under the relay tier's file name.
+	stopRelay()
+	if _, err := os.Stat(filepath.Join(dir, "ddosrelay.snapshot")); err != nil {
+		t.Fatalf("shutdown flushed no snapshot: %v", err)
+	}
+
+	// Every batch reached the global tier through the relay's session.
+	if seen := globalDests(t, global, batches); len(seen) != batches {
+		t.Fatalf("global sketch holds %d of %d destinations", len(seen), batches)
+	}
+	if gs := global.Stats(); gs.DuplicateBatches != 0 {
+		t.Fatalf("global deduped %d batches on a clean run", gs.DuplicateBatches)
+	}
+
+	// The restarted relay restores its horizons: replaying the edge trace
+	// is pruned at the relay, so the global tier sees nothing twice. Five
+	// fresh batches follow the replay; they reach the global tier under
+	// the restored upstream session, which is still the only one it knows.
+	relayAddr2, _, stopRelay2 := startDaemonIn(t, flags...)
+	const more = batches + 5
+	sendThrough(t, relayAddr2.String(), 5, 1, more)
+	stopRelay2()
+	gs := global.Stats()
+	if gs.Batches != more {
+		t.Fatalf("global applied %d batches after replay, want %d", gs.Batches, more)
+	}
+	if gs.DuplicateBatches != 0 {
+		t.Fatalf("replay leaked %d duplicate batches to the global tier", gs.DuplicateBatches)
+	}
+	if gs.SessionsActive != 1 {
+		t.Fatalf("global knows %d upstream sessions, want the one restored from the snapshot", gs.SessionsActive)
+	}
+	if seen := globalDests(t, global, more); len(seen) != more {
+		t.Fatalf("global sketch holds %d of %d destinations", len(seen), more)
+	}
+}
+
+// TestRelayTierRestartWithoutSnapshot pins why the relay tier has no
+// session flag: a relay restarted without -snapshot-dir must announce a
+// fresh upstream session, or the global tier would ack the new
+// incarnation's first batches as already applied. Each incarnation sends
+// 20 fresh batches; the global tier must apply all 40.
+func TestRelayTierRestartWithoutSnapshot(t *testing.T) {
+	global, globalAddr := startGlobal(t)
+	const batches = 20
+	for inc := uint64(0); inc < 2; inc++ {
+		relayAddr, _, stopRelay := startDaemonIn(t, "-upstream", globalAddr)
+		sendThrough(t, relayAddr.String(), 5+inc, 1+inc*batches, (inc+1)*batches)
+		stopRelay()
+	}
+	gs := global.Stats()
+	if gs.Batches != 2*batches || gs.DuplicateBatches != 0 {
+		t.Fatalf("global applied %d batches (%d acked as duplicates), want %d and 0",
+			gs.Batches, gs.DuplicateBatches, 2*batches)
+	}
+	if seen := globalDests(t, global, 2*batches); len(seen) != 2*batches {
+		t.Fatalf("global sketch holds %d of %d destinations", len(seen), 2*batches)
 	}
 }

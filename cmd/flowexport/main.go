@@ -48,7 +48,7 @@ func run(args []string) error {
 		timeout = fs.Duration("timeout", 10*time.Second, "per-attempt connection timeout")
 		drain   = fs.Duration("drain", 0, "budget for flushing the spool after replay (0 = 4x timeout)")
 		spool   = fs.Int("spool", 4096, "spooled batches kept while the daemon is unreachable")
-		session = fs.Uint64("session", 0, "replay session id (0 = random; reuse to resume after a crash)")
+		session = fs.Uint64("session", 0, "replay session id (0 = random); reuse it only to resume replaying the same trace with the same -batch after a crash, or the daemon acks the first batches as already applied")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -70,7 +70,12 @@ type Config struct {
 	SpoolBatches int
 	// SessionID identifies this exporter's replay session to the server; 0
 	// (the reserved no-session value) draws a random one. Reusing an ID
-	// across restarts resumes the session's replay horizon.
+	// across restarts resumes the session's replay horizon H: the server
+	// acks every batch at or below H without applying it. Without a
+	// restored spool (Restore) a pinned ID is therefore safe only for a
+	// sender that re-sends the same batches in the same order, as a replay
+	// of the same trace with the same batching does; any other sender has
+	// its first H batches acked as already applied, and lost.
 	SessionID uint64
 	// Seed drives backoff jitter; 0 derives it from the session ID, so runs
 	// with a pinned SessionID are fully deterministic.
@@ -143,8 +148,9 @@ type Exporter struct {
 	wg        sync.WaitGroup
 	rec       *tracelog.Recorder
 
-	// mu guards the spool and ledger below; cond (on mu) wakes the loop
-	// when work arrives and Drain waiters when the spool empties.
+	// mu guards the spool and ledger below; cond (on mu) wakes the
+	// delivery loop, its only waiter, when work arrives or Close begins.
+	// Drain polls instead of waiting.
 	mu   sync.Mutex
 	cond *sync.Cond
 	// spool holds unacked batches oldest-first. guarded by mu
@@ -453,9 +459,6 @@ func (e *Exporter) connect() (net.Conn, *bufio.Reader, error) {
 		e.ring.Record(tracelog.StageExportPrune, e.sessionID, b.seq,
 			uint32(b.n), lastAcked)
 	}
-	if len(e.spool) == 0 {
-		e.cond.Broadcast()
-	}
 	return conn, r, nil
 }
 
@@ -520,9 +523,6 @@ func (e *Exporter) ackUpTo(seq uint64) {
 		e.ring.Record(tracelog.StageExportAck, e.sessionID, b.seq,
 			uint32(b.n), seq)
 	}
-	if len(e.spool) == 0 {
-		e.cond.Broadcast()
-	}
 }
 
 // dropHead sheds the head batch if it is still seq (a server-rejected
@@ -537,9 +537,6 @@ func (e *Exporter) dropHead(seq uint64) {
 		e.stats.UpdatesDropped += uint64(b.n)
 		e.ring.Record(tracelog.StageExportDrop, e.sessionID, b.seq,
 			uint32(b.n), uint64(b.attempts))
-	}
-	if len(e.spool) == 0 {
-		e.cond.Broadcast()
 	}
 }
 

@@ -14,7 +14,7 @@
 // table de-duplicate retransmissions exactly as they do for edges. A
 // crash between ack and upstream delivery is covered by the crash-safe
 // snapshot: SnapshotState captures the session horizons and the upstream
-// spool under one admission gate, so a restored relay retransmits
+// spool under the same server mutex, so a restored relay retransmits
 // precisely the batches it had acked but not yet delivered.
 package relay
 
@@ -50,15 +50,19 @@ type Config struct {
 	// SpoolBatches bounds the upstream spool (export.Config.SpoolBatches).
 	SpoolBatches int
 	// SessionID identifies the relay's upstream replay session; 0 draws a
-	// random one. Pin it (or restore a snapshot) so a restarted relay
-	// resumes its replay horizon at the global tier.
+	// random one. A restored snapshot carries the session with its spool,
+	// so a restarted relay resumes its replay horizon at the global tier.
+	// Pinning an ID without a restored spool is unsafe here (see
+	// export.Config.SessionID): the new incarnation numbers whatever its
+	// edges send from 1 again, and the global tier acks its first H
+	// batches as already applied.
 	SessionID uint64
 	// Seed drives upstream backoff jitter (export.Config.Seed).
 	Seed uint64
 	// Trace receives flight-recorder events from both halves — the server
 	// side of each downstream session and the exporter side of the upstream
 	// one — so a batch's full story through this hop reads from one
-	// recorder. Nil allocates a private recorder.
+	// recorder. Nil allocates one private recorder for both halves.
 	Trace *tracelog.Recorder
 	// Restore seeds the relay from a crash-safe snapshot captured by
 	// SnapshotState: sketch, profiles, and downstream replay horizons into
@@ -77,6 +81,9 @@ type Relay struct {
 func New(cfg Config) (*Relay, error) {
 	if cfg.Upstream == "" {
 		return nil, errors.New("relay: Upstream required")
+	}
+	if cfg.Trace == nil {
+		cfg.Trace = tracelog.New(tracelog.Options{})
 	}
 	ecfg := export.Config{
 		Addr:         cfg.Upstream,
@@ -127,15 +134,16 @@ func (r *Relay) Serve(ln net.Listener) error { return r.srv.Serve(ln) }
 // SessionID reports the upstream replay session.
 func (r *Relay) SessionID() uint64 { return r.exp.SessionID() }
 
-// Tracer returns the relay's flight recorder.
-func (r *Relay) Tracer() *tracelog.Recorder { return r.srv.Tracer() }
+// Server returns the downstream server, which owns the regional monitor
+// and the recorder both halves write to.
+func (r *Relay) Server() *server.Server { return r.srv }
 
 // TopK answers from the regional sketch (see server.TopK).
 func (r *Relay) TopK(k int) []dcs.Estimate { return r.srv.TopK(k) }
 
 // SnapshotState captures the relay's full recovery state: the server
-// sections plus the upstream spool, all inside the server's snapshot
-// admission gate, so the horizons the file promises downstream and the
+// sections plus the upstream spool, all under the server mutex that also
+// admits batches, so the horizons the file promises downstream and the
 // spool it owes upstream can never disagree.
 func (r *Relay) SnapshotState() (*snapshot.State, error) {
 	return r.srv.SnapshotStateWith(func(st *snapshot.State) error {

@@ -79,7 +79,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			default:
 				_ = srv.Stats()
 				_ = srv.TopK(2)
-				_ = srv.Alerting(9)
+				_ = srv.Monitor().Alerting(9)
 			}
 		}
 	}()

@@ -1,8 +1,8 @@
 // Crash-safe snapshot capture and restore for the server: the monitor's
 // sketch and detection profiles and the session replay horizons, captured
-// atomically under the snapshot admission gate so the file's sections can
-// never disagree about which batches are inside. See DESIGN.md §14 for the
-// recovery model.
+// atomically under the server mutex, which also admits batches, so the
+// file's sections can never disagree about which batches are inside. See
+// DESIGN.md §14 for the recovery model.
 package server
 
 import (
@@ -13,30 +13,26 @@ import (
 )
 
 // SnapshotState captures the server's full recovery state. It is safe on a
-// live server — the snapshot gate pauses batch admission for the duration
-// of the capture (a sketch encode plus a few map walks; milliseconds at
-// Table-2 scale) — and on a Shutdown one, which is how the daemon writes
-// its final flush.
+// live server — holding the server mutex pauses batch admission for the
+// duration of the capture (a sketch encode plus a few map walks;
+// milliseconds at Table-2 scale) — and on a Shutdown one, which is how the
+// daemon writes its final flush.
 func (s *Server) SnapshotState() (*snapshot.State, error) {
 	return s.SnapshotStateWith(nil)
 }
 
-// SnapshotStateWith is SnapshotState with a hook that runs inside the same
-// admission gate, so embedders (the relay tier) can capture companion
-// state — the upstream exporter spool — atomically with the horizons that
+// SnapshotStateWith is SnapshotState with a hook that runs before the
+// server mutex is released, so embedders (the relay tier) can capture
+// companion state — the upstream exporter spool, which the Forward tap
+// appends to under the same mutex — atomically with the horizons that
 // promise it. extra must not call back into the server.
 func (s *Server) SnapshotStateWith(extra func(st *snapshot.State) error) (*snapshot.State, error) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-
-	var st snapshot.State
 	s.mu.Lock()
-	err := s.captureLocked(&st)
-	s.mu.Unlock()
-	if err != nil {
+	defer s.mu.Unlock()
+	var st snapshot.State
+	if err := s.captureLocked(&st); err != nil {
 		return nil, fmt.Errorf("server: snapshot sketch: %w", err)
 	}
-
 	if extra != nil {
 		if err := extra(&st); err != nil {
 			return nil, err

@@ -81,29 +81,21 @@ type Config struct {
 type Server struct {
 	cfg Config
 
-	// snapMu gates batch admission against crash-safe state capture:
-	// handlers hold it shared across dispatch (one uncontended RLock per
-	// frame), SnapshotStateWith takes it exclusively. A batch's horizon
-	// advance, apply and upstream forward all happen under mu, but the
-	// embedder's capture hook (the relay's upstream spool) runs after the
-	// server sections are captured and mu is released. Without the gate a
-	// batch could be admitted in between, leaving a spool that holds a
-	// batch the captured horizons do not cover — tearing exactly the
-	// invariant a restore must be able to trust.
-	//
-	//lint:lockorder before(mu)
-	snapMu sync.RWMutex
-	// mu serializes the session table, the Forward tap and the monitor's
-	// sketch apply, so a batch's dedup check, upstream admission, apply
-	// and horizon advance are one atomic step. It guards no counter.
-	// Monitor calls made under it take the monitor's own lock, so that
-	// nesting is the sanctioned order module-wide. The relay's Forward tap
-	// runs under it, so the exporter spool lock nests the same way.
+	// mu serializes batch admission against crash-safe capture. A batch's
+	// dedup check, upstream admission (the Forward tap), apply and horizon
+	// advance are one section under it, and so is a whole capture, the
+	// embedder's hook included (SnapshotStateWith), so a capture always
+	// falls between two batches. It guards no counter and no query: the
+	// monitor locks itself. Monitor calls made under it take the monitor's
+	// own lock, so that nesting is the sanctioned order module-wide. The
+	// relay's Forward tap and spool capture run under it, so the exporter
+	// spool lock nests the same way.
 	//
 	//lint:lockorder before(monitor.Monitor.mu)
 	//lint:lockorder before(export.Exporter.mu)
 	mu sync.Mutex
-	// mon is the shared detection state. guarded by mu
+	// mon is the shared detection state. Immutable after New and
+	// self-locking, so queries read it without mu.
 	mon *monitor.Monitor
 	// loc is the monitor's Locator: handlers hash their update batches with
 	// it on the connection goroutine, before they take mu. Immutable.
@@ -408,13 +400,7 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		}
-		// The shared snapshot gate makes each frame's state changes (horizon
-		// advance, local apply, upstream forward) atomic with respect to
-		// crash-safe state capture; see Server.snapMu.
-		s.snapMu.RLock()
-		err = s.dispatch(&cs, typ, payload, w)
-		s.snapMu.RUnlock()
-		if err != nil {
+		if err := s.dispatch(&cs, typ, payload, w); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {
@@ -624,20 +610,12 @@ func (s *Server) decodeRejects() uint64 {
 	return n
 }
 
-// TopK answers a top-k query from the shared monitor. In-process callers
-// count in Stats().Queries alongside wire queries.
+// TopK answers a top-k query from the shared monitor, under the monitor's
+// own lock only. In-process callers count in Stats().Queries alongside
+// wire queries.
 func (s *Server) TopK(k int) []dcs.Estimate {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.queriesIn.Inc()
 	return s.mon.TopK(k)
-}
-
-// Alerting reports the shared monitor's alert state for dest.
-func (s *Server) Alerting(dest uint32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mon.Alerting(dest)
 }
 
 // Stats reports server counters.
@@ -728,13 +706,10 @@ func (s *Server) sessionCounts() (active int, evicted uint64) {
 }
 
 // Monitor exposes the shared monitor, e.g. so embedders can read
-// AlertStats or SketchHealth directly. The monitor serializes its own
-// state; mutating its sketch outside the server's methods is not supported.
-func (s *Server) Monitor() *monitor.Monitor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mon
-}
+// Alerting, AlertStats or SketchHealth directly. The monitor serializes its
+// own state; mutating its sketch outside the server's methods is not
+// supported.
+func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
 // RegisterTelemetry attaches the live bundle (query-frame latency) and
 // registers the server's scrape-time probes on reg: request totals,
@@ -806,7 +781,7 @@ func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
 		"Live connections.",
 		func() int64 { closed := s.connsClosed.Load(); return int64(s.connsAccepted.Load() - closed) })
 
-	s.Monitor().RegisterTelemetry(reg)
+	s.mon.RegisterTelemetry(reg)
 	s.tel.Store(tel)
 }
 

@@ -7,9 +7,10 @@
 // The format is deliberately dumb: a magic + version header, a sequence of
 // length-prefixed typed sections, and a trailing CRC32 over everything
 // before it. Sections are optional and appear at most once; a daemon only
-// writes the sections that apply to its role (ddosmond has no spool,
-// ddosrelay has no CUSUM). All decode paths validate bounds before
-// allocating and are hardened by FuzzDecodeSnapshot.
+// writes the sections that apply to its role (only the relay tier,
+// ddosmond -upstream, has a spool; neither tier runs CUSUM). All decode
+// paths validate bounds before allocating and are hardened by
+// FuzzDecodeSnapshot.
 //
 // The one invariant the file exists to carry across a process death:
 // every batch the dead collector ACKED is either in this state (and the
