@@ -7,9 +7,9 @@
 #                   compiler contract gate (allocfree/bce/inline pins
 #                   from perfpins.txt), -race tests, a forced-generic
 #                   vec pass, the chaos and capture-oracle passes, the
-#                   daemon's debug-surface smokes at both tiers,
-#                   dcsdebug assertion tests, and a concurrent fuzz
-#                   smoke pass
+#                   daemon's debug-surface smokes at both tiers, the
+#                   daemon tests in two shuffled orders, dcsdebug
+#                   assertion tests, and a concurrent fuzz smoke pass
 #   ./ci.sh bench   run the Table-2 update/query benchmarks plus the
 #                   tracking churn, pipeline ingest, alert-onset health
 #                   and server ingest benchmarks with -benchmem, record
@@ -107,6 +107,12 @@ check() {
 	# (both halves of the hop write one recorder), and /debug/alerts must
 	# answer.
 	go test -run '^TestRelayTierDebugSmoke$' -count 1 ./cmd/ddosmond
+	# Shuffled daemon tests: each test starts its own in-process daemons
+	# and reads their process-global surfaces (/debug/vars), so no test
+	# may depend on which ran before it. Two fixed seeds keep a failure
+	# reproducible.
+	go test -count=1 -shuffle=1 ./cmd/ddosmond
+	go test -count=1 -shuffle=2 ./cmd/ddosmond
 	# Runtime invariant assertions (counter non-negativity, tracking/
 	# counter consistency) compiled in via the dcsdebug build tag.
 	go test -tags dcsdebug ./internal/dcs ./internal/tdcs

@@ -138,6 +138,10 @@ func TestTelemetrySmoke(t *testing.T) {
 			t.Errorf("%s = %v, want >= %v", series, got, min)
 		}
 	}
+	// The sketch allocates counters only for the levels traffic reached.
+	if got := metricValue(body, "dcsketch_sketch_levels_allocated"); got < 1 || got > 64 {
+		t.Errorf("dcsketch_sketch_levels_allocated = %v, want in [1, 64]", got)
+	}
 	// Zero-valued series are still exported (a scrape must show the full
 	// inventory, not only what already happened).
 	for _, series := range []string{
@@ -264,9 +268,7 @@ func TestDebugTraceAndAlertsSmoke(t *testing.T) {
 // relay-tier daemon with -debug-addr forwards one batch to the global tier,
 // and its /metrics carries the upstream exporter's ledger, its /debug/trace
 // shows the upstream half of the hop for the relay's own session, and
-// /debug/alerts answers. It is declared after TestTelemetrySmoke: the first
-// daemon in the process to serve /debug/vars claims the expvar slot that
-// test reads.
+// /debug/alerts answers.
 func TestRelayTierDebugSmoke(t *testing.T) {
 	global, globalAddr := startGlobal(t)
 	relayAddr, debugAddr := startDaemon(t, "-upstream", globalAddr, "-debug-addr", "127.0.0.1:0")

@@ -50,7 +50,7 @@ func TestUpdateBatchEquivalence(t *testing.T) {
 			off += n
 		}
 
-		if !slices.Equal(scalar.counters, batched.counters) {
+		if !slices.Equal(flatCounters(scalar), flatCounters(batched)) {
 			t.Fatalf("cfg %+v: batched counters diverge from scalar", cfg)
 		}
 		if !slices.Equal(scalar.occupied, batched.occupied) {
@@ -104,7 +104,7 @@ func TestUpdateBatchSerialRoundTrip(t *testing.T) {
 	for _, u := range second {
 		reBatched.UpdateKey(u.Key, u.Delta)
 	}
-	if !slices.Equal(reScalar.counters, reBatched.counters) {
+	if !slices.Equal(flatCounters(reScalar), flatCounters(reBatched)) {
 		t.Fatal("post-round-trip counters diverge between kernels")
 	}
 	if !slices.Equal(reScalar.occupied, reBatched.occupied) {
@@ -170,8 +170,9 @@ func TestOccupiedBuckets(t *testing.T) {
 		total += n
 	}
 	nonZero := 0
-	for i := 0; i < len(s.counters); i += s.width {
-		if s.counters[i] != 0 {
+	counters := flatCounters(s)
+	for i := 0; i < len(counters); i += s.width {
+		if counters[i] != 0 {
 			nonZero++
 		}
 	}

@@ -62,9 +62,11 @@ type Config struct {
 	// The analysis wants s = Θ(U·log((n+log m)/δ) / (f_vk·ε²)); the
 	// paper's experiments use 64-256.
 	Buckets int
-	// Levels is the number of first-level hash buckets, Θ(log m²). The
-	// default 64 covers the full 64-bit pair domain; only ~log2(U) levels
-	// are ever non-empty.
+	// Levels is the number of first-level hash buckets, Θ(log m²): the
+	// level hash clamps to it, and the encoding records it. The default 64
+	// covers the full 64-bit pair domain. Only ~log2(U) levels are ever
+	// non-empty, and a level's counters are allocated only once a stream
+	// reaches it, so a larger value costs no memory.
 	Levels int
 	// Seed derives every hash function in the sketch. Two sketches must
 	// share a seed to be mergeable.
@@ -167,19 +169,25 @@ type Sketch struct {
 	layout sig.Layout
 	width  int
 
-	// tableStride and levelStride are the precomputed distances (in
-	// counters) between consecutive second-level tables and consecutive
-	// first-level buckets in the flattened counter array, hoisted out of
-	// the update kernel.
+	// tableStride is the distance (in counters) between consecutive
+	// second-level tables within a level's slab, and levelStride is the
+	// length of a slab, r·s·width; both are hoisted out of the update
+	// kernel.
 	tableStride int
 	levelStride int
 
 	// loc holds the hash functions; immutable after New.
 	loc *Locator
 
-	// counters is the flattened 4-D array X[level][table][bucket][pos]
-	// of the paper (Fig. 2).
-	counters []int64
+	// levels[l] is first-level bucket l's slab: the flattened 3-D array
+	// X[l][table][bucket][pos] of the paper (Fig. 2). Slabs are allocated
+	// on first touch: every level below top has one and the rest are nil
+	// (and read as zeros). top only grows. Reset zeroes the slabs and keeps
+	// them, and no level is ever freed: an ill-formed stream can leave
+	// non-zero bit counters in a bucket whose total is zero, and dropping
+	// them would break linearity.
+	levels [][]int64
+	top    int
 
 	// occupied[l] counts the second-level buckets at first-level bucket l
 	// whose total counter is non-zero. A level with occupied[l] == 0 can
@@ -204,8 +212,13 @@ type Sketch struct {
 
 	// addends is the per-update masked addend vector (vec.BuildMaskedAddends
 	// output), built once per record by StartLocated and applied to each of
-	// the r tables by ApplyLocated.
-	addends [vec.Lanes]int64
+	// the r tables by ApplyLocated. It is allocated on its own, where the
+	// allocator puts a pointer-free 512-byte object at a multiple of 512, so
+	// the AVX2 kernels' 32-byte loads and stores of it never straddle a cache
+	// line. An array field would sit wherever the fields before it put it,
+	// and 8 bytes off 32-byte alignment the split accesses make a tracked
+	// update ~20% slower.
+	addends *[vec.Lanes]int64
 
 	// located is UpdateBatch's scratch: each chunk of the batch is located
 	// into it, then applied. It grows to batchChunk records once.
@@ -236,9 +249,10 @@ func New(cfg Config) (*Sketch, error) {
 		tableStride: cfg.Buckets * width,
 		levelStride: cfg.Tables * cfg.Buckets * width,
 		loc:         newLocator(cfg),
-		counters:    make([]int64, cfg.Levels*cfg.Tables*cfg.Buckets*width),
+		levels:      make([][]int64, cfg.Levels),
 		occupied:    make([]int32, cfg.Levels),
 		keyBuckets:  make([]int32, cfg.Tables),
+		addends:     new([vec.Lanes]int64),
 	}, nil
 }
 
@@ -248,14 +262,48 @@ func (s *Sketch) Config() Config { return s.cfg }
 // Updates returns the number of stream updates processed so far.
 func (s *Sketch) Updates() uint64 { return s.updates }
 
-// SizeBytes returns the memory footprint of the counter array, the dominant
-// component of the sketch (hash tables add a fixed ~16 KiB per function).
-func (s *Sketch) SizeBytes() int { return len(s.counters) * 8 }
+// SizeBytes returns the memory footprint of the allocated counter slabs, the
+// dominant component of the sketch (hash tables add a fixed ~16 KiB per
+// function): r·s·width 8-byte counters for each level the stream has
+// reached.
+func (s *Sketch) SizeBytes() int { return s.top * s.levelStride * 8 }
 
-// bucketSig returns the signature slice for (level, table, bucket).
+// LevelsAllocated returns the number of first-level buckets whose counters
+// are allocated: one past the highest level any update, merge or decode has
+// reached. Unlike NonEmptyLevels it never falls.
+func (s *Sketch) LevelsAllocated() int { return s.top }
+
+// zeroSig is the signature every bucket of an unallocated level reads as.
+// It is shared and must not be written.
+var zeroSig [sig.KeyBits + 2]int64
+
+// bucketSig returns the signature slice for (level, table, bucket). A bucket
+// of an unallocated level reads as the shared zero signature.
 func (s *Sketch) bucketSig(level, table, bucket int) []int64 {
-	i := ((level*s.cfg.Tables+table)*s.cfg.Buckets + bucket) * s.width
-	return s.counters[i : i+s.width]
+	if level >= s.top {
+		return zeroSig[:s.width]
+	}
+	i := (table*s.cfg.Buckets + bucket) * s.width
+	return s.levels[level][i : i+s.width]
+}
+
+// reserve allocates the slabs of every level below top.
+func (s *Sketch) reserve(top int) {
+	if top > s.top {
+		s.grow(top)
+	}
+}
+
+// grow is reserve's allocation, once per level over the sketch's life. It
+// stays out of line so the pinned update kernels that reserve keep their
+// allocation-free spans.
+//
+//go:noinline
+func (s *Sketch) grow(top int) {
+	for l := s.top; l < top; l++ {
+		s.levels[l] = make([]int64, s.levelStride) //lint:allocok one slab per level, allocated the first time a stream reaches it
+	}
+	s.top = top
 }
 
 // Update processes one flow update for the (src, dst) address pair with net
@@ -284,6 +332,7 @@ func (s *Sketch) UpdateKey(key uint64, delta int64) {
 func (s *Sketch) updateKey(key uint64, delta int64) {
 	var rec locatedRec
 	s.loc.locate(&rec, s.keyBuckets, key, delta)
+	s.reserve(rec.level + 1)
 	s.applyLocated(&rec, s.keyBuckets)
 }
 
@@ -312,8 +361,9 @@ func (s *Sketch) UpdateBatch(batch []KeyDelta) {
 
 // applySig adds the prebuilt masked addend vector (s.addends, see
 // vec.BuildMaskedAddends) plus the total/fingerprint counters to the count
-// signature at flat counter index i, and returns the occupancy change of the
-// bucket (+1 when the total became non-zero, -1 when it returned to zero).
+// signature at index i of a level's slab, and returns the occupancy change
+// of the bucket (+1 when the total became non-zero, -1 when it returned to
+// zero).
 // The 65 mandatory counters are addressed through a fixed-size array pointer
 // so the compiler drops the per-element bounds checks; the 64 bit-location
 // counters go through one 64-lane vector add. Building the addends once per
@@ -322,8 +372,8 @@ func (s *Sketch) UpdateBatch(batch []KeyDelta) {
 //
 //lint:allocfree
 //lint:bce
-func (s *Sketch) applySig(i int, delta, fp int64) int32 {
-	c := (*[1 + sig.KeyBits]int64)(s.counters[i:]) //lint:bceok one check for the whole 65-counter signature; i is a trusted flat index
+func (s *Sketch) applySig(slab []int64, i int, delta, fp int64) int32 {
+	c := (*[1 + sig.KeyBits]int64)(slab[i:]) //lint:bceok one check for the whole 65-counter signature; i is a trusted slab index
 	old := c[0]
 	tot := old + delta
 	c[0] = tot
@@ -335,9 +385,9 @@ func (s *Sketch) applySig(i int, delta, fp int64) int32 {
 	} else if tot == 0 {
 		occ = -1
 	}
-	vec.AddInt64Lanes((*[vec.Lanes]int64)(c[1:]), &s.addends)
+	vec.AddInt64Lanes((*[vec.Lanes]int64)(c[1:]), s.addends)
 	if s.layout.Fingerprint {
-		s.counters[i+1+sig.KeyBits] += delta * fp //lint:bceok fingerprint counter sits one past the array-pointer window
+		slab[i+1+sig.KeyBits] += delta * fp //lint:bceok fingerprint counter sits one past the array-pointer window
 	}
 	return occ
 }
@@ -561,8 +611,12 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil || s.cfg != other.cfg {
 		return ErrIncompatible
 	}
-	for i, c := range other.counters {
-		s.counters[i] += c
+	s.reserve(other.top)
+	for l, src := range other.levels[:other.top] {
+		dst := s.levels[l][:len(src)]
+		for i, c := range src {
+			dst[i] += c
+		}
 	}
 	s.updates += other.updates
 	s.recountOccupancy()
@@ -581,8 +635,12 @@ func (s *Sketch) Subtract(other *Sketch) error {
 	if other == nil || s.cfg != other.cfg {
 		return ErrIncompatible
 	}
-	for i, c := range other.counters {
-		s.counters[i] -= c
+	s.reserve(other.top)
+	for l, src := range other.levels[:other.top] {
+		dst := s.levels[l][:len(src)]
+		for i, c := range src {
+			dst[i] -= c
+		}
 	}
 	if other.updates > s.updates {
 		s.updates = 0
@@ -596,29 +654,26 @@ func (s *Sketch) Subtract(other *Sketch) error {
 	return nil
 }
 
-// Reset clears the sketch to its freshly-constructed state without
-// reallocating.
+// Reset clears the sketch's counters and statistics without reallocating:
+// the slabs it has are zeroed and kept.
 func (s *Sketch) Reset() {
-	for i := range s.counters {
-		s.counters[i] = 0
+	for _, slab := range s.levels[:s.top] {
+		clear(slab)
 	}
-	for i := range s.occupied {
-		s.occupied[i] = 0
-	}
+	clear(s.occupied)
 	s.updates = 0
 }
 
 // recountOccupancy rebuilds the per-level occupancy index from the counter
-// array; used after bulk linear operations that rewrite counters wholesale.
+// slabs; used after bulk linear operations that rewrite counters wholesale.
+// Levels without a slab hold no counters and keep their zero entries.
 func (s *Sketch) recountOccupancy() {
-	i := 0
-	for l := range s.occupied {
+	for l, slab := range s.levels[:s.top] {
 		n := int32(0)
-		for tb := 0; tb < s.cfg.Tables*s.cfg.Buckets; tb++ {
-			if s.counters[i] != 0 {
+		for i := 0; i < len(slab); i += s.width {
+			if slab[i] != 0 {
 				n++
 			}
-			i += s.width
 		}
 		s.occupied[l] = n
 	}

@@ -2,7 +2,9 @@ package dcs
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"dcsketch/internal/exact"
 	"dcsketch/internal/hashing"
@@ -141,10 +143,11 @@ func TestDeleteResilience(t *testing.T) {
 		a.UpdateKey(k, -1)
 	}
 
-	for i := range a.counters {
-		if a.counters[i] != b.counters[i] {
+	ac, bc := flatCounters(a), flatCounters(b)
+	for i := range ac {
+		if ac[i] != bc[i] {
 			t.Fatalf("counter %d differs after delete cycle: %d vs %d",
-				i, a.counters[i], b.counters[i])
+				i, ac[i], bc[i])
 		}
 	}
 }
@@ -168,9 +171,10 @@ func TestMergeLinearity(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	for i := range a.counters {
-		if a.counters[i] != both.counters[i] {
-			t.Fatalf("merged counter %d = %d, want %d", i, a.counters[i], both.counters[i])
+	ac, bothc := flatCounters(a), flatCounters(both)
+	for i := range ac {
+		if ac[i] != bothc[i] {
+			t.Fatalf("merged counter %d = %d, want %d", i, ac[i], bothc[i])
 		}
 	}
 	if a.Updates() != both.Updates() {
@@ -202,9 +206,10 @@ func TestSubtractInvertsMerge(t *testing.T) {
 	if err := a.Subtract(b); err != nil {
 		t.Fatalf("Subtract: %v", err)
 	}
-	for i := range a.counters {
-		if a.counters[i] != onlyA.counters[i] {
-			t.Fatalf("counter %d = %d after subtract, want %d", i, a.counters[i], onlyA.counters[i])
+	ac, onlyAc := flatCounters(a), flatCounters(onlyA)
+	for i := range ac {
+		if ac[i] != onlyAc[i] {
+			t.Fatalf("counter %d = %d after subtract, want %d", i, ac[i], onlyAc[i])
 		}
 	}
 	if a.Updates() != onlyA.Updates() {
@@ -431,15 +436,155 @@ func TestFingerprintAblationStillWorksOnInsertOnly(t *testing.T) {
 	}
 }
 
-func TestSizeBytes(t *testing.T) {
-	s := mustNew(t, Config{})
-	want := 64 * 3 * 128 * 66 * 8
-	if got := s.SizeBytes(); got != want {
-		t.Fatalf("SizeBytes = %d, want %d", got, want)
+// keyAtLevel returns the first key drawn from rng that maps to level.
+func keyAtLevel(s *Sketch, rng *hashing.SplitMix64, level int) uint64 {
+	for {
+		if k := rng.Next(); s.LevelOf(k) == level {
+			return k
+		}
 	}
-	p := mustNew(t, Config{DisableFingerprint: true})
-	want = 64 * 3 * 128 * 65 * 8
-	if got := p.SizeBytes(); got != want {
-		t.Fatalf("paper-layout SizeBytes = %d, want %d", got, want)
+}
+
+// TestSizeBytes pins the level contract: a sketch holds counters only for
+// the levels below the highest one a stream has reached, Reset keeps them,
+// and Merge and Subtract adopt the larger of the two operands' levels.
+func TestSizeBytes(t *testing.T) {
+	for _, cfg := range []Config{{Seed: 3}, {Seed: 3, DisableFingerprint: true}} {
+		s := mustNew(t, cfg)
+		slab := s.cfg.Tables * s.cfg.Buckets * s.width * 8
+		if got := s.SizeBytes(); got != 0 {
+			t.Fatalf("cfg %+v: fresh SizeBytes = %d, want 0", cfg, got)
+		}
+		rng := hashing.NewSplitMix64(5)
+		const level = 6
+		s.UpdateKey(keyAtLevel(s, rng, level), 1)
+		if got, want := s.SizeBytes(), (level+1)*slab; got != want {
+			t.Fatalf("cfg %+v: SizeBytes after one key at level %d = %d, want %d", cfg, level, got, want)
+		}
+		if s.LevelsAllocated() != level+1 {
+			t.Fatalf("cfg %+v: LevelsAllocated = %d, want %d", cfg, s.LevelsAllocated(), level+1)
+		}
+		s.Reset()
+		if got, want := s.SizeBytes(), (level+1)*slab; got != want {
+			t.Fatalf("cfg %+v: SizeBytes after Reset = %d, want %d (slabs kept)", cfg, got, want)
+		}
+
+		high := mustNew(t, cfg)
+		high.UpdateKey(keyAtLevel(high, rng, level+3), 1)
+		if err := s.Merge(high); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.SizeBytes(), (level+4)*slab; got != want {
+			t.Fatalf("cfg %+v: SizeBytes after Merge = %d, want %d", cfg, got, want)
+		}
+		// A key inserted and deleted leaves no counters, but its level
+		// stays allocated.
+		gone := mustNew(t, cfg)
+		k := keyAtLevel(gone, rng, level+5)
+		gone.UpdateKey(k, 1)
+		gone.UpdateKey(k, -1)
+		if err := s.Subtract(gone); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.SizeBytes(), (level+6)*slab; got != want {
+			t.Fatalf("cfg %+v: SizeBytes after Subtract = %d, want %d", cfg, got, want)
+		}
+	}
+}
+
+// TestMergeSubtractUnequalLevels checks Merge and Subtract stay exact when
+// the operands have allocated different levels, with the higher one on
+// either side.
+func TestMergeSubtractUnequalLevels(t *testing.T) {
+	cfg := Config{Seed: 37}
+	rng := hashing.NewSplitMix64(41)
+	keys := func(n int) []uint64 {
+		ks := make([]uint64, n)
+		for i := range ks {
+			ks[i] = rng.Next()
+		}
+		return ks
+	}
+	build := func(ks []uint64) *Sketch {
+		s := mustNew(t, cfg)
+		for _, k := range ks {
+			s.UpdateKey(k, 1)
+		}
+		return s
+	}
+	lowKeys, highKeys := keys(20), keys(5000)
+	if low, high := build(lowKeys), build(highKeys); low.LevelsAllocated() >= high.LevelsAllocated() {
+		t.Fatalf("operands allocate %d and %d levels; the test needs the first lower", low.LevelsAllocated(), high.LevelsAllocated())
+	}
+	for _, order := range [][2][]uint64{{lowKeys, highKeys}, {highKeys, lowKeys}} {
+		a, b := build(order[0]), build(order[1])
+		before := flatCounters(a)
+		want := flatCounters(b)
+		for i := range want {
+			want[i] += before[i]
+		}
+		top := max(a.LevelsAllocated(), b.LevelsAllocated())
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(flatCounters(a), want) {
+			t.Fatalf("%d+%d keys: merged counters differ from the sum", len(order[0]), len(order[1]))
+		}
+		if a.LevelsAllocated() != top {
+			t.Fatalf("%d+%d keys: merged sketch allocates %d levels, want %d", len(order[0]), len(order[1]), a.LevelsAllocated(), top)
+		}
+		if err := a.Subtract(b); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(flatCounters(a), before) {
+			t.Fatalf("%d+%d keys: subtract did not invert merge", len(order[0]), len(order[1]))
+		}
+		if a.LevelsAllocated() != top {
+			t.Fatalf("%d+%d keys: subtract freed levels: %d, want %d", len(order[0]), len(order[1]), a.LevelsAllocated(), top)
+		}
+	}
+}
+
+// TestChurnMemoryBounded is the memory regression: under the daemon's
+// sketch configuration, 1M churn updates over 20k live pairs must allocate
+// a few more than log2(1M) levels, not all 64. The highest level any of the
+// ~510k distinct pairs reaches sets the count, and a pair reaches level L or
+// above with probability 2^-L, so a stream exceeds B slabs with probability
+// below 510k·2^-B: about 1/8 for log2(1M)+2 = 22 slabs, which this stream
+// exceeds (one pair at level 24), and below 1/500 for the log2(1M)+8 = 28
+// asserted here.
+func TestChurnMemoryBounded(t *testing.T) {
+	const updates, liveN = 1_000_000, 20_000
+	s := mustNew(t, Config{Tables: 3, Buckets: 128, Seed: 1})
+	rng := hashing.NewSplitMix64(43)
+	live := make([]uint64, liveN)
+	batch := make([]KeyDelta, 0, updates)
+	for i := range live {
+		live[i] = rng.Next()
+		batch = append(batch, KeyDelta{Key: live[i], Delta: 1})
+	}
+	// Each further pair of updates retires the oldest live pair and
+	// inserts a fresh one.
+	for i := 0; len(batch) < updates; i = (i + 1) % liveN {
+		batch = append(batch, KeyDelta{Key: live[i], Delta: -1})
+		live[i] = rng.Next()
+		batch = append(batch, KeyDelta{Key: live[i], Delta: 1})
+	}
+	s.UpdateBatch(batch)
+	slab := s.cfg.Tables * s.cfg.Buckets * s.width * 8
+	maxSlabs := int(math.Ceil(math.Log2(updates))) + 8
+	if got := s.SizeBytes(); got > maxSlabs*slab {
+		t.Fatalf("SizeBytes = %d (%d slabs), want <= %d slabs", got, got/slab, maxSlabs)
+	}
+}
+
+// TestAddendsAligned pins the addend vector to a 32-byte boundary, where the
+// AVX2 kernels' loads and stores of it never straddle a cache line.
+func TestAddendsAligned(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		s := mustNew(t, Config{Seed: seed})
+		if at := uintptr(unsafe.Pointer(s.addends)); at%32 != 0 {
+			t.Fatalf("addends at %#x, want a multiple of 32", at)
+		}
 	}
 }

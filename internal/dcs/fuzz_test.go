@@ -2,6 +2,40 @@ package dcs
 
 import "testing"
 
+// denseSeed returns the encoding of a tiny sketch with every bucket of every
+// level occupied, so runs of non-zero counters cross the level boundaries:
+// an encoder that split a run at a slab edge would emit different bytes.
+func denseSeed(f *testing.F, cfg Config) []byte {
+	s, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for k := uint64(1); minOccupied(s) < cfg.Tables*cfg.Buckets; k++ {
+		s.UpdateKey(k*0x9e3779b97f4a7c15, 1)
+	}
+	flat, stride, crossing := flatCounters(s), s.levelStride, false
+	for l := 1; l < cfg.Levels; l++ {
+		crossing = crossing || flat[l*stride-1] != 0 && flat[l*stride] != 0
+	}
+	if !crossing {
+		f.Fatalf("cfg %+v: no non-zero run crosses a level boundary", cfg)
+	}
+	data, err := s.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// minOccupied returns the fewest occupied second-level buckets of any level.
+func minOccupied(s *Sketch) int {
+	n := s.cfg.Tables * s.cfg.Buckets
+	for l := 0; l < s.cfg.Levels; l++ {
+		n = min(n, s.OccupiedBuckets(l))
+	}
+	return n
+}
+
 func FuzzUnmarshalBinary(f *testing.F) {
 	small, err := New(Config{Buckets: 4, Levels: 4, Tables: 1})
 	if err != nil {
@@ -13,6 +47,8 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	f.Add(denseSeed(f, Config{Tables: 1, Buckets: 2, Levels: 4}))
+	f.Add(denseSeed(f, Config{Tables: 2, Buckets: 2, Levels: 3, DisableFingerprint: true}))
 	f.Add([]byte("DCS1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -20,8 +56,12 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything that decodes must re-encode and decode to the same
-		// query answers without panicking.
+		// Anything that decodes must encode as the reference RLE of its
+		// zero-extended counter array, whatever levels the decoder
+		// allocated.
+		checkReferenceEncoding(t, sk)
+		// ...and re-encode and decode to the same query answers without
+		// panicking.
 		out, err := sk.MarshalBinary()
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)

@@ -54,6 +54,9 @@ type Located struct {
 	// buckets holds r ordinals per record: buckets[i*r+j] is record i's
 	// bucket in table j.
 	buckets []int32
+	// top is one past the highest first-level bucket of any record: the
+	// levels a sketch must have allocated before applying the batch.
+	top int
 }
 
 // locatedRec is one located update. fp is 0 when the layout has no
@@ -87,15 +90,16 @@ func (l *Locator) LocateBatch(dst *Located, batch []KeyDelta) {
 	}
 	dst.loc = l
 	recs, buckets := dst.recs[:len(batch)], dst.buckets[:len(batch)*r]
-	n := 0
+	n, top := 0, 0
 	for _, u := range batch {
 		if u.Delta == 0 {
 			continue
 		}
 		l.locate(&recs[n], buckets[n*r:n*r+r], u.Key, u.Delta)
+		top = max(top, recs[n].level+1)
 		n++
 	}
-	dst.recs, dst.buckets = recs[:n], buckets[:n*r]
+	dst.recs, dst.buckets, dst.top = recs[:n], buckets[:n*r], top
 }
 
 // locate is the hash phase of one update: it fills rec, and bk with the r
@@ -116,14 +120,17 @@ func (l *Locator) locate(rec *locatedRec, bk []int32, key uint64, delta int64) {
 // so they may be used without the lock that serializes the sketch.
 func (s *Sketch) Locator() *Locator { return s.loc }
 
-// CheckLocated panics unless lb was located by hash functions of the
-// sketch's configuration. A batch located for another configuration would
-// add its records into the wrong buckets, so the located apply loops check
-// once per batch rather than corrupt the counters.
+// CheckLocated readies the sketch to apply lb, once per batch: it panics
+// unless lb was located by hash functions of the sketch's configuration, then
+// allocates the slabs of the levels lb reaches. A batch located for another
+// configuration would add its records into the wrong buckets, so the located
+// apply loops check rather than corrupt the counters. Once it returns, the
+// apply loops write into allocated slabs without a check of their own.
 func (s *Sketch) CheckLocated(lb *Located) {
 	if lb.loc != s.loc && len(lb.recs) > 0 {
 		s.checkLocatedConfig(lb)
 	}
+	s.reserve(lb.top)
 }
 
 // checkLocatedConfig is CheckLocated for a batch located by another
@@ -142,9 +149,9 @@ func (s *Sketch) checkLocatedConfig(lb *Located) {
 //lint:allocfree
 func (s *Sketch) PrefetchLocated(lb *Located, i int) {
 	r := len(s.loc.bucketHash)
-	base := lb.recs[i].level * s.levelStride
+	slab := s.levels[lb.recs[i].level]
 	for j, b := range lb.buckets[i*r : i*r+r] {
-		vec.Prefetch(&s.counters[base+j*s.tableStride+int(b)*s.width])
+		vec.Prefetch(&slab[j*s.tableStride+int(b)*s.width])
 	}
 }
 
@@ -174,10 +181,10 @@ func (s *Sketch) updateLocated(lb *Located) {
 //lint:bce
 func (s *Sketch) applyLocated(rec *locatedRec, bk []int32) {
 	s.startLocated(rec)
-	base := rec.level * s.levelStride
+	slab := s.levels[rec.level] //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
 	occ := int32(0)
 	for j, b := range bk {
-		occ += s.applySig(base+j*s.tableStride+int(b)*s.width, rec.delta, rec.fp)
+		occ += s.applySig(slab, j*s.tableStride+int(b)*s.width, rec.delta, rec.fp)
 		if debugAssertions && rec.delta < 0 {
 			s.assertSig(rec.level, j, int(b), "delete")
 		}
@@ -193,7 +200,7 @@ func (s *Sketch) StartLocated(lb *Located, i int) { s.startLocated(&lb.recs[i]) 
 
 func (s *Sketch) startLocated(rec *locatedRec) {
 	s.updates++
-	vec.BuildMaskedAddends(&s.addends, rec.key, rec.delta)
+	vec.BuildMaskedAddends(s.addends, rec.key, rec.delta)
 }
 
 // ApplyLocated adds record i of lb, begun with StartLocated, into its bucket
@@ -208,10 +215,11 @@ func (s *Sketch) startLocated(rec *locatedRec) {
 func (s *Sketch) ApplyLocated(lb *Located, i, j int) (before, after uint64, beforeOK, afterOK bool) {
 	rec := &lb.recs[i]                              //lint:bceok i < lb.Len() by the caller contract
 	b := int(lb.buckets[i*len(s.loc.bucketHash)+j]) //lint:bceok j < Tables by the caller contract; CheckLocated matched the batch's Tables
-	at := rec.level*s.levelStride + j*s.tableStride + b*s.width
-	sg := s.counters[at : at+s.width] //lint:bceok at is the flat index of a bucket of this sketch's shape
+	slab := s.levels[rec.level]                     //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
+	at := j*s.tableStride + b*s.width
+	sg := slab[at : at+s.width] //lint:bceok at is the slab index of a bucket of this sketch's shape
 	before, _, beforeOK = s.decodeSig(sg, rec.level, j, b, rec)
-	s.occupied[rec.level] += s.applySig(at, rec.delta, rec.fp) //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
+	s.occupied[rec.level] += s.applySig(slab, at, rec.delta, rec.fp) //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
 	if debugAssertions && rec.delta < 0 {
 		s.assertSig(rec.level, j, b, "delete")
 	}

@@ -14,12 +14,15 @@ import (
 //	magic "DCS1" | tables | buckets | levels | seed | epsilon bits |
 //	fingerprint flag | updates | counter payload
 //
-// The counter payload is run-length encoded: a stream of uvarint tokens t
-// where an even t encodes a run of t/2 zero counters and an odd t is
-// followed by (t-1)/2 zigzag-varint counter values. Sketch counters are
-// overwhelmingly zero (only ~log2(U) of 64 levels are populated), so the
-// encoding shrinks a multi-megabyte counter array to roughly the size of its
-// live content.
+// The counter payload is the level-major array X[level][table][bucket][pos]
+// of all Levels·r·s·width counters, run-length encoded: a stream of uvarint
+// tokens t where an even t encodes a run of t/2 zero counters and an odd t
+// is followed by (t-1)/2 zigzag-varint counter values. A level without a
+// slab encodes as zeros and runs continue across level boundaries, so the
+// bytes depend only on the counter values, never on which levels are
+// allocated. Sketch counters are overwhelmingly zero (only ~log2(U) of 64
+// levels are populated), so the encoding shrinks the array to roughly the
+// size of its live content.
 
 const sketchMagic = "DCS1"
 
@@ -28,7 +31,11 @@ var ErrCorrupt = errors.New("dcs: corrupt sketch encoding")
 
 // MarshalBinary encodes the sketch. It implements encoding.BinaryMarshaler.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 4096)
+	return s.appendCounters(s.appendHeader(make([]byte, 0, 4096))), nil
+}
+
+// appendHeader encodes everything before the counter payload onto buf.
+func (s *Sketch) appendHeader(buf []byte) []byte {
 	buf = append(buf, sketchMagic...)
 	buf = binary.AppendUvarint(buf, uint64(s.cfg.Tables))
 	buf = binary.AppendUvarint(buf, uint64(s.cfg.Buckets))
@@ -41,34 +48,88 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 		buf = append(buf, 0)
 	}
 	buf = binary.AppendUvarint(buf, uint64(s.cfg.SampleTarget))
-	buf = binary.AppendUvarint(buf, s.updates)
-	buf = appendCounters(buf, s.counters)
-	return buf, nil
+	return binary.AppendUvarint(buf, s.updates)
 }
 
-// appendCounters RLE-encodes counters onto buf.
-func appendCounters(buf []byte, counters []int64) []byte {
-	i := 0
-	n := len(counters)
-	for i < n {
-		if counters[i] == 0 {
-			run := i
-			for i < n && counters[i] == 0 {
-				i++
-			}
-			buf = binary.AppendUvarint(buf, uint64(i-run)<<1)
+// appendCounters RLE-encodes the counter payload onto buf, reading the
+// slabs in place.
+func (s *Sketch) appendCounters(buf []byte) []byte {
+	w := rleWriter{buf: buf}
+	for _, slab := range s.levels {
+		if slab == nil {
+			w.zeros(s.levelStride)
 			continue
 		}
-		run := i
-		for i < n && counters[i] != 0 {
-			i++
+		w.counters(slab)
+	}
+	return w.finish()
+}
+
+// rleWriter run-length encodes a counter sequence handed to it in pieces: a
+// run that spans pieces is held back until it ends, so it encodes as one
+// token, exactly as if the pieces were one array.
+type rleWriter struct {
+	buf []byte
+	// zeroRun is the length of the pending run of zeros.
+	zeroRun int
+	// valueRun is the pending run of non-zero counters, one segment per
+	// piece it spans, and valueLen its length.
+	valueRun [][]int64
+	valueLen int
+}
+
+// zeros appends n zero counters.
+func (w *rleWriter) zeros(n int) {
+	w.flushValues()
+	w.zeroRun += n
+}
+
+// counters appends the counters of seg.
+func (w *rleWriter) counters(seg []int64) {
+	for len(seg) > 0 {
+		i := 0
+		if seg[0] == 0 {
+			for i < len(seg) && seg[i] == 0 {
+				i++
+			}
+			w.zeros(i)
+		} else {
+			for i < len(seg) && seg[i] != 0 {
+				i++
+			}
+			w.flushZeros()
+			w.valueRun = append(w.valueRun, seg[:i])
+			w.valueLen += i
 		}
-		buf = binary.AppendUvarint(buf, uint64(i-run)<<1|1)
-		for _, c := range counters[run:i] {
-			buf = binary.AppendVarint(buf, c)
+		seg = seg[i:]
+	}
+}
+
+func (w *rleWriter) flushZeros() {
+	if w.zeroRun > 0 {
+		w.buf = binary.AppendUvarint(w.buf, uint64(w.zeroRun)<<1)
+		w.zeroRun = 0
+	}
+}
+
+func (w *rleWriter) flushValues() {
+	if w.valueLen == 0 {
+		return
+	}
+	w.buf = binary.AppendUvarint(w.buf, uint64(w.valueLen)<<1|1)
+	for _, seg := range w.valueRun {
+		for _, c := range seg {
+			w.buf = binary.AppendVarint(w.buf, c)
 		}
 	}
-	return buf
+	w.valueRun, w.valueLen = w.valueRun[:0], 0
+}
+
+// finish ends the pending run and returns the encoding.
+func (w *rleWriter) finish() []byte {
+	w.flushValues()
+	w.flushZeros()
+	return w.buf
 }
 
 // UnmarshalBinary decodes a sketch previously produced by MarshalBinary,
@@ -148,16 +209,19 @@ func UnmarshalBinary(data []byte) (*Sketch, error) {
 	}
 	s.updates = updates
 
+	// i indexes the level-major counter array. Slabs are allocated up to
+	// the highest level holding a non-zero value; zeros need no storage.
+	total := s.cfg.Levels * s.levelStride
 	i := 0
-	for i < len(s.counters) {
+	for i < total {
 		token, n := binary.Uvarint(data)
 		if n <= 0 {
 			return nil, fmt.Errorf("%w: truncated counter payload", ErrCorrupt)
 		}
 		data = data[n:]
 		runLen := int(token >> 1)
-		if runLen <= 0 || runLen > len(s.counters)-i {
-			return nil, fmt.Errorf("%w: run length %d exceeds remaining %d", ErrCorrupt, runLen, len(s.counters)-i)
+		if runLen <= 0 || runLen > total-i {
+			return nil, fmt.Errorf("%w: run length %d exceeds remaining %d", ErrCorrupt, runLen, total-i)
 		}
 		if token&1 == 0 {
 			i += runLen // zero run: counters are already zero
@@ -169,7 +233,11 @@ func UnmarshalBinary(data []byte) (*Sketch, error) {
 				return nil, fmt.Errorf("%w: truncated counter value", ErrCorrupt)
 			}
 			data = data[vn:]
-			s.counters[i] = v
+			if v != 0 {
+				l := i / s.levelStride
+				s.reserve(l + 1)
+				s.levels[l][i-l*s.levelStride] = v
+			}
 			i++
 		}
 	}

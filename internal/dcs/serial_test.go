@@ -2,7 +2,11 @@ package dcs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"dcsketch/internal/hashing"
@@ -37,7 +41,139 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if got.Updates() != s.Updates() {
 		t.Fatalf("updates = %d, want %d", got.Updates(), s.Updates())
 	}
-	if !bytes.Equal(int64sToBytes(got.counters), int64sToBytes(s.counters)) {
+	if !bytes.Equal(int64sToBytes(flatCounters(got)), int64sToBytes(flatCounters(s))) {
+		t.Fatal("counters differ after round trip")
+	}
+}
+
+// flatCounters returns s's counters as the level-major array the DCS1
+// payload encodes, X[level][table][bucket][pos] over all Levels, with the
+// levels that have no slab as zeros.
+func flatCounters(s *Sketch) []int64 {
+	out := make([]int64, s.cfg.Levels*s.levelStride)
+	for l, slab := range s.levels[:s.top] {
+		copy(out[l*s.levelStride:], slab)
+	}
+	return out
+}
+
+// appendFlatCounters is the reference encoder for the counter payload: the
+// RLE of one flat array. The slab encoder must emit its bytes for
+// flatCounters, whatever levels are allocated.
+func appendFlatCounters(buf []byte, counters []int64) []byte {
+	i := 0
+	n := len(counters)
+	for i < n {
+		if counters[i] == 0 {
+			run := i
+			for i < n && counters[i] == 0 {
+				i++
+			}
+			buf = binary.AppendUvarint(buf, uint64(i-run)<<1)
+			continue
+		}
+		run := i
+		for i < n && counters[i] != 0 {
+			i++
+		}
+		buf = binary.AppendUvarint(buf, uint64(i-run)<<1|1)
+		for _, c := range counters[run:i] {
+			buf = binary.AppendVarint(buf, c)
+		}
+	}
+	return buf
+}
+
+// checkReferenceEncoding fails unless MarshalBinary's bytes for s are the
+// header followed by the reference encoding of its zero-extended counters.
+func checkReferenceEncoding(t testing.TB, s *Sketch) {
+	t.Helper()
+	got, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := appendFlatCounters(s.appendHeader(nil), flatCounters(s)); !bytes.Equal(got, want) {
+		t.Fatalf("encoding of %d levels differs from the flat reference: %d bytes, want %d", s.top, len(got), len(want))
+	}
+}
+
+// TestEncodingGolden pins the DCS1 bytes of a seeded stream of 50k inserts
+// and 30k deletes in two configurations to SHA-256 digests of the flat
+// encoding, then checks those bytes restore and encode back to themselves.
+// Snapshots on disk depend on both.
+func TestEncodingGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cfg    Config
+		digest string
+	}{
+		{Config{Seed: 17}, "6d697fbb0ee7312ab8c281051ef5f85fa7d8b0d5141ed5b458b59ea5fb95a795"},
+		{Config{Tables: 2, Buckets: 64, Seed: 23, DisableFingerprint: true}, "9b9a5c4967e9f62d09e4aef20f96b5659b8608a516146ed6319c27ec2986258a"},
+	} {
+		s := mustNew(t, tc.cfg)
+		rng := hashing.NewSplitMix64(tc.cfg.Seed)
+		keys := make([]uint64, 50_000)
+		for i := range keys {
+			keys[i] = rng.Next()
+			s.UpdateKey(keys[i], 1)
+		}
+		for _, k := range keys[:30_000] {
+			s.UpdateKey(k, -1)
+		}
+		data, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.digest {
+			t.Fatalf("cfg %+v: encoding digest %s, want %s", tc.cfg, got, tc.digest)
+		}
+		checkReferenceEncoding(t, s)
+		restored, err := UnmarshalBinary(data)
+		if err != nil {
+			t.Fatalf("cfg %+v: restore: %v", tc.cfg, err)
+		}
+		again, err := restored.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("cfg %+v: restored sketch encodes differently", tc.cfg)
+		}
+	}
+}
+
+// TestUnmarshalAllocatesToHighestNonZeroLevel checks that decoding allocates
+// slabs only up to the highest level holding a non-zero counter, however
+// many levels the encoded sketch had allocated.
+func TestUnmarshalAllocatesToHighestNonZeroLevel(t *testing.T) {
+	s := mustNew(t, Config{Seed: 29})
+	rng := hashing.NewSplitMix64(31)
+	for i := 0; i < 2000; i++ {
+		s.UpdateKey(rng.Next(), 1)
+	}
+	want := s.LevelsAllocated()
+	// A key two levels above the top, inserted and deleted, leaves the
+	// levels up to its own allocated and all zeros.
+	k := rng.Next()
+	for s.LevelOf(k) < want+2 {
+		k = rng.Next()
+	}
+	s.UpdateKey(k, 1)
+	s.UpdateKey(k, -1)
+	if s.LevelsAllocated() != s.LevelOf(k)+1 {
+		t.Fatalf("LevelsAllocated = %d after a key at level %d", s.LevelsAllocated(), s.LevelOf(k))
+	}
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.LevelsAllocated() != want {
+		t.Fatalf("decoded sketch allocated %d levels, want %d (highest non-zero level + 1)", got.LevelsAllocated(), want)
+	}
+	if !slices.Equal(flatCounters(got), flatCounters(s)) {
 		t.Fatal("counters differ after round trip")
 	}
 }

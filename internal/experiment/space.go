@@ -50,10 +50,10 @@ type SpaceRow struct {
 	Analytic bool
 	// BasicBytes and TrackingBytes are the synopsis sizes; for measured
 	// rows BasicBytes is the serialized (occupancy-reflecting) size and
-	// RawBytes the in-memory counter array.
+	// TrackingBytes the resident tracking sketch.
 	BasicBytes, TrackingBytes int64
-	// RawBytes is the preallocated in-memory counter array (measured
-	// rows only; the implementation allocates all 64 levels up front).
+	// RawBytes is the resident counter array (measured rows only): one
+	// slab of r·s signatures for each level the stream reached.
 	RawBytes int64
 	// BruteForceBytes is the naive per-pair scheme (12 bytes per pair,
 	// the paper's accounting).

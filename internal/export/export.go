@@ -265,7 +265,7 @@ func (e *Exporter) Export(updates []wire.Update) error {
 	e.nextSeq++
 	b := &batch{
 		seq:     seq,
-		payload: wire.AppendSeqUpdates(nil, seq, updates),
+		payload: wire.AppendSeqUpdates(make([]byte, 0, seqUpdatesSize(len(updates))), seq, updates),
 		n:       len(updates),
 	}
 	for len(e.spool) >= e.cfg.SpoolBatches {
@@ -284,6 +284,13 @@ func (e *Exporter) Export(updates []wire.Update) error {
 	e.cond.Broadcast()
 	return nil
 }
+
+// seqUpdatesSize is the encoded size of a MsgSeqUpdates payload of n updates
+// with ±1 deltas, the deltas flow updates carry: two uvarint headers
+// (sequence and count) and 9 bytes per update (two fixed u32 addresses and a
+// one-byte zigzag delta). Encoding into a buffer this size costs one
+// allocation per batch; growing one from empty costs 13 at 512 updates.
+func seqUpdatesSize(n int) int { return 2*binary.MaxVarintLen64 + 9*n }
 
 // Drain blocks until every spooled batch has been acked or shed, the
 // timeout elapses, or the exporter closes. It reports whether the spool

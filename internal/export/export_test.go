@@ -127,6 +127,36 @@ func TestSpoolShedsOldestWhenUnreachable(t *testing.T) {
 	}
 }
 
+// TestExportAllocs checks Export's allocations per batch: the batch record
+// and its payload, encoded once into a buffer sized for it. The dial blocks
+// until the test ends, so the delivery loop allocates nothing meanwhile.
+func TestExportAllocs(t *testing.T) {
+	release := make(chan struct{})
+	blocked := func(addr string, timeout time.Duration) (net.Conn, error) {
+		<-release
+		return nil, errors.New("test over")
+	}
+	e, err := New(Config{Addr: "example.invalid:1", Dial: blocked, SessionID: 4, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	defer close(release)
+
+	batch := make([]wire.Update, 512)
+	for i := range batch {
+		batch[i] = wire.Update{Src: uint32(i), Dst: 80, Delta: 1 - 2*int64(i%2)}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.Export(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Export of a 512-update batch = %v allocations, want <= 2", allocs)
+	}
+}
+
 func TestExportAfterClose(t *testing.T) {
 	e, err := New(Config{Addr: "example.invalid:1", SessionID: 3})
 	if err != nil {

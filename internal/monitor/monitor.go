@@ -422,6 +422,9 @@ type SketchHealth struct {
 	// LevelsNonEmpty counts first-level buckets with at least one
 	// occupied second-level bucket.
 	LevelsNonEmpty int
+	// LevelsAllocated counts first-level buckets whose counters are
+	// allocated; times the slab size it is the sketch's counter memory.
+	LevelsAllocated int
 }
 
 // SketchHealth reads the sketch-health snapshot under the monitor lock.
@@ -437,9 +440,10 @@ func (m *Monitor) SketchHealth() SketchHealth {
 //lint:locked mu
 func (m *Monitor) sketchHealthLocked() SketchHealth {
 	return SketchHealth{
-		Query:          m.sketch.QueryStats(),
-		Rebuilds:       m.sketch.Rebuilds(),
-		LevelsNonEmpty: m.sketch.Base().NonEmptyLevels(),
+		Query:           m.sketch.QueryStats(),
+		Rebuilds:        m.sketch.Rebuilds(),
+		LevelsNonEmpty:  m.sketch.Base().NonEmptyLevels(),
+		LevelsAllocated: m.sketch.Base().LevelsAllocated(),
 	}
 }
 
@@ -495,6 +499,9 @@ func (m *Monitor) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("dcsketch_sketch_levels_nonempty",
 		"First-level buckets with at least one occupied second-level bucket.",
 		func() int64 { return int64(m.SketchHealth().LevelsNonEmpty) })
+	reg.GaugeFunc("dcsketch_sketch_levels_allocated",
+		"First-level buckets whose counters are allocated (each holds r*s count signatures).",
+		func() int64 { return int64(m.SketchHealth().LevelsAllocated) })
 
 	m.mu.Lock()
 	m.tel = tel

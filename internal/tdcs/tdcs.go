@@ -111,9 +111,9 @@ func (t *Sketch) Updates() uint64 { return t.base.Updates() }
 // must not mutate it directly; doing so desynchronizes the tracking state.
 func (t *Sketch) Base() *dcs.Sketch { return t.base }
 
-// SizeBytes returns the approximate memory footprint: the counter array plus
-// the tracking structures. The paper observes the tracking overhead is a
-// small constant factor (~2x) over the basic sketch.
+// SizeBytes returns the approximate memory footprint: the allocated counter
+// slabs plus the tracking structures. The paper observes the tracking
+// overhead is a small constant factor (~2x) over the basic sketch.
 func (t *Sketch) SizeBytes() int {
 	n := t.base.SizeBytes()
 	for b := range t.singles {
@@ -373,7 +373,8 @@ func (t *Sketch) Merge(other *Sketch) error {
 }
 
 // Rebuild reconstructs the tracking state (singleton sets and heaps) from
-// the counter array. It is used after Merge and deserialization.
+// the counters. It is used after Merge and deserialization. Only the
+// allocated levels can hold a singleton.
 func (t *Sketch) Rebuild() {
 	t.rebuilds++
 	cfg := t.base.Config()
@@ -381,7 +382,7 @@ func (t *Sketch) Rebuild() {
 		clear(t.singles[b])
 		t.heaps[b] = iheap.New(16)
 	}
-	for level := 0; level < cfg.Levels; level++ {
+	for level := 0; level < t.base.LevelsAllocated(); level++ {
 		for j := 0; j < cfg.Tables; j++ {
 			for bkt := 0; bkt < cfg.Buckets; bkt++ {
 				if key, _, ok := t.base.DecodeBucket(level, j, bkt); ok {

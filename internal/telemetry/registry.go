@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind classifies a registered series.
@@ -335,14 +336,21 @@ func (r *Registry) expvarValue() any {
 	return out
 }
 
+// expvarSlots maps each name PublishExpvar has published to the registry
+// it serves, an *atomic.Pointer[Registry].
+var expvarSlots sync.Map
+
 // PublishExpvar publishes the registry's snapshot under the given expvar
 // name (alongside the standard memstats/cmdline vars on /debug/vars). The
-// expvar namespace is process-global and append-only, so a name that is
-// already published — e.g. a daemon restarted in-process by a test — is
-// left pointing at its first registry rather than panicking.
+// expvar namespace is process-global and append-only, so the name is
+// published once and then serves the registry that published it last: a
+// daemon restarted in-process serves its own numbers, not a stopped one's.
+// A name that other code has published is left alone.
 func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
+	slot, loaded := expvarSlots.LoadOrStore(name, new(atomic.Pointer[Registry]))
+	p := slot.(*atomic.Pointer[Registry])
+	p.Store(r)
+	if !loaded && expvar.Get(name) == nil {
+		expvar.Publish(name, expvar.Func(func() any { return p.Load().expvarValue() }))
 	}
-	expvar.Publish(name, expvar.Func(func() any { return r.expvarValue() }))
 }

@@ -161,13 +161,16 @@ func TestSnapshot(t *testing.T) {
 }
 
 func TestPublishExpvar(t *testing.T) {
+	stale := NewRegistry()
+	stale.Counter("ev_stale_total", "h").Add(1)
+	stale.PublishExpvar("telemetry_test")
 	reg := NewRegistry()
 	reg.Counter("ev_c_total", "h").Add(5)
 	reg.Histogram("ev_h_ns", "h").Observe(10)
+	// Re-publishing (same or another registry) must not panic, and the
+	// name serves the registry published last.
 	reg.PublishExpvar("telemetry_test")
-	// Re-publishing (same or another registry) must not panic.
 	reg.PublishExpvar("telemetry_test")
-	NewRegistry().PublishExpvar("telemetry_test")
 
 	v := expvar.Get("telemetry_test")
 	if v == nil {
@@ -178,6 +181,9 @@ func TestPublishExpvar(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("expvar output %q missing %q", s, want)
 		}
+	}
+	if strings.Contains(s, "ev_stale_total") {
+		t.Errorf("expvar output %q still serves the first registry", s)
 	}
 }
 

@@ -104,5 +104,12 @@ func (t *Tracker) Epochs() int { return t.epochs }
 // Rotations returns how many epochs have been sealed so far.
 func (t *Tracker) Rotations() uint64 { return t.sealed }
 
-// SizeBytes returns the footprint: W+1 sketches.
-func (t *Tracker) SizeBytes() int { return (t.epochs + 1) * t.sum.SizeBytes() }
+// SizeBytes returns the footprint of the W+1 sketches: the epochs and their
+// running sum. Each holds only the levels its own stream has reached.
+func (t *Tracker) SizeBytes() int {
+	n := t.sum.SizeBytes()
+	for _, sk := range t.ring {
+		n += sk.SizeBytes()
+	}
+	return n
+}

@@ -158,13 +158,27 @@ func TestThresholdOverWindow(t *testing.T) {
 	}
 }
 
+// TestSizeBytes drives a large epoch and a small one, so the sketches hold
+// different numbers of levels, and checks the footprint is their sum.
 func TestSizeBytes(t *testing.T) {
 	w := mustNew(t, dcs.Config{Seed: 13}, 3)
-	single, err := dcs.New(dcs.Config{Seed: 13})
-	if err != nil {
+	for src := uint32(0); src < 5000; src++ {
+		w.Update(src, 1, 1)
+	}
+	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := w.SizeBytes(), 4*single.SizeBytes(); got != want {
+	for src := uint32(0); src < 5; src++ {
+		w.Update(src, 2, 1)
+	}
+	want := w.sum.SizeBytes()
+	for _, sk := range w.ring {
+		want += sk.SizeBytes()
+	}
+	if got := w.SizeBytes(); got != want || got == 0 {
 		t.Fatalf("SizeBytes = %d, want %d (W+1 sketches)", got, want)
+	}
+	if got := w.SizeBytes(); got >= 4*w.sum.SizeBytes() {
+		t.Fatalf("SizeBytes = %d, want below W+1 copies of the sum's %d", got, w.sum.SizeBytes())
 	}
 }
