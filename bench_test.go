@@ -12,6 +12,7 @@ package dcsketch
 //	BenchmarkSpaceFootprint                       — §6.1 space comparison
 //	BenchmarkUpdate*/BenchmarkQuery*              — Table 2 cost asymmetics
 //	BenchmarkUpdateTrackingChurn                  — tracking batch path under daemon churn
+//	BenchmarkUpdateBasicChurn                     — the same churn through the basic sketch
 //	BenchmarkScenarioDiscrimination               — §1 robustness scenario
 //	BenchmarkAlertOnsetHealth                     — sketch-health read at alert onset
 //	Benchmark*Ablation*                           — design-choice ablations
@@ -168,40 +169,70 @@ func BenchmarkUpdateTracking(b *testing.B) {
 	}
 }
 
+// churnLive and churnFrame shape the daemons' churn workload: 20k live
+// pairs, applied in 512-record frames.
+const churnLive, churnFrame = 20_000, 512
+
+// churnPair is the pair key of churn step n.
+func churnPair(n uint64) uint64 {
+	return hashing.PairKey(uint32(hashing.Mix64(2*n+1)), 0x0A000000|uint32(hashing.Mix64(2*n+2))&0x00FFFFFF)
+}
+
+// churnCycle returns the repeating part of the churn: each step inserts a
+// fresh pair and deletes the pair inserted churnLive steps earlier. A cycle
+// is longer than a pair's lifetime, so every pair is deleted before the
+// cycle inserts it again. The churnLive pairs live at the cycle's start are
+// churnPair(0) to churnPair(churnLive-1).
+func churnCycle() []dcs.KeyDelta {
+	const cycleSteps = 160 * churnFrame / 2
+	cycle := make([]dcs.KeyDelta, 0, 2*cycleSteps)
+	for t := uint64(0); t < cycleSteps; t++ {
+		cycle = append(cycle,
+			dcs.KeyDelta{Key: churnPair((churnLive + t) % cycleSteps), Delta: 1},
+			dcs.KeyDelta{Key: churnPair(t), Delta: -1})
+	}
+	return cycle
+}
+
+// benchChurn inserts the churn's live pairs untimed, then times
+// churnFrame-record batches of the cycle through update. One op is one
+// record.
+func benchChurn(b *testing.B, updateKey func(uint64, int64), update func([]dcs.KeyDelta)) {
+	cycle := churnCycle()
+	for n := uint64(0); n < churnLive; n++ {
+		updateKey(churnPair(n), 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done, off := 0, 0; done < b.N; off = (off + churnFrame) % len(cycle) {
+		n := min(churnFrame, b.N-done)
+		update(cycle[off : off+n])
+		done += n
+	}
+}
+
 // BenchmarkUpdateTrackingChurn times the tracking batch path on the daemons'
 // workload: 512-record tdcs.UpdateBatch calls at the daemons' config (3×128,
 // seed 1) over a delete-heavy churn in which each step inserts a fresh pair
 // and deletes the pair inserted 20k steps earlier. The 20k live pairs are
 // inserted untimed. One op is one record.
 func BenchmarkUpdateTrackingChurn(b *testing.B) {
-	const live, frame = 20_000, 512
-	// The churn repeats in cycles of cycleSteps steps; a cycle is longer
-	// than a pair's lifetime, so every pair is deleted before the cycle
-	// inserts it again.
-	const cycleSteps = 160 * frame / 2
-	pair := func(n uint64) uint64 {
-		return hashing.PairKey(uint32(hashing.Mix64(2*n+1)), 0x0A000000|uint32(hashing.Mix64(2*n+2))&0x00FFFFFF)
-	}
-	cycle := make([]dcs.KeyDelta, 0, 2*cycleSteps)
-	for t := uint64(0); t < cycleSteps; t++ {
-		cycle = append(cycle,
-			dcs.KeyDelta{Key: pair((live + t) % cycleSteps), Delta: 1},
-			dcs.KeyDelta{Key: pair(t), Delta: -1})
-	}
 	sk, err := tdcs.New(dcs.Config{Tables: 3, Buckets: 128, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for n := uint64(0); n < live; n++ {
-		sk.UpdateKey(pair(n), 1)
+	benchChurn(b, sk.UpdateKey, sk.UpdateBatch)
+}
+
+// BenchmarkUpdateBasicChurn is BenchmarkUpdateTrackingChurn's denominator:
+// the same stream and batches through the basic sketch, which keeps no
+// tracking state. The ratio of the two is the cost of tracking.
+func BenchmarkUpdateBasicChurn(b *testing.B) {
+	sk, err := dcs.New(dcs.Config{Tables: 3, Buckets: 128, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done, off := 0, 0; done < b.N; off = (off + frame) % len(cycle) {
-		n := min(frame, b.N-done)
-		sk.UpdateBatch(cycle[off : off+n])
-		done += n
-	}
+	benchChurn(b, sk.UpdateKey, sk.UpdateBatch)
 }
 
 // BenchmarkQueryBasic / BenchmarkQueryTracking are Table 2's query-cost row:

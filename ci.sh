@@ -180,7 +180,8 @@ fuzz_group() {
 
 bench() {
 	# The gated benchmarks: the Table-2 per-update/query costs, the tracking
-	# batch path under the daemons' delete-heavy churn, the sharded
+	# batch path under the daemons' delete-heavy churn and the same churn
+	# through the basic sketch (the tracking cost's denominator), the sharded
 	# pipeline ingest layer, the sketch-health read every alert onset makes
 	# under the server's ingest lock, and the server's sequenced ingest over
 	# TCP (ServerIngestSeq, one and two connections).
@@ -188,7 +189,7 @@ bench() {
 	out="$(mktemp)"
 	trap 'rm -f "$out"' EXIT
 	go test -run '^$' \
-		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkUpdateTrackingChurn|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest|BenchmarkAlertOnsetHealth)$' \
+		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkUpdateTrackingChurn|BenchmarkUpdateBasicChurn|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest|BenchmarkAlertOnsetHealth)$' \
 		-benchmem -count 5 . | tee "$out"
 	go test -run '^$' \
 		-bench '^BenchmarkServerIngestSeq$' \

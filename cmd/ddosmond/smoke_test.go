@@ -142,6 +142,18 @@ func TestTelemetrySmoke(t *testing.T) {
 	if got := metricValue(body, "dcsketch_sketch_levels_allocated"); got < 1 || got > 64 {
 		t.Errorf("dcsketch_sketch_levels_allocated = %v, want in [1, 64]", got)
 	}
+	// The tracking floor is a level, and its move counters are exported.
+	if got := metricValue(body, "dcsketch_sketch_tracking_floor"); got < 0 || got > 63 {
+		t.Errorf("dcsketch_sketch_tracking_floor = %v, want in [0, 63]", got)
+	}
+	for _, series := range []string{
+		"dcsketch_sketch_tracking_floor_raises_total",
+		"dcsketch_sketch_tracking_floor_lowers_total",
+	} {
+		if got := metricValue(body, series); got < 0 {
+			t.Errorf("%s absent from /metrics", series)
+		}
+	}
 	// Zero-valued series are still exported (a scrape must show the full
 	// inventory, not only what already happened).
 	for _, series := range []string{

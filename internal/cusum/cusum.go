@@ -134,51 +134,3 @@ func (s *SYNFIN) Reset() {
 	s.syn, s.fin = 0, 0
 	s.inAlarm = false
 }
-
-// State is the serializable detector state: everything RecordSYN/RecordFIN,
-// EndInterval, and the underlying CUSUM mutate. The tuning parameters
-// (drift, threshold, alpha) are deliberately excluded — they are
-// configuration, re-supplied to NewSYNFIN on restore, so a snapshot cannot
-// silently change the operating point of a restarted detector.
-type State struct {
-	Y         float64 // CUSUM statistic Y_n
-	Alarms    int     // observations that were in alarm
-	Fbar      float64 // EWMA FIN/RST baseline F̄_n (>= 1)
-	Syn       int64   // SYN count of the open interval
-	Fin       int64   // FIN/RST count of the open interval
-	Intervals int     // closed intervals
-	InAlarm   bool    // detector state after the last closed interval
-}
-
-// State captures the detector's mutable state for a crash-safe snapshot.
-// Like every SYNFIN method it assumes the caller serializes access.
-func (s *SYNFIN) State() State {
-	return State{
-		Y:         s.det.y,
-		Alarms:    s.det.alarms,
-		Fbar:      s.fbar,
-		Syn:       s.syn,
-		Fin:       s.fin,
-		Intervals: s.intervals,
-		InAlarm:   s.inAlarm,
-	}
-}
-
-// Restore replaces the detector's mutable state with a previously captured
-// State, validating the invariants EndInterval maintains (Y >= 0, F̄ >= 1,
-// non-negative counters) so a corrupt snapshot cannot wedge the statistic.
-func (s *SYNFIN) Restore(st State) error {
-	if st.Y < 0 || st.Fbar < 1 {
-		return fmt.Errorf("cusum: restore state Y=%v Fbar=%v violates Y>=0, Fbar>=1", st.Y, st.Fbar)
-	}
-	if st.Alarms < 0 || st.Intervals < 0 {
-		return fmt.Errorf("cusum: restore state has negative counters (alarms=%d intervals=%d)", st.Alarms, st.Intervals)
-	}
-	s.det.y = st.Y
-	s.det.alarms = st.Alarms
-	s.fbar = st.Fbar
-	s.syn, s.fin = st.Syn, st.Fin
-	s.intervals = st.Intervals
-	s.inAlarm = st.InAlarm
-	return nil
-}

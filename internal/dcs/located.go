@@ -192,6 +192,19 @@ func (s *Sketch) applyLocated(rec *locatedRec, bk []int32) {
 	s.occupied[rec.level] += occ //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
 }
 
+// AddLocated applies record i of lb as the basic sketch's apply loop does:
+// one addend build, then one signature add per table, with no decode. A
+// caller that needs no singleton transitions for a record (the tracking
+// sketch, below its tracking floor) uses it instead of StartLocated and
+// ApplyLocated.
+//
+//lint:allocfree
+//lint:bce
+func (s *Sketch) AddLocated(lb *Located, i int) {
+	r := len(s.loc.bucketHash)
+	s.applyLocated(&lb.recs[i], lb.buckets[i*r:i*r+r]) //lint:bceok i < lb.Len() by the caller contract, and LocateBatch stores r ordinals per record
+}
+
 // StartLocated begins applying record i of lb: it counts the update and
 // builds the record's masked addend vector, which ApplyLocated then adds
 // into the record's bucket in each table. Apply every table of a record

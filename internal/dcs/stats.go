@@ -3,8 +3,11 @@ package dcs
 // QueryStats is the sketch's decode-path health state: cumulative decode
 // outcome counters plus the shape of the most recent distinct sample. Every
 // DecodeBucket caller ticks the decode counters — sampling queries, and on
-// a tracking sketch also the per-update before/after diffs and rebuilds —
-// so they reflect all decode activity, not just queries. The
+// a tracking sketch also the before/after diffs of the updates at or above
+// its tracking floor, the levels a query rebuilds when it lowers the
+// floor, and rebuilds — so they reflect all decode activity, not just
+// queries. Updates below the floor decode nothing, so on a tracking sketch
+// the counters move with the work done, not with the singletons present. The
 // counters are plain (non-atomic) words owned by the sketch's single
 // writer — the sketch's existing single-goroutine contract covers them, and
 // the query kernels stay free of even uncontended atomic traffic. Callers

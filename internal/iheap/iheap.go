@@ -38,6 +38,23 @@ func New(hint int) *Heap {
 // Len returns the number of entries.
 func (h *Heap) Len() int { return len(h.entries) }
 
+// Reset empties the heap and keeps its capacity, so refilling it to its
+// old size does not allocate.
+func (h *Heap) Reset() {
+	h.entries = h.entries[:0]
+	clear(h.pos)
+}
+
+// CopyFrom replaces the heap's contents with src's, reusing its own
+// capacity.
+func (h *Heap) CopyFrom(src *Heap) {
+	h.entries = append(h.entries[:0], src.entries...)
+	clear(h.pos)
+	for i, e := range h.entries {
+		h.pos[e.Key] = i
+	}
+}
+
 // Get returns the priority of key and whether it is present.
 func (h *Heap) Get(key uint32) (int64, bool) {
 	i, ok := h.pos[key]

@@ -245,3 +245,48 @@ func BenchmarkTopK10(b *testing.B) {
 		h.TopK(10)
 	}
 }
+
+// TestResetAndCopyFrom checks that Reset empties a heap without giving up
+// its capacity, and that CopyFrom yields an independent heap with the
+// source's entries and a valid index.
+func TestResetAndCopyFrom(t *testing.T) {
+	src := New(4)
+	for k := uint32(1); k <= 50; k++ {
+		src.Adjust(k, int64(k%7)+1)
+	}
+	dst := New(1)
+	dst.Adjust(999, 5)
+	dst.CopyFrom(src)
+	checkInvariants(t, dst)
+	if _, ok := dst.Get(999); ok {
+		t.Fatal("CopyFrom kept an entry the source lacks")
+	}
+	if got, want := dst.TopK(50), src.TopK(50); len(got) != len(want) {
+		t.Fatalf("copy holds %d entries, source %d", len(got), len(want))
+	} else {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("copy entry %d = %+v, source %+v", i, got[i], want[i])
+			}
+		}
+	}
+	dst.Adjust(1, 10)
+	if p, _ := src.Get(1); p != 2 {
+		t.Fatalf("adjusting the copy changed the source: priority %d", p)
+	}
+
+	capBefore := cap(dst.entries)
+	dst.Reset()
+	checkInvariants(t, dst)
+	if dst.Len() != 0 || cap(dst.entries) != capBefore {
+		t.Fatalf("after Reset: len %d cap %d, want 0 and %d", dst.Len(), cap(dst.entries), capBefore)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for k := uint32(1); k <= 50; k++ {
+			dst.Adjust(k, 1)
+		}
+		dst.Reset()
+	}); allocs != 0 {
+		t.Fatalf("refilling a reset heap to its old size allocated %v times", allocs)
+	}
+}

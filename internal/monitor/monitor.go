@@ -142,7 +142,8 @@ type Monitor struct {
 	basevar map[uint32]float64
 	// alerting marks destinations currently above threshold, giving the
 	// alert stream hysteresis: one alert per excursion, re-armed when
-	// the frequency falls back to half the trigger level. guarded by mu
+	// the frequency falls back to half the trigger level, whether or not
+	// the destination is still in the top-k. guarded by mu
 	alerting map[uint32]bool
 	// alerts is a bounded ring of the most recently raised alerts
 	// (capacity cfg.MaxAlerts); alertHead indexes the oldest retained
@@ -284,10 +285,7 @@ func (m *Monitor) check() {
 	}
 	for _, e := range top {
 		base := m.baseline[e.Dest]
-		trigger := m.cfg.ThresholdFactor * base
-		if float64(m.cfg.MinFrequency) > trigger {
-			trigger = float64(m.cfg.MinFrequency)
-		}
+		trigger := m.trigger(base)
 		switch {
 		case float64(e.F) >= trigger && !m.alerting[e.Dest]:
 			m.alerting[e.Dest] = true
@@ -314,9 +312,44 @@ func (m *Monitor) check() {
 			m.basevar[e.Dest] += m.cfg.BaselineAlpha * (dev*dev - m.basevar[e.Dest])
 		}
 	}
+	m.clearOutsideTopK(top)
 	if m.tel != nil {
 		m.tel.CheckLatency.Observe(uint64(time.Since(start)))
 	}
+}
+
+// clearOutsideTopK ends the excursion of every alerting destination that
+// is not in this check's top-k and whose point estimate has fallen below
+// half its trigger, an estimate of 0 included. Without it a victim that
+// left the top-k while alerting would stay alerting for ever, and every
+// later attack on it would be suppressed as part of the old excursion.
+//
+//lint:locked mu
+func (m *Monitor) clearOutsideTopK(top []dcs.Estimate) {
+	for d := range m.alerting {
+		if inTopK(top, d) {
+			continue
+		}
+		if float64(m.sketch.Estimate(d)) < m.trigger(m.baseline[d])/2 {
+			delete(m.alerting, d)
+		}
+	}
+}
+
+// inTopK reports whether dest is one of the top-k answer's destinations.
+func inTopK(top []dcs.Estimate, dest uint32) bool {
+	for _, e := range top {
+		if e.Dest == dest {
+			return true
+		}
+	}
+	return false
+}
+
+// trigger is the estimate at which a destination with the given baseline
+// alerts: ThresholdFactor times the baseline, but never below MinFrequency.
+func (m *Monitor) trigger(base float64) float64 {
+	return max(m.cfg.ThresholdFactor*base, float64(m.cfg.MinFrequency))
 }
 
 // pushAlert appends an alert to the bounded ring, evicting the oldest
@@ -419,6 +452,11 @@ type SketchHealth struct {
 	Query dcs.QueryStats
 	// Rebuilds counts tracking-state reconstructions.
 	Rebuilds uint64
+	// TrackingFloor is the lowest level that carries tracking state;
+	// FloorRaises and FloorLowers count its moves (see package tdcs).
+	TrackingFloor int
+	FloorRaises   uint64
+	FloorLowers   uint64
 	// LevelsNonEmpty counts first-level buckets with at least one
 	// occupied second-level bucket.
 	LevelsNonEmpty int
@@ -442,6 +480,9 @@ func (m *Monitor) sketchHealthLocked() SketchHealth {
 	return SketchHealth{
 		Query:           m.sketch.QueryStats(),
 		Rebuilds:        m.sketch.Rebuilds(),
+		TrackingFloor:   m.sketch.TrackingFloor(),
+		FloorRaises:     m.sketch.FloorRaises(),
+		FloorLowers:     m.sketch.FloorLowers(),
 		LevelsNonEmpty:  m.sketch.Base().NonEmptyLevels(),
 		LevelsAllocated: m.sketch.Base().LevelsAllocated(),
 	}
@@ -476,10 +517,10 @@ func (m *Monitor) RegisterTelemetry(reg *telemetry.Registry) {
 		"Sketch queries (sampling passes plus tracked top-k answers).",
 		func() uint64 { return m.SketchHealth().Query.Queries })
 	reg.CounterFunc("dcsketch_sketch_decode_singletons_total",
-		"Buckets decoded into a verified singleton pair.",
+		"Bucket decodes that found a verified singleton pair (queries, floor lowerings, rebuilds, and updates at or above the tracking floor).",
 		func() uint64 { return m.SketchHealth().Query.DecodeSingletons })
 	reg.CounterFunc("dcsketch_sketch_decode_failures_total",
-		"Non-empty buckets that failed to decode (collisions, residue).",
+		"Decodes of non-empty buckets that failed (collisions, residue), counted on the same paths as the singleton decodes.",
 		func() uint64 { return m.SketchHealth().Query.DecodeFailures })
 	reg.CounterFunc("dcsketch_sketch_checksum_rejects_total",
 		"Singleton decodes rejected by the fingerprint checksum.",
@@ -490,6 +531,15 @@ func (m *Monitor) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("dcsketch_sketch_rebuilds_total",
 		"Tracking-state reconstructions (merges, deserializations).",
 		func() uint64 { return m.SketchHealth().Rebuilds })
+	reg.GaugeFunc("dcsketch_sketch_tracking_floor",
+		"Lowest first-level bucket that carries tracking state; updates below it are plain counter adds.",
+		func() int64 { return int64(m.SketchHealth().TrackingFloor) })
+	reg.CounterFunc("dcsketch_sketch_tracking_floor_raises_total",
+		"Times the tracking floor rose, dropping the tracking state of the levels below it.",
+		func() uint64 { return m.SketchHealth().FloorRaises })
+	reg.CounterFunc("dcsketch_sketch_tracking_floor_lowers_total",
+		"Queries that lowered the tracking floor, rebuilding levels from the counters.",
+		func() uint64 { return m.SketchHealth().FloorLowers })
 	reg.GaugeFunc("dcsketch_sketch_sample_level",
 		"First-level bucket the tracked top-k currently answers from.",
 		func() int64 { return int64(m.SketchHealth().Query.SampleLevel) })

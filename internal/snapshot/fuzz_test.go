@@ -18,9 +18,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(Encode(nil, &State{
 		Monitor:  &MonitorState{Updates: 7, Profiles: []DestProfile{{Dest: 1, Mean: 2, Var: 3}}, Alerting: []uint32{1}},
 		Sessions: &SessionsState{Horizons: []SessionHorizon{{ID: 5, LastSeq: 9}}},
-		CUSUM:    &CUSUMState{Y: 1, Alarms: 2, Fbar: 3, Syn: -4, Fin: 5, Intervals: 6, InAlarm: true},
 		Spool:    &SpoolState{SessionID: 1, NextSeq: 4, Batches: []SpoolBatch{{Seq: 3, Updates: 2, Payload: []byte{0xaa}}}},
 	}))
+	// A file with the retired section kind 4 (the CUSUM state) must be
+	// rejected, however the fuzzer mutates its payload.
+	retired := appendSection(append([]byte(magic), version), secRetiredCUSUM, make([]byte, 21))
+	f.Add(appendChecksum(retired))
 	f.Add([]byte("DCSS\x01"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

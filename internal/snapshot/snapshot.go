@@ -1,16 +1,15 @@
 // Package snapshot serializes the collector's full recovery state — the
 // merged DCS/TDCS sketch, the monitor's EWMA baseline/variance profiles,
-// the server's session replay horizons, the CUSUM tripwire state, and a
-// relay's upstream spool — into a single versioned, checksummed file that
-// is written atomically (tmp + fsync + rename) and restored on boot.
+// the server's session replay horizons, and a relay's upstream spool — into
+// a single versioned, checksummed file that is written atomically (tmp +
+// fsync + rename) and restored on boot.
 //
 // The format is deliberately dumb: a magic + version header, a sequence of
 // length-prefixed typed sections, and a trailing CRC32 over everything
 // before it. Sections are optional and appear at most once; a daemon only
 // writes the sections that apply to its role (only the relay tier,
-// ddosmond -upstream, has a spool; neither tier runs CUSUM). All decode
-// paths validate bounds before allocating and are hardened by
-// FuzzDecodeSnapshot.
+// ddosmond -upstream, has a spool). All decode paths validate bounds before
+// allocating and are hardened by FuzzDecodeSnapshot.
 //
 // The one invariant the file exists to carry across a process death:
 // every batch the dead collector ACKED is either in this state (and the
@@ -33,6 +32,11 @@ import (
 // truncated, or checksum-failed encoding (as opposed to I/O errors).
 var ErrCorrupt = errors.New("snapshot: corrupt encoding")
 
+// ErrRetiredSection is wrapped, together with ErrCorrupt, by the decode
+// error for a file that carries a retired section kind. No daemon ever
+// wrote one, so such a file was not made by this program.
+var ErrRetiredSection = errors.New("snapshot: retired section kind")
+
 // magic identifies a dcsketch snapshot file; version gates the layout.
 const (
 	magic   = "DCSS"
@@ -44,9 +48,11 @@ const (
 	secSketch   = 1 // opaque dcs/tdcs MarshalBinary bytes
 	secMonitor  = 2 // monitor EWMA baseline/variance profiles + update count
 	secSessions = 3 // sessionTable replay horizons, MRU first
-	secCUSUM    = 4 // SYN/FIN CUSUM tripwire state
-	secSpool    = 5 // relay upstream exporter spool (pre-encoded frames)
-	secKindMax  = secSpool
+	// Kind 4 held a SYN/FIN CUSUM state that no daemon wrote or read. It
+	// is reserved: Decode rejects it with ErrRetiredSection.
+	secRetiredCUSUM = 4
+	secSpool        = 5 // relay upstream exporter spool (pre-encoded frames)
+	secKindMax      = secSpool
 )
 
 // Decode-time sanity caps: far above any real deployment, low enough that
@@ -67,7 +73,6 @@ type State struct {
 	Sketch   []byte
 	Monitor  *MonitorState
 	Sessions *SessionsState
-	CUSUM    *CUSUMState
 	Spool    *SpoolState
 }
 
@@ -102,18 +107,6 @@ type SessionHorizon struct {
 	LastSeq uint64
 }
 
-// CUSUMState mirrors cusum.State (kept separate so this package stays a
-// leaf both cmd tiers and internal packages can import).
-type CUSUMState struct {
-	Y         float64
-	Alarms    uint64
-	Fbar      float64
-	Syn       int64
-	Fin       int64
-	Intervals uint64
-	InAlarm   bool
-}
-
 // SpoolState is a relay's upstream delivery state: its pinned session, the
 // next sequence number it would assign, and every not-yet-acked batch with
 // its pre-encoded MsgSeqUpdates payload, oldest first.
@@ -145,9 +138,6 @@ func Encode(dst []byte, st *State) []byte {
 	}
 	if st.Sessions != nil {
 		dst = appendSection(dst, secSessions, encodeSessions(nil, st.Sessions))
-	}
-	if st.CUSUM != nil {
-		dst = appendSection(dst, secCUSUM, encodeCUSUM(nil, st.CUSUM))
 	}
 	if st.Spool != nil {
 		dst = appendSection(dst, secSpool, encodeSpool(nil, st.Spool))
@@ -187,6 +177,9 @@ func Decode(data []byte) (*State, error) {
 		if kind < 1 || kind > secKindMax {
 			return nil, fmt.Errorf("%w: unknown section kind %d", ErrCorrupt, kind)
 		}
+		if kind == secRetiredCUSUM {
+			return nil, fmt.Errorf("%w: %w %d", ErrCorrupt, ErrRetiredSection, kind)
+		}
 		if seen[kind] {
 			return nil, fmt.Errorf("%w: duplicate section kind %d", ErrCorrupt, kind)
 		}
@@ -199,8 +192,6 @@ func Decode(data []byte) (*State, error) {
 			st.Monitor, err = decodeMonitor(payload)
 		case secSessions:
 			st.Sessions, err = decodeSessions(payload)
-		case secCUSUM:
-			st.CUSUM, err = decodeCUSUM(payload)
 		case secSpool:
 			st.Spool, err = decodeSpool(payload)
 		}
@@ -294,43 +285,6 @@ func decodeSessions(p []byte) (*SessionsState, error) {
 	return s, nil
 }
 
-func encodeCUSUM(dst []byte, c *CUSUMState) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Y))
-	dst = binary.AppendUvarint(dst, c.Alarms)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Fbar))
-	dst = binary.AppendVarint(dst, c.Syn)
-	dst = binary.AppendVarint(dst, c.Fin)
-	dst = binary.AppendUvarint(dst, c.Intervals)
-	var inAlarm byte
-	if c.InAlarm {
-		inAlarm = 1
-	}
-	return append(dst, inAlarm)
-}
-
-func decodeCUSUM(p []byte) (*CUSUMState, error) {
-	d := decoder{buf: p, what: "cusum"}
-	c := &CUSUMState{
-		Y:         math.Float64frombits(d.u64()),
-		Alarms:    d.uvarint(),
-		Fbar:      math.Float64frombits(d.u64()),
-		Syn:       d.varint(),
-		Fin:       d.varint(),
-		Intervals: d.uvarint(),
-	}
-	switch d.u8() {
-	case 0:
-	case 1:
-		c.InAlarm = true
-	default:
-		d.fail()
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 func encodeSpool(dst []byte, s *SpoolState) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, s.SessionID)
 	dst = binary.AppendUvarint(dst, s.NextSeq)
@@ -381,16 +335,6 @@ type decoder struct {
 
 func (d *decoder) fail() { d.failed = true }
 
-func (d *decoder) u8() byte {
-	if d.failed || len(d.buf) < 1 {
-		d.failed = true
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
 func (d *decoder) u32() uint32 {
 	if d.failed || len(d.buf) < 4 {
 		d.failed = true
@@ -416,19 +360,6 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.failed = true
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.failed {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
 	if n <= 0 {
 		d.failed = true
 		return 0

@@ -11,7 +11,7 @@ import (
 )
 
 // fullState returns a State exercising every section with non-trivial
-// values, including negative CUSUM counters and an empty spool payload.
+// values, including an empty spool payload.
 func fullState() *State {
 	return &State{
 		Sketch: []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01},
@@ -29,10 +29,6 @@ func fullState() *State {
 				{ID: 1, LastSeq: 0},
 				{ID: ^uint64(0), LastSeq: 1 << 40},
 			},
-		},
-		CUSUM: &CUSUMState{
-			Y: 1.75, Alarms: 3, Fbar: 17.5, Syn: -5, Fin: 12,
-			Intervals: 99, InAlarm: true,
 		},
 		Spool: &SpoolState{
 			SessionID: 7777,
@@ -123,6 +119,20 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	body = appendSection(body, secKindMax+1, []byte{1, 2, 3})
 	if _, err := Decode(appendChecksum(body)); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("unknown section kind accepted")
+	}
+}
+
+// TestDecodeRejectsRetiredCUSUMSection checks that a file carrying section
+// kind 4, the retired CUSUM state, is refused with a named error rather
+// than read as some other state or skipped: no daemon ever wrote one.
+func TestDecodeRejectsRetiredCUSUMSection(t *testing.T) {
+	body := []byte(magic)
+	body = append(body, version)
+	body = appendSection(body, secSessions, encodeSessions(nil, &SessionsState{}))
+	body = appendSection(body, secRetiredCUSUM, make([]byte, 21))
+	_, err := Decode(appendChecksum(body))
+	if !errors.Is(err, ErrRetiredSection) || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("section 4: got err %v, want ErrRetiredSection and ErrCorrupt", err)
 	}
 }
 

@@ -2,10 +2,11 @@
 
 // Runtime invariant assertions for the tracking state, enabled by
 // `go test -tags dcsdebug`. The tracking structures (singleton sets and
-// per-level heaps) are a derived view of the counter array; these checks
+// per-level heaps) are a derived view of the counter array at the levels
+// at or above the tracking floor, and empty below it; these checks
 // recompute that view directly from the counters and panic on any
-// divergence. Updates get a cheap affected-key check; Merge and Rebuild get
-// the full O(sketch size) verification, matching their own cost.
+// divergence. Updates get a cheap affected-key check; Merge, Rebuild and
+// every floor move get the full O(sketch size) verification.
 package tdcs
 
 import (
@@ -30,9 +31,22 @@ func (t *Sketch) countOccurrences(level int, key uint64) uint8 {
 	return n
 }
 
+// assertUntracked panics when a level below the floor holds tracking state.
+func (t *Sketch) assertUntracked(level int, op string) {
+	if len(t.singles[level]) != 0 || t.heaps[level].Len() != 0 {
+		panic(fmt.Sprintf("dcsdebug: %s left %d singletons and %d heap entries at level %d, below the tracking floor %d",
+			op, len(t.singles[level]), t.heaps[level].Len(), level, t.floor))
+	}
+}
+
 // assertKeyTracking panics when key's tracked singleton multiplicity at
-// level disagrees with a direct recount of its buckets.
+// level disagrees with a direct recount of its buckets, or, below the
+// floor, when the level holds any tracking state.
 func (t *Sketch) assertKeyTracking(level int, key uint64, op string) {
+	if level < t.floor {
+		t.assertUntracked(level, op)
+		return
+	}
 	want := t.countOccurrences(level, key)
 	got := t.singles[level][key]
 	if got != want {
@@ -41,12 +55,20 @@ func (t *Sketch) assertKeyTracking(level int, key uint64, op string) {
 	}
 }
 
-// assertTracking recomputes the whole tracking state from the counter array
-// and panics on the first divergence in a singleton set or heap frequency.
+// assertTracking recomputes the tracking state of every level at or above
+// the floor from the counter array and panics on the first divergence in a
+// singleton set or heap frequency, or on any state below the floor.
 func (t *Sketch) assertTracking(op string) {
 	cfg := t.base.Config()
+	if t.floor < 0 || t.floor > cfg.Levels {
+		panic(fmt.Sprintf("dcsdebug: %s left the tracking floor at %d, outside [0, %d]", op, t.floor, cfg.Levels))
+	}
 	freq := map[uint32]int64{}
 	for level := cfg.Levels - 1; level >= 0; level-- {
+		if level < t.floor {
+			t.assertUntracked(level, op)
+			continue
+		}
 		occ := map[uint64]uint8{}
 		for j := 0; j < cfg.Tables; j++ {
 			for b := 0; b < cfg.Buckets; b++ {

@@ -8,6 +8,7 @@ import (
 
 	"dcsketch/internal/dcs"
 	"dcsketch/internal/hashing"
+	"dcsketch/internal/iheap"
 )
 
 // churnStream is a well-formed delete-heavy stream: each step inserts a
@@ -45,8 +46,9 @@ func illFormedStream(rng *rand.Rand, n int) []dcs.KeyDelta {
 }
 
 // locatedConfigs are the sketch shapes the located-path comparisons run
-// over: one, three and four tables, no fingerprint counter, and tiny
-// sketches in which nearly every bucket is a collision.
+// over: one, three and four tables, no fingerprint counter, tiny sketches
+// in which nearly every bucket is a collision, and a sample target no
+// stream here reaches, so that the tracking floor never leaves level 0.
 var locatedConfigs = []dcs.Config{
 	{Tables: 1, Levels: 32, Seed: 3},
 	{Tables: 3, Levels: 32, Seed: 4},
@@ -54,15 +56,23 @@ var locatedConfigs = []dcs.Config{
 	{Levels: 32, Seed: 6, DisableFingerprint: true},
 	{Tables: 2, Buckets: 4, Levels: 4, Seed: 7},
 	{Tables: 3, Buckets: 2, Levels: 3, Seed: 8, DisableFingerprint: true},
+	{Tables: 3, Levels: 32, Seed: 9, SampleTarget: 1 << 20},
 }
+
+// floorMoves returns how many times s's tracking floor has moved.
+func floorMoves(s *Sketch) uint64 { return s.FloorRaises() + s.FloorLowers() }
 
 // compareLocatedPaths feeds stream through the four ways to reach the
 // tracking state: UpdateLocatedBatch on batches located by a Locator of an
 // equal config (not the sketch's own), UpdateBatch, scalar UpdateKey, and
 // Rebuild from the counters the located path left. chunk gives each batch's
-// length in turn. Every path must hold the same singleton sets and heap
-// frequencies and give identical TopK and Threshold answers; the three
-// incremental paths must also agree on the counters and decode statistics.
+// length in turn. The three incremental paths must agree on the counters.
+// They end their batches at different records, so their tracking floors
+// move at different records and they decode different buckets: their
+// decode statistics must agree only while no floor has moved. Every path
+// must hold exactly what a recount of the counters gives at the levels at
+// or above its floor and nothing below it, the same state as every other
+// path at the levels both track, and identical query answers.
 func compareLocatedPaths(cfg dcs.Config, stream []dcs.KeyDelta, chunk func() int) error {
 	mk := func() *Sketch {
 		t, err := New(cfg)
@@ -101,32 +111,90 @@ func compareLocatedPaths(cfg dcs.Config, stream []dcs.KeyDelta, chunk func() int
 		if !reflect.DeepEqual(ob, blob) {
 			return fmt.Errorf("counters differ from the located path's")
 		}
+		if floorMoves(other) > 0 || floorMoves(located) > 0 {
+			continue
+		}
 		if got, want := other.Base().QueryStats(), located.Base().QueryStats(); got != want {
 			return fmt.Errorf("decode statistics %+v, located path %+v", got, want)
 		}
 	}
-	for name, other := range map[string]*Sketch{"UpdateBatch": batched, "UpdateKey": scalar, "Rebuild": rebuilt} {
+	paths := map[string]*Sketch{"located": located, "UpdateBatch": batched, "UpdateKey": scalar, "Rebuild": rebuilt}
+	for name, sk := range paths {
+		if err := recountTracking(sk); err != nil {
+			return fmt.Errorf("%s: %v", name, err)
+		}
+	}
+	for name, other := range paths {
+		if other == located {
+			continue
+		}
 		if err := sameTracking(located, other); err != nil {
 			return fmt.Errorf("%s: %v", name, err)
+		}
+	}
+	// The queries may have lowered floors; the levels they tracked must
+	// match the counters too.
+	for name, sk := range paths {
+		if err := recountTracking(sk); err != nil {
+			return fmt.Errorf("%s after queries: %v", name, err)
+		}
+	}
+	return nil
+}
+
+// heapFreqs returns a heap's entries as a destination -> frequency map.
+func heapFreqs(h *iheap.Heap) map[uint32]int64 {
+	m := make(map[uint32]int64, h.Len())
+	for _, e := range h.Snapshot() {
+		m[e.Key] = e.Priority
+	}
+	return m
+}
+
+// recountTracking reports the first level at or above s's tracking floor
+// whose singleton set or heap frequencies differ from a recount of the
+// counters, or the first level below the floor that holds any tracking
+// state.
+func recountTracking(s *Sketch) error {
+	cfg := s.Config()
+	freq := map[uint32]int64{}
+	for level := cfg.Levels - 1; level >= 0; level-- {
+		occ := map[uint64]uint8{}
+		for j := 0; j < cfg.Tables; j++ {
+			for b := 0; b < cfg.Buckets; b++ {
+				if key, _, ok := s.base.DecodeBucket(level, j, b); ok {
+					occ[key]++
+				}
+			}
+		}
+		for key := range occ {
+			freq[hashing.PairDest(key)]++
+		}
+		if level < s.floor {
+			if n, h := len(s.singles[level]), s.heaps[level].Len(); n != 0 || h != 0 {
+				return fmt.Errorf("level %d, below the floor %d, holds %d singletons and %d heap entries", level, s.floor, n, h)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(s.singles[level], occ) {
+			return fmt.Errorf("singletons at level %d (floor %d): %v, counters say %v", level, s.floor, s.singles[level], occ)
+		}
+		if got := heapFreqs(s.heaps[level]); !reflect.DeepEqual(got, freq) {
+			return fmt.Errorf("heap frequencies at level %d (floor %d): %v, counters say %v", level, s.floor, got, freq)
 		}
 	}
 	return nil
 }
 
 // sameTracking reports the first difference between two sketches' tracking
-// states and query answers.
+// states at the levels both track, or between their query answers.
 func sameTracking(a, b *Sketch) error {
-	for level := range a.singles {
+	for level := max(a.floor, b.floor); level < len(a.singles); level++ {
 		if !reflect.DeepEqual(a.singles[level], b.singles[level]) {
 			return fmt.Errorf("singletons at level %d: %v, want %v", level, b.singles[level], a.singles[level])
 		}
-		fa, fb := map[uint32]int64{}, map[uint32]int64{}
-		for _, e := range a.heaps[level].Snapshot() {
-			fa[e.Key] = e.Priority
-		}
-		for _, e := range b.heaps[level].Snapshot() {
-			fb[e.Key] = e.Priority
-		}
+		fa := heapFreqs(a.heaps[level])
+		fb := heapFreqs(b.heaps[level])
 		if !reflect.DeepEqual(fa, fb) {
 			return fmt.Errorf("heap frequencies at level %d: %v, want %v", level, fb, fa)
 		}

@@ -20,8 +20,20 @@
 // which needs no sketch state and may run on another goroutine, and the
 // apply loop, UpdateLocatedBatch, behind UpdateKey and UpdateBatch alike.
 // Procedure TrackTopk (Fig. 7) reads the cumulative singleton counters to
-// pick the sample level and answers from that level's heap in O(k·log k)
-// without mutating it.
+// pick the sample level b and answers from that level's heap in
+// O(k·log k).
+//
+// Only the levels a query can read carry tracking state. The sketch keeps
+// singleton sets and heaps for the levels at or above a tracking floor,
+// which trails b by floorSlack levels. A record below the floor is a plain
+// counter add (dcs.Sketch.AddLocated): no decode, no heap work. At 20k live
+// pairs b is 6–7 and the floor 4–5, so that is 94–97% of the records. The
+// floor rises at the end of a batch, once the tracked levels alone reach
+// the sample target at a level more than floorSlack above it; it falls on
+// the query path, when the level descent passes below it, by rebuilding
+// each level it passes from the counters. Between moves the state at the tracked levels is what
+// Rebuild would compute from the same counters, and every query answer is
+// the same as under full tracking.
 package tdcs
 
 import (
@@ -48,6 +60,13 @@ type Sketch struct {
 	// from levels >= b.
 	heaps []*iheap.Heap
 
+	// floor is the tracking floor: singles[l] and heaps[l] hold the state
+	// above only for l >= floor, and are empty below it. floorRaises and
+	// floorLowers count its moves.
+	floor       int
+	floorRaises uint64
+	floorLowers uint64
+
 	// located is UpdateBatch's scratch: each chunk of the batch is located
 	// into it, then applied. It grows to batchChunk records once.
 	located dcs.Located //lint:scratch
@@ -59,7 +78,7 @@ type Sketch struct {
 	estScratch []dcs.Estimate //lint:scratch
 
 	// queries counts tracked queries (TopK, Threshold,
-	// EstimateDistinctPairs); rebuilds counts tracking-state
+	// EstimateDistinctPairs, Estimate); rebuilds counts tracking-state
 	// reconstructions. Plain single-writer words under the same contract
 	// as dcs.QueryStats.
 	queries  uint64
@@ -160,15 +179,17 @@ func (t *Sketch) UpdateBatch(batch []dcs.KeyDelta) {
 }
 
 // UpdateLocatedBatch applies a batch located by a Locator of this sketch's
-// configuration, record by record (procedure UpdateTracking, Fig. 6): each
-// of the record's r buckets is decoded, updated and decoded again, and the
-// verified-singleton occupancy is diffed. Only the r buckets a key maps to
-// can change, and any occupant of those buckets lives at the key's own
-// level (decoding enforces it). The r buckets sit in different tables, so
-// diffing them one table at a time yields exactly the transitions of
-// decoding all r before and after the record. While record i applies, the
-// buckets of record i+dcs.PrefetchDistance load. It panics if lb was
-// located for another configuration.
+// configuration, record by record (procedure UpdateTracking, Fig. 6). A
+// record at or above the tracking floor has each of its r buckets decoded,
+// updated and decoded again, and the verified-singleton occupancy is
+// diffed. Only the r buckets a key maps to can change, and any occupant of
+// those buckets lives at the key's own level (decoding enforces it). The r
+// buckets sit in different tables, so diffing them one table at a time
+// yields exactly the transitions of decoding all r before and after the
+// record. A record below the floor is added without a decode. While record
+// i applies, the buckets of record i+dcs.PrefetchDistance load. At the end
+// of the batch the floor rises if the sample level allows it. It panics if
+// lb was located for another configuration.
 //
 //lint:allocfree
 //lint:bce
@@ -184,8 +205,15 @@ func (t *Sketch) UpdateLocatedBatch(lb *dcs.Located) {
 		if i+dcs.PrefetchDistance < n {
 			base.PrefetchLocated(lb, i+dcs.PrefetchDistance)
 		}
-		base.StartLocated(lb, i) //lint:bceok i < n = lb.Len(), and nothing in the loop resizes lb
-		level := lb.Level(i)     //lint:bceok i < n = lb.Len(), and nothing in the loop resizes lb
+		level := lb.Level(i) //lint:bceok i < n = lb.Len(), and nothing in the loop resizes lb
+		if level < t.floor {
+			base.AddLocated(lb, i)
+			if debugAssertions {
+				t.assertKeyTracking(level, lb.Key(i), "UpdateKey")
+			}
+			continue
+		}
+		base.StartLocated(lb, i)
 		for j := 0; j < r; j++ {
 			before, after, beforeOK, afterOK := base.ApplyLocated(lb, i, j)
 			if beforeOK == afterOK && before == after {
@@ -202,12 +230,14 @@ func (t *Sketch) UpdateLocatedBatch(lb *dcs.Located) {
 			t.assertKeyTracking(level, lb.Key(i), "UpdateKey")
 		}
 	}
+	b, _ := t.trackedLevel() //lint:bceok the descent indexes levels in [floor, LevelsAllocated), within the Levels-long singles
+	t.raiseFloor(b)          //lint:bceok the raise indexes levels in [floor, b-floorSlack), below Levels
 }
 
 // incrSingleton records that key gained a singleton occurrence in one
 // second-level table of the given level; on its first occurrence the key
 // joins the distinct sample and its destination's frequency is bumped in
-// every heap at levels <= level (Fig. 6, steps 15-23).
+// every tracked heap at levels <= level (Fig. 6, steps 15-23).
 func (t *Sketch) incrSingleton(level int, key uint64) {
 	c := t.singles[level][key]
 	t.singles[level][key] = c + 1 //lint:allocok singleton-set growth is amortized across the stream
@@ -215,7 +245,7 @@ func (t *Sketch) incrSingleton(level int, key uint64) {
 		return
 	}
 	dest := hashing.PairDest(key)
-	for l := level; l >= 0; l-- {
+	for l := level; l >= t.floor; l-- {
 		t.heaps[l].Adjust(dest, 1)
 	}
 }
@@ -234,33 +264,138 @@ func (t *Sketch) decrSingleton(level int, key uint64) {
 	}
 	delete(t.singles[level], key)
 	dest := hashing.PairDest(key)
-	for l := level; l >= 0; l-- {
+	for l := level; l >= t.floor; l-- {
 		t.heaps[l].Adjust(dest, -1)
 	}
 }
 
 // NumSingletons returns numSingletons(level), the size of the distinct
-// sample contributed by one first-level bucket.
+// sample contributed by one first-level bucket. It is 0 below the tracking
+// floor, where the sketch keeps no singleton sets.
 func (t *Sketch) NumSingletons(level int) int { return len(t.singles[level]) }
 
-// sampleLevel implements the level-selection loop of TrackTopk (Fig. 7,
-// steps 1-7): descend from the topmost level accumulating numSingletons
-// until the target sample size is reached.
-func (t *Sketch) sampleLevel() int {
+// floorSlack is how far the tracking floor trails the sample level b when
+// it moves: a raise or a lower leaves it at b−floorSlack (or 0). The sample
+// level can then fall floorSlack levels before a query has to rebuild a
+// level from the counters; when it rises, the floor follows at the end of
+// the batch.
+const floorSlack = 2
+
+// trackedLevel runs the level-selection loop of TrackTopk (Fig. 7, steps
+// 1-7) over the tracked levels: it descends from the top allocated level to
+// the floor, accumulating numSingletons, and returns the level b at which
+// the sample reaches the target. When the tracked levels alone fall short,
+// b is -1 and size is the sample they hold.
+func (t *Sketch) trackedLevel() (b, size int) {
 	target := t.base.Config().SampleTarget
-	size := 0
-	for b := len(t.singles) - 1; b >= 0; b-- {
+	for b = t.base.LevelsAllocated() - 1; b >= t.floor; b-- {
 		size += len(t.singles[b])
 		if size >= target {
-			return b
+			return b, size
 		}
 	}
-	return 0
+	return -1, size
 }
 
+// sampleLevel is the level-selection loop of TrackTopk over every level.
+// When the descent needs levels below the floor, it lowers the floor
+// through them.
+func (t *Sketch) sampleLevel() int {
+	b, size := t.trackedLevel()
+	if b >= 0 {
+		t.raiseFloor(b)
+		return b
+	}
+	if t.floor == 0 {
+		return 0
+	}
+	t.floorLowers++
+	b = t.lowerFloor(size)
+	if debugAssertions {
+		t.assertTracking("floor lower")
+	}
+	return b
+}
+
+// raiseFloor moves the floor up to b−floorSlack when that is above it,
+// clearing the levels it leaves in place: the maps and heaps keep their
+// capacity, so the update path that raises it does not allocate.
+func (t *Sketch) raiseFloor(b int) {
+	f := b - floorSlack
+	if f <= t.floor {
+		return
+	}
+	for l := t.floor; l < f; l++ {
+		clear(t.singles[l])
+		t.heaps[l].Reset()
+	}
+	t.floor = f
+	t.floorRaises++
+	if debugAssertions {
+		t.assertTracking("floor raise")
+	}
+}
+
+// lowerFloor continues a level descent that the tracked levels, holding
+// size singletons, could not finish. It tracks the levels below the floor
+// one at a time, adding each to the sample, until the sample reaches the
+// target at some level b; it then tracks floorSlack more levels (never below
+// 0) and leaves the floor at the lowest level it tracked. It returns b, or
+// 0 when the whole sketch holds fewer singletons than the target.
+func (t *Sketch) lowerFloor(size int) int {
+	target := t.base.Config().SampleTarget
+	b := -1
+	for t.floor > max(b-floorSlack, 0) {
+		t.floor--
+		t.trackLevel(t.floor)
+		if size += len(t.singles[t.floor]); b < 0 && size >= target {
+			b = t.floor
+		}
+	}
+	return max(b, 0)
+}
+
+// trackLevel builds level l's tracking state from the counters: the
+// verified singletons of its r·s buckets, and heaps[l] as heaps[l+1] plus
+// their destinations. Every level above l must be tracked. The copy may
+// allocate, so only the query path and Rebuild call it.
+func (t *Sketch) trackLevel(l int) {
+	cfg := t.base.Config()
+	h := t.heaps[l]
+	if l+1 < len(t.heaps) {
+		h.CopyFrom(t.heaps[l+1])
+	} else {
+		h.Reset()
+	}
+	singles := t.singles[l]
+	for j := 0; j < cfg.Tables; j++ {
+		for bkt := 0; bkt < cfg.Buckets; bkt++ {
+			key, _, ok := t.base.DecodeBucket(l, j, bkt)
+			if !ok {
+				continue
+			}
+			c := singles[key]
+			singles[key] = c + 1
+			if c == 0 {
+				h.Adjust(hashing.PairDest(key), 1)
+			}
+		}
+	}
+}
+
+// TrackingFloor returns the lowest level that carries tracking state.
+func (t *Sketch) TrackingFloor() int { return t.floor }
+
+// FloorRaises returns how many times the tracking floor has risen.
+func (t *Sketch) FloorRaises() uint64 { return t.floorRaises }
+
+// FloorLowers returns how many queries have lowered the tracking floor.
+func (t *Sketch) FloorLowers() uint64 { return t.floorLowers }
+
 // TopK returns the approximate top-k destinations by distinct-source
-// frequency (procedure TrackTopk, Fig. 7) in O(log m + k·log k) time,
-// without mutating the tracking state.
+// frequency (procedure TrackTopk, Fig. 7) in O(log m + k·log k) time. It
+// may move the tracking floor: a query whose level descent passes below the
+// floor first rebuilds the levels it needs from the counters.
 //
 // The returned slice is owned by the sketch and only valid until the next
 // query; callers that retain it must copy (the public API layer does, via
@@ -307,11 +442,19 @@ func (t *Sketch) Threshold(tau int64) []dcs.Estimate {
 func (t *Sketch) EstimateDistinctPairs() int64 {
 	t.queries++
 	b := t.sampleLevel()
-	var size int64
-	for l := b; l < len(t.singles); l++ {
-		size += int64(len(t.singles[l]))
-	}
-	return size << uint(b)
+	return int64(t.sampleSize(b)) << uint(b)
+}
+
+// Estimate returns dest's estimated distinct-source frequency, the point
+// form of TopK: the number of sampled pairs at levels >= the sample level b
+// that have dest as their destination, scaled by 2^b. It is 0 when no
+// sampled pair has that destination. It may move the tracking floor, as
+// TopK may.
+func (t *Sketch) Estimate(dest uint32) int64 {
+	t.queries++
+	b := t.sampleLevel()
+	f, _ := t.heaps[b].Get(dest)
+	return f << uint(b)
 }
 
 // SampleKeys returns the pair keys in the tracked distinct sample from
@@ -333,9 +476,12 @@ func (t *Sketch) SampleLevel() int { return t.sampleLevel() }
 
 // SampleSize returns the size of the tracked distinct sample at the current
 // sample level (the singletons at levels >= SampleLevel).
-func (t *Sketch) SampleSize() int {
+func (t *Sketch) SampleSize() int { return t.sampleSize(t.sampleLevel()) }
+
+// sampleSize returns the number of tracked singletons at levels >= b.
+func (t *Sketch) sampleSize(b int) int {
 	n := 0
-	for l := t.sampleLevel(); l < len(t.singles); l++ {
+	for l := b; l < t.base.LevelsAllocated(); l++ {
 		n += len(t.singles[l])
 	}
 	return n
@@ -350,10 +496,11 @@ func (t *Sketch) Rebuilds() uint64 { return t.rebuilds }
 // replaced by the live tracking-state view (TrackTopk answers from the
 // incrementally maintained sample, not from a sampling pass).
 func (t *Sketch) QueryStats() dcs.QueryStats {
+	b := t.sampleLevel()
 	qs := t.base.QueryStats()
 	qs.Queries += t.queries
-	qs.SampleLevel = t.sampleLevel()
-	qs.SampleSize = t.SampleSize()
+	qs.SampleLevel = b
+	qs.SampleSize = t.sampleSize(b)
 	return qs
 }
 
@@ -373,35 +520,35 @@ func (t *Sketch) Merge(other *Sketch) error {
 }
 
 // Rebuild reconstructs the tracking state (singleton sets and heaps) from
-// the counters. It is used after Merge and deserialization. Only the
-// allocated levels can hold a singleton.
+// the counters. It is used after Merge and deserialization. It tracks the
+// levels a query descent reaches from the top allocated level, plus
+// floorSlack more, and leaves the floor at the lowest of them; the result
+// is a function of the counters alone. Only the allocated levels can hold
+// a singleton.
 func (t *Sketch) Rebuild() {
 	t.rebuilds++
-	cfg := t.base.Config()
-	for b := range t.singles {
-		clear(t.singles[b])
-		t.heaps[b] = iheap.New(16)
-	}
-	for level := 0; level < t.base.LevelsAllocated(); level++ {
-		for j := 0; j < cfg.Tables; j++ {
-			for bkt := 0; bkt < cfg.Buckets; bkt++ {
-				if key, _, ok := t.base.DecodeBucket(level, j, bkt); ok {
-					t.incrSingleton(level, key)
-				}
-			}
-		}
-	}
+	t.clearTracked()
+	t.floor = t.base.LevelsAllocated()
+	t.lowerFloor(0)
 	if debugAssertions {
 		t.assertTracking("Rebuild")
 	}
 }
 
-// Reset clears the sketch to its freshly-constructed state.
+// Reset clears the sketch to its freshly-constructed state, with the
+// tracking floor back at 0.
 func (t *Sketch) Reset() {
 	t.base.Reset()
-	for b := range t.singles {
-		clear(t.singles[b])
-		t.heaps[b] = iheap.New(16)
+	t.clearTracked()
+	t.floor = 0
+}
+
+// clearTracked empties the singleton sets and heaps of the tracked levels
+// in place; the levels below the floor are empty already.
+func (t *Sketch) clearTracked() {
+	for l := t.floor; l < len(t.singles); l++ {
+		clear(t.singles[l])
+		t.heaps[l].Reset()
 	}
 }
 

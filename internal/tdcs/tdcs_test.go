@@ -90,55 +90,27 @@ func TestEquivalenceWithBasicSketch(t *testing.T) {
 }
 
 // TestIncrementalMatchesRebuild verifies that the incrementally maintained
-// tracking state is identical to a from-scratch reconstruction.
+// tracking state is what a from-scratch reconstruction from the same
+// counters holds, at the levels both track, that it holds nothing below
+// its floor, and that the two answer every query alike.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	cfg := dcs.Config{Buckets: 64, Seed: 11}
 	tr := mustNew(t, cfg)
 	driveRandom(13, 10000, 5000, tr.UpdateKey)
-
-	// Snapshot incremental state.
-	singles := make([]map[uint64]uint8, len(tr.singles))
-	for b := range tr.singles {
-		singles[b] = make(map[uint64]uint8, len(tr.singles[b]))
-		for k, v := range tr.singles[b] {
-			singles[b][k] = v
+	if tr.FloorRaises() == 0 {
+		t.Fatal("the tracking floor never rose, so the comparison covers full tracking only")
+	}
+	rebuilt := mustNew(t, cfg)
+	if err := rebuilt.Merge(tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Sketch{tr, rebuilt} {
+		if err := recountTracking(s); err != nil {
+			t.Fatal(err)
 		}
 	}
-	heapSnap := make([]map[uint32]int64, len(tr.heaps))
-	for b := range tr.heaps {
-		heapSnap[b] = make(map[uint32]int64)
-		for _, e := range tr.heaps[b].Snapshot() {
-			heapSnap[b][e.Key] = e.Priority
-		}
-	}
-
-	tr.Rebuild()
-
-	for b := range tr.singles {
-		if len(tr.singles[b]) != len(singles[b]) {
-			t.Fatalf("level %d: singleton count %d after rebuild, %d incremental",
-				b, len(tr.singles[b]), len(singles[b]))
-		}
-		for k, v := range tr.singles[b] {
-			if singles[b][k] != v {
-				t.Fatalf("level %d key %x: table count %d after rebuild, %d incremental",
-					b, k, v, singles[b][k])
-			}
-		}
-		rebuilt := make(map[uint32]int64)
-		for _, e := range tr.heaps[b].Snapshot() {
-			rebuilt[e.Key] = e.Priority
-		}
-		if len(rebuilt) != len(heapSnap[b]) {
-			t.Fatalf("level %d: heap size %d after rebuild, %d incremental",
-				b, len(rebuilt), len(heapSnap[b]))
-		}
-		for k, v := range rebuilt {
-			if heapSnap[b][k] != v {
-				t.Fatalf("level %d dest %d: heap freq %d after rebuild, %d incremental",
-					b, k, v, heapSnap[b][k])
-			}
-		}
+	if err := sameTracking(rebuilt, tr); err != nil {
+		t.Fatal(err)
 	}
 }
 
