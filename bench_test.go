@@ -15,10 +15,12 @@ package dcsketch
 //	BenchmarkUpdateBasicChurn                     — the same churn through the basic sketch
 //	BenchmarkScenarioDiscrimination               — §1 robustness scenario
 //	BenchmarkAlertOnsetHealth                     — sketch-health read at alert onset
+//	BenchmarkSerializeSketch[Churn]               — DCS1 encoding, dense and capture-shaped
 //	Benchmark*Ablation*                           — design-choice ablations
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"dcsketch/internal/dcs"
@@ -467,7 +469,9 @@ func BenchmarkPipelineIngest(b *testing.B) {
 	bt.Flush()
 }
 
-// BenchmarkSerializeSketch measures the RLE wire encoding.
+// BenchmarkSerializeSketch measures the RLE wire encoding of a dense
+// sketch: 100k pairs inserted, so the low levels hold long runs of non-zero
+// counters.
 func BenchmarkSerializeSketch(b *testing.B) {
 	sk, err := dcs.New(dcs.Config{Seed: 29})
 	if err != nil {
@@ -477,10 +481,59 @@ func BenchmarkSerializeSketch(b *testing.B) {
 	for _, u := range w.Updates() {
 		sk.Update(u.Src, u.Dst, int64(u.Delta))
 	}
+	benchMarshal(b, sk)
+}
+
+// BenchmarkSerializeSketchChurn measures the encoding a daemon's state
+// capture performs: the daemons' config (3×128, seed 1) after 8M churn steps
+// over 20k live pairs, each step inserting a fresh pair and deleting the
+// pair inserted 20k steps earlier. The sketch has allocated ~25 levels, of
+// which the low ones hold the live pairs and the rest only zeros. It is
+// built once per process.
+func BenchmarkSerializeSketchChurn(b *testing.B) {
+	churnSketchOnce.Do(func() {
+		const steps = 8_000_000
+		sk, err := dcs.New(dcs.Config{Tables: 3, Buckets: 128, Seed: 1})
+		if err != nil {
+			panic(err)
+		}
+		batch := make([]dcs.KeyDelta, 0, churnFrame)
+		for n := uint64(0); n < churnLive; n++ {
+			batch = append(batch, dcs.KeyDelta{Key: churnPair(n), Delta: 1})
+		}
+		for t := uint64(0); t < steps; t++ {
+			if len(batch) >= churnFrame {
+				sk.UpdateBatch(batch)
+				batch = batch[:0]
+			}
+			batch = append(batch,
+				dcs.KeyDelta{Key: churnPair(churnLive + t), Delta: 1},
+				dcs.KeyDelta{Key: churnPair(t), Delta: -1})
+		}
+		sk.UpdateBatch(batch)
+		churnSketch = sk
+	})
+	benchMarshal(b, churnSketch)
+}
+
+// churnSketch is BenchmarkSerializeSketchChurn's sketch, built once.
+var (
+	churnSketchOnce sync.Once
+	churnSketch     *dcs.Sketch
+)
+
+// benchMarshal times sk.MarshalBinary and reports the encoding's size.
+func benchMarshal(b *testing.B, sk *dcs.Sketch) {
+	data, err := sk.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sk.MarshalBinary(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(data)), "bytes")
 }

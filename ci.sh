@@ -183,13 +183,15 @@ bench() {
 	# batch path under the daemons' delete-heavy churn and the same churn
 	# through the basic sketch (the tracking cost's denominator), the sharded
 	# pipeline ingest layer, the sketch-health read every alert onset makes
-	# under the server's ingest lock, and the server's sequenced ingest over
-	# TCP (ServerIngestSeq, one and two connections).
+	# under the server's ingest lock, the DCS1 encoding a state capture runs
+	# under that lock (a dense sketch, and the daemon-shaped churned one a
+	# capture encodes), and the server's sequenced ingest over TCP
+	# (ServerIngestSeq, one and two connections).
 	# 5 repeats give benchcheck a stable median.
 	out="$(mktemp)"
 	trap 'rm -f "$out"' EXIT
 	go test -run '^$' \
-		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkUpdateTrackingChurn|BenchmarkUpdateBasicChurn|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest|BenchmarkAlertOnsetHealth)$' \
+		-bench '^(BenchmarkUpdateBasic|BenchmarkUpdateTracking|BenchmarkUpdateTrackingChurn|BenchmarkUpdateBasicChurn|BenchmarkQueryBasic|BenchmarkQueryTracking|BenchmarkPipelineIngest|BenchmarkAlertOnsetHealth|BenchmarkSerializeSketch|BenchmarkSerializeSketchChurn)$' \
 		-benchmem -count 5 . | tee "$out"
 	go test -run '^$' \
 		-bench '^BenchmarkServerIngestSeq$' \

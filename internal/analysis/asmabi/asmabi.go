@@ -190,10 +190,12 @@ func checkFrame(pass *analysis.Pass, fn *ast.FuncDecl, impl *asmFunc) {
 	}
 }
 
-// abi0Layout computes the ABI0 (memory) argument frame: parameters at
-// sequential aligned offsets from 0(FP), results following re-aligned to the
-// pointer size, total rounded up to the pointer size. Unnamed results are
-// addressable as ret, ret1, ret2, ...
+// abi0Layout computes the ABI0 (memory) argument frame as go vet's asmdecl
+// pass does: parameters at sequential aligned offsets from 0(FP), then, when
+// there are results, the results from the next pointer-aligned offset. The
+// frame size is where the last parameter or result ends, with no rounding:
+// func(p *T, n int32) is $0-12, and func(x int32) int32 is $0-12 with ret at
+// 8. Unnamed results are addressable as ret, ret1, ret2, ...
 func abi0Layout(sig *types.Signature) (map[string]int64, int64) {
 	sizes := types.SizesFor("gc", build.Default.GOARCH)
 	if sizes == nil {
@@ -214,8 +216,10 @@ func abi0Layout(sig *types.Signature) (map[string]int64, int64) {
 		p := params.At(i)
 		place(p.Name(), p.Type())
 	}
-	off = align(off, ptr)
 	results := sig.Results()
+	if results.Len() > 0 {
+		off = align(off, ptr)
+	}
 	for i := 0; i < results.Len(); i++ {
 		r := results.At(i)
 		name := r.Name()
@@ -228,7 +232,7 @@ func abi0Layout(sig *types.Signature) (map[string]int64, int64) {
 		}
 		place(name, r.Type())
 	}
-	return offsets, align(off, ptr)
+	return offsets, off
 }
 
 func align(off, a int64) int64 {

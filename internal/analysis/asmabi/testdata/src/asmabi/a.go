@@ -13,6 +13,25 @@ func good(dst *[4]int64, n int64) int64
 // missingNoescape lacks the //go:noescape directive.
 func missingNoescape(p *byte) int64 // want `missing //go:noescape`
 
+// trailing32 ends its parameters with a sub-word int32 and has no results:
+// its frame is the 12 bytes the parameters take, not rounded up, as go vet
+// computes it.
+//
+//go:noescape
+func trailing32(p *[4]int32, n int32)
+
+// result32's int32 result starts at the next pointer-aligned offset, 8, and
+// the frame ends with it at 12.
+//
+//go:noescape
+func result32(x int32) int32
+
+// trailing32Rounded declares the frame rounded up to the pointer size,
+// which go vet rejects.
+//
+//go:noescape
+func trailing32Rounded(p *[4]int32, n int32) // want `declares argument size 16, ABI0 layout of the Go signature is 12 bytes`
+
 // noSplitMissing's TEXT directive omits the NOSPLIT flag.
 //
 //go:noescape

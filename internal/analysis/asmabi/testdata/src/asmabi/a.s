@@ -19,6 +19,21 @@ TEXT ·good(SB), NOSPLIT, $0-24
 	MOVQ AX, ret+16(FP)
 	RET
 
+TEXT ·trailing32(SB), NOSPLIT, $0-12
+	MOVQ p+0(FP), DI
+	MOVL n+8(FP), AX
+	RET
+
+TEXT ·result32(SB), NOSPLIT, $0-12
+	MOVL x+0(FP), AX
+	MOVL AX, ret+8(FP)
+	RET
+
+TEXT ·trailing32Rounded(SB), NOSPLIT, $0-16
+	MOVQ p+0(FP), DI
+	MOVL n+8(FP), AX
+	RET
+
 TEXT ·missingNoescape(SB), NOSPLIT, $0-16
 	MOVQ p+0(FP), AX
 	MOVQ $0, ret+8(FP)

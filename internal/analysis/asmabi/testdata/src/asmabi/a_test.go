@@ -11,6 +11,10 @@ func TestStubsDifferential(t *testing.T) {
 	if got := good(&dst, 3); got < 0 {
 		t.Fatal("impossible")
 	}
+	var lanes [4]int32
+	trailing32(&lanes, 1)
+	_ = result32(1)
+	trailing32Rounded(&lanes, 1)
 	var b byte
 	_ = missingNoescape(&b)
 	noSplitMissing(1)

@@ -200,7 +200,7 @@ func scanNonEmptyLevels(s *Sketch) int {
 	scan:
 		for j := 0; j < s.cfg.Tables; j++ {
 			for b := 0; b < s.cfg.Buckets; b++ {
-				if !s.layout.IsZero(s.bucketSig(l, j, b)) {
+				if slices.ContainsFunc(bucketCounters(s, l, j*s.cfg.Buckets+b), func(c int64) bool { return c != 0 }) {
 					n++
 					break scan
 				}

@@ -32,8 +32,8 @@ import (
 )
 
 // The vectorized kernels operate on exactly one lane per key bit; the two
-// constants are definitionally equal, and the conversion in applySig relies
-// on it.
+// constants are definitionally equal, and the conversions between lane
+// blocks and signatures rely on it.
 var _ [vec.Lanes]struct{} = [sig.KeyBits]struct{}{}
 
 // batchChunk is the number of records UpdateBatch locates before applying
@@ -87,8 +87,8 @@ type Config struct {
 	// DisableFingerprint drops the checksum counter from the count
 	// signatures, reproducing the paper's exact structure. With the
 	// counter enabled (default), delete-induced false singletons are
-	// detected with probability 1-2^-63 at the cost of one extra counter
-	// per bucket (~1.5% space).
+	// detected with probability 1-2^-63 at the cost of one extra 8-byte
+	// counter per bucket (~3% of a 272-byte bucket).
 	DisableFingerprint bool
 }
 
@@ -167,26 +167,25 @@ type KeyDelta struct {
 type Sketch struct {
 	cfg    Config
 	layout sig.Layout
-	width  int
 
-	// tableStride is the distance (in counters) between consecutive
-	// second-level tables within a level's slab, and levelStride is the
-	// length of a slab, r·s·width; both are hoisted out of the update
-	// kernel.
-	tableStride int
-	levelStride int
+	// width is the number of counters in one signature as the encoding
+	// writes them (sig.Layout.Width): 65, or 66 with the fingerprint.
+	// nwords is the number of int64 words a bucket keeps beside its bit
+	// lanes: its total, and its fingerprint when the layout has one.
+	width  int
+	nwords int
 
 	// loc holds the hash functions; immutable after New.
 	loc *Locator
 
-	// levels[l] is first-level bucket l's slab: the flattened 3-D array
-	// X[l][table][bucket][pos] of the paper (Fig. 2). Slabs are allocated
-	// on first touch: every level below top has one and the rest are nil
-	// (and read as zeros). top only grows. Reset zeroes the slabs and keeps
-	// them, and no level is ever freed: an ill-formed stream can leave
-	// non-zero bit counters in a bucket whose total is zero, and dropping
-	// them would break linearity.
-	levels [][]int64
+	// levels[l] holds first-level bucket l's counters, the paper's
+	// X[l][table][bucket][pos] (Fig. 2) split by width (see level).
+	// Slabs are allocated on first touch: every level below top has them
+	// and the rest are nil (and read as zeros). top only grows. Reset
+	// zeroes the slabs and keeps them, and no level is ever freed: an
+	// ill-formed stream can leave non-zero bit counters in a bucket whose
+	// total is zero, and dropping them would break linearity.
+	levels []level
 	top    int
 
 	// occupied[l] counts the second-level buckets at first-level bucket l
@@ -213,12 +212,12 @@ type Sketch struct {
 	// addends is the per-update masked addend vector (vec.BuildMaskedAddends
 	// output), built once per record by StartLocated and applied to each of
 	// the r tables by ApplyLocated. It is allocated on its own, where the
-	// allocator puts a pointer-free 512-byte object at a multiple of 512, so
+	// allocator puts a pointer-free 256-byte object at a multiple of 256, so
 	// the AVX2 kernels' 32-byte loads and stores of it never straddle a cache
 	// line. An array field would sit wherever the fields before it put it,
 	// and 8 bytes off 32-byte alignment the split accesses make a tracked
 	// update ~20% slower.
-	addends *[vec.Lanes]int64
+	addends *[vec.Lanes]int32
 
 	// located is UpdateBatch's scratch: each chunk of the batch is located
 	// into it, then applied. It grows to batchChunk records once.
@@ -233,6 +232,20 @@ type Sketch struct {
 	qstats QueryStats
 }
 
+// level is one first-level bucket's counters, in two slabs. Bucket i =
+// table·s + bucket owns lanes [64i, 64i+64) of bits, its 64 bit-location
+// counters as int32 lanes that add modulo 2^32, and words [nwords·i,
+// nwords·i+nwords) of words, its exact int64 total and fingerprint. A lane
+// is exact whenever its bucket's total is below 2^31 (package sig), so the
+// narrow lanes halve the slab without changing any answer short of
+// saturation. A lane slab (98,304 bytes at 3×128) is larger than 32 KB, so
+// the allocator places it on a page boundary and every bucket's lanes are
+// exactly four cache lines.
+type level struct {
+	bits  []int32
+	words []int64
+}
+
 // New builds an empty sketch. Zero-valued Config fields take the package
 // defaults.
 func New(cfg Config) (*Sketch, error) {
@@ -241,18 +254,16 @@ func New(cfg Config) (*Sketch, error) {
 		return nil, err
 	}
 	layout := sig.Layout{Fingerprint: !cfg.DisableFingerprint}
-	width := layout.Width()
 	return &Sketch{
-		cfg:         cfg,
-		layout:      layout,
-		width:       width,
-		tableStride: cfg.Buckets * width,
-		levelStride: cfg.Tables * cfg.Buckets * width,
-		loc:         newLocator(cfg),
-		levels:      make([][]int64, cfg.Levels),
-		occupied:    make([]int32, cfg.Levels),
-		keyBuckets:  make([]int32, cfg.Tables),
-		addends:     new([vec.Lanes]int64),
+		cfg:        cfg,
+		layout:     layout,
+		width:      layout.Width(),
+		nwords:     layout.Width() - sig.KeyBits,
+		loc:        newLocator(cfg),
+		levels:     make([]level, cfg.Levels),
+		occupied:   make([]int32, cfg.Levels),
+		keyBuckets: make([]int32, cfg.Tables),
+		addends:    new([vec.Lanes]int32),
 	}, nil
 }
 
@@ -264,27 +275,31 @@ func (s *Sketch) Updates() uint64 { return s.updates }
 
 // SizeBytes returns the memory footprint of the allocated counter slabs, the
 // dominant component of the sketch (hash tables add a fixed ~16 KiB per
-// function): r·s·width 8-byte counters for each level the stream has
-// reached.
-func (s *Sketch) SizeBytes() int { return s.top * s.levelStride * 8 }
+// function): for each level the stream has reached, r·s buckets of 64
+// 4-byte bit lanes and 1 or 2 8-byte words (the total, and the fingerprint
+// when enabled).
+func (s *Sketch) SizeBytes() int { return s.top * s.buckets() * (vec.LaneBytes + 8*s.nwords) }
+
+// buckets returns r·s, the number of second-level buckets in one level.
+func (s *Sketch) buckets() int { return s.cfg.Tables * s.cfg.Buckets }
 
 // LevelsAllocated returns the number of first-level buckets whose counters
 // are allocated: one past the highest level any update, merge or decode has
 // reached. Unlike NonEmptyLevels it never falls.
 func (s *Sketch) LevelsAllocated() int { return s.top }
 
-// zeroSig is the signature every bucket of an unallocated level reads as.
-// It is shared and must not be written.
-var zeroSig [sig.KeyBits + 2]int64
+// lanes returns bucket i's 64 bit lanes in lv.
+func lanes(lv *level, i int) *[vec.Lanes]int32 {
+	return (*[vec.Lanes]int32)(lv.bits[i*vec.Lanes:])
+}
 
-// bucketSig returns the signature slice for (level, table, bucket). A bucket
-// of an unallocated level reads as the shared zero signature.
-func (s *Sketch) bucketSig(level, table, bucket int) []int64 {
+// bucketTotal returns the total counter of (level, table, bucket); a bucket
+// of an unallocated level reads as zero.
+func (s *Sketch) bucketTotal(level, table, bucket int) int64 {
 	if level >= s.top {
-		return zeroSig[:s.width]
+		return 0
 	}
-	i := (table*s.cfg.Buckets + bucket) * s.width
-	return s.levels[level][i : i+s.width]
+	return s.levels[level].words[(table*s.cfg.Buckets+bucket)*s.nwords]
 }
 
 // reserve allocates the slabs of every level below top.
@@ -300,8 +315,12 @@ func (s *Sketch) reserve(top int) {
 //
 //go:noinline
 func (s *Sketch) grow(top int) {
+	n := s.buckets()
 	for l := s.top; l < top; l++ {
-		s.levels[l] = make([]int64, s.levelStride) //lint:allocok one slab per level, allocated the first time a stream reaches it
+		s.levels[l] = level{
+			bits:  make([]int32, n*vec.Lanes), //lint:allocok one lane slab per level, allocated the first time a stream reaches it
+			words: make([]int64, n*s.nwords),  //lint:allocok one word slab per level, with its lane slab
+		}
 	}
 	s.top = top
 }
@@ -360,23 +379,22 @@ func (s *Sketch) UpdateBatch(batch []KeyDelta) {
 }
 
 // applySig adds the prebuilt masked addend vector (s.addends, see
-// vec.BuildMaskedAddends) plus the total/fingerprint counters to the count
-// signature at index i of a level's slab, and returns the occupancy change
-// of the bucket (+1 when the total became non-zero, -1 when it returned to
-// zero).
-// The 65 mandatory counters are addressed through a fixed-size array pointer
-// so the compiler drops the per-element bounds checks; the 64 bit-location
-// counters go through one 64-lane vector add. Building the addends once per
-// update amortizes the key-bit masking across the r tables, which is what
-// made the masked-add loop (~78% of the PR 2 update profile) disappear.
+// vec.BuildMaskedAddends) to the lanes of bucket i of lv, and delta and
+// delta·fp to its total and fingerprint words, and returns the occupancy
+// change of the bucket (+1 when the total became non-zero, -1 when it
+// returned to zero). The 64 bit-location counters go through one 64-lane
+// vector add, addressed through a fixed-size array pointer so the compiler
+// drops the per-element bounds checks. Building the addends once per update
+// amortizes the key-bit masking across the r tables, which is what made the
+// masked-add loop (~78% of the PR 2 update profile) disappear.
 //
 //lint:allocfree
 //lint:bce
-func (s *Sketch) applySig(slab []int64, i int, delta, fp int64) int32 {
-	c := (*[1 + sig.KeyBits]int64)(slab[i:]) //lint:bceok one check for the whole 65-counter signature; i is a trusted slab index
-	old := c[0]
+func (s *Sketch) applySig(lv *level, i int, delta, fp int64) int32 {
+	w := i * s.nwords
+	old := lv.words[w] //lint:bceok i is a bucket ordinal of this sketch's shape
 	tot := old + delta
-	c[0] = tot
+	lv.words[w] = tot
 	occ := int32(0)
 	if old == 0 {
 		if tot != 0 {
@@ -385,9 +403,9 @@ func (s *Sketch) applySig(slab []int64, i int, delta, fp int64) int32 {
 	} else if tot == 0 {
 		occ = -1
 	}
-	vec.AddInt64Lanes((*[vec.Lanes]int64)(c[1:]), s.addends)
+	vec.AddInt32Lanes(lanes(lv, i), s.addends) //lint:bceok one check for the 64-lane block; i is a bucket ordinal of this sketch's shape
 	if s.layout.Fingerprint {
-		slab[i+1+sig.KeyBits] += delta * fp //lint:bceok fingerprint counter sits one past the array-pointer window
+		lv.words[w+1] += delta * fp //lint:bceok the fingerprint word follows the total
 	}
 	return occ
 }
@@ -401,38 +419,49 @@ func (s *Sketch) sampleTarget() int { return s.cfg.SampleTarget }
 // singleton (procedure ReturnSingleton, Fig. 4, hardened with the
 // fingerprint check and a structural re-hash check). ok is false for empty
 // buckets, collisions, and false singletons.
+//
+// A saturated bucket, whose total is 2^31 or more, cannot be read from its
+// int32 lanes (sig.Saturated); it counts as a decode failure and decodes
+// again, exactly, once deletes bring its total back below 2^31.
 func (s *Sketch) DecodeBucket(level, table, bucket int) (key uint64, count int64, ok bool) {
-	return s.decodeSig(s.bucketSig(level, table, bucket), level, table, bucket, nil)
-}
-
-// decodeSig is DecodeBucket on sg, the signature of bucket (level, table,
-// bucket). own, when non-nil, is a located record whose location that is:
-// if the bucket decodes to own's key, the fingerprint check uses own's
-// precomputed fingerprint and the structural re-hash is skipped, since it
-// could only confirm the location. The outcome and the decode counters are
-// the same as without own.
-func (s *Sketch) decodeSig(sg []int64, level, table, bucket int, own *locatedRec) (key uint64, count int64, ok bool) {
-	// Fast path: only a positive total can decode as a singleton, so the
-	// overwhelmingly common empty bucket is rejected after one counter
-	// read instead of the full 65-counter scan sig.Decode performs.
-	if sg[0] == 0 {
+	if level >= s.top {
 		return 0, 0, false
 	}
-	key, count, state := s.layout.Decode(sg)
+	return s.decodeSig(&s.levels[level], level, table, bucket, nil)
+}
+
+// decodeSig is DecodeBucket on lv, the counters of level. own, when non-nil,
+// is a located record whose location (level, table, bucket) is: if the
+// bucket decodes to own's key, the fingerprint check uses own's precomputed
+// fingerprint and the structural re-hash is skipped, since it could only
+// confirm the location. The outcome and the decode counters are the same as
+// without own.
+func (s *Sketch) decodeSig(lv *level, level, table, bucket int, own *locatedRec) (key uint64, count int64, ok bool) {
+	i := table*s.cfg.Buckets + bucket
+	words := lv.words[i*s.nwords : i*s.nwords+s.nwords]
+	// Fast path: only a positive total can decode as a singleton, so the
+	// overwhelmingly common empty bucket is rejected after one counter
+	// read instead of the full 64-lane scan sig.DecodeLanes performs.
+	if words[0] == 0 {
+		return 0, 0, false
+	}
+	key, count, state := sig.DecodeLanes(words[0], lanes(lv, i))
 	if state != sig.Singleton {
 		s.qstats.DecodeFailures++
 		return 0, 0, false
 	}
 	located := own != nil && own.key == key
-	var fp int64
-	if located {
-		fp = own.fp
-	} else if s.layout.Fingerprint {
-		fp = s.loc.fpHash.Fingerprint(key)
-	}
-	if !s.layout.VerifyFingerprint(sg, count, fp) {
-		s.qstats.ChecksumRejects++
-		return 0, 0, false
+	if s.layout.Fingerprint {
+		var fp int64
+		if located {
+			fp = own.fp
+		} else {
+			fp = s.loc.fpHash.Fingerprint(key)
+		}
+		if words[1] != count*fp {
+			s.qstats.ChecksumRejects++
+			return 0, 0, false
+		}
 	}
 	// A decoded pair must actually belong to this level and bucket; a
 	// mismatch means a residual false singleton that slipped past the
@@ -605,17 +634,23 @@ var ErrIncompatible = errors.New("dcs: sketches have incompatible configurations
 // Merge adds other's counters into s, so that s afterwards summarizes the
 // union (concatenation) of both input streams. The sketch is a linear
 // transform of the stream, so merging is exact, enabling per-edge-router
-// sketches to be combined at a central collector. Both sketches must share
-// the same Config, including Seed.
+// sketches to be combined at a central collector: the bit lanes add modulo
+// 2^32 and stay exact wherever the exact total is below 2^31. Both sketches
+// must share the same Config, including Seed.
 func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil || s.cfg != other.cfg {
 		return ErrIncompatible
 	}
 	s.reserve(other.top)
-	for l, src := range other.levels[:other.top] {
-		dst := s.levels[l][:len(src)]
-		for i, c := range src {
-			dst[i] += c
+	for l := range other.levels[:other.top] {
+		src, dst := &other.levels[l], &s.levels[l]
+		bits := dst.bits[:len(src.bits)]
+		for i, c := range src.bits {
+			bits[i] += c
+		}
+		words := dst.words[:len(src.words)]
+		for i, c := range src.words {
+			words[i] += c
 		}
 	}
 	s.updates += other.updates
@@ -636,10 +671,15 @@ func (s *Sketch) Subtract(other *Sketch) error {
 		return ErrIncompatible
 	}
 	s.reserve(other.top)
-	for l, src := range other.levels[:other.top] {
-		dst := s.levels[l][:len(src)]
-		for i, c := range src {
-			dst[i] -= c
+	for l := range other.levels[:other.top] {
+		src, dst := &other.levels[l], &s.levels[l]
+		bits := dst.bits[:len(src.bits)]
+		for i, c := range src.bits {
+			bits[i] -= c
+		}
+		words := dst.words[:len(src.words)]
+		for i, c := range src.words {
+			words[i] -= c
 		}
 	}
 	if other.updates > s.updates {
@@ -657,8 +697,9 @@ func (s *Sketch) Subtract(other *Sketch) error {
 // Reset clears the sketch's counters and statistics without reallocating:
 // the slabs it has are zeroed and kept.
 func (s *Sketch) Reset() {
-	for _, slab := range s.levels[:s.top] {
-		clear(slab)
+	for _, lv := range s.levels[:s.top] {
+		clear(lv.bits)
+		clear(lv.words)
 	}
 	clear(s.occupied)
 	s.updates = 0
@@ -668,10 +709,10 @@ func (s *Sketch) Reset() {
 // slabs; used after bulk linear operations that rewrite counters wholesale.
 // Levels without a slab hold no counters and keep their zero entries.
 func (s *Sketch) recountOccupancy() {
-	for l, slab := range s.levels[:s.top] {
+	for l, lv := range s.levels[:s.top] {
 		n := int32(0)
-		for i := 0; i < len(slab); i += s.width {
-			if slab[i] != 0 {
+		for i := 0; i < len(lv.words); i += s.nwords {
+			if lv.words[i] != 0 {
 				n++
 			}
 		}

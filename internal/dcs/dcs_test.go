@@ -451,7 +451,13 @@ func keyAtLevel(s *Sketch, rng *hashing.SplitMix64, level int) uint64 {
 func TestSizeBytes(t *testing.T) {
 	for _, cfg := range []Config{{Seed: 3}, {Seed: 3, DisableFingerprint: true}} {
 		s := mustNew(t, cfg)
-		slab := s.cfg.Tables * s.cfg.Buckets * s.width * 8
+		// Per bucket 64 4-byte lanes, a total and (by default) a
+		// fingerprint: 104,448 bytes a level at 3×128, 101,376 without
+		// the fingerprint.
+		slab := s.cfg.Tables * s.cfg.Buckets * (64*4 + 8*s.nwords)
+		if want := map[bool]int{false: 104_448, true: 101_376}[cfg.DisableFingerprint]; slab != want {
+			t.Fatalf("cfg %+v: slab %d bytes, want %d", cfg, slab, want)
+		}
 		if got := s.SizeBytes(); got != 0 {
 			t.Fatalf("cfg %+v: fresh SizeBytes = %d, want 0", cfg, got)
 		}
@@ -571,7 +577,7 @@ func TestChurnMemoryBounded(t *testing.T) {
 		batch = append(batch, KeyDelta{Key: live[i], Delta: 1})
 	}
 	s.UpdateBatch(batch)
-	slab := s.cfg.Tables * s.cfg.Buckets * s.width * 8
+	slab := s.cfg.Tables * s.cfg.Buckets * (64*4 + 8*s.nwords)
 	maxSlabs := int(math.Ceil(math.Log2(updates))) + 8
 	if got := s.SizeBytes(); got > maxSlabs*slab {
 		t.Fatalf("SizeBytes = %d (%d slabs), want <= %d slabs", got, got/slab, maxSlabs)

@@ -18,26 +18,34 @@ package dcs
 
 import (
 	"fmt"
-
-	"dcsketch/internal/sig"
+	"math"
 )
 
 // debugAssertions enables the runtime invariant checks in this build.
 const debugAssertions = true
 
 // assertSig panics when the signature at (level, table, bucket) violates the
-// well-formed-stream invariants.
+// well-formed-stream invariants. A saturated bucket (total 2^31 or more) is
+// checked on its total only: its int32 lanes hold the true counts modulo
+// 2^32, which is all the invariants promise there.
 func (s *Sketch) assertSig(level, table, bucket int, op string) {
-	sg := s.bucketSig(level, table, bucket)
-	total := sg[0]
+	if level >= s.top {
+		return
+	}
+	lv := &s.levels[level]
+	i := table*s.cfg.Buckets + bucket
+	total := lv.words[i*s.nwords]
 	if total < 0 {
 		panic(fmt.Sprintf("dcsdebug: %s drove bucket (%d,%d,%d) total negative (%d); deletes exceed inserts",
 			op, level, table, bucket, total))
 	}
-	for j := 1; j <= sig.KeyBits; j++ {
-		if sg[j] < 0 || sg[j] > total {
+	if total > math.MaxInt32 {
+		return
+	}
+	for j, c := range lanes(lv, i) {
+		if c < 0 || int64(c) > total {
 			panic(fmt.Sprintf("dcsdebug: %s left bucket (%d,%d,%d) bit counter %d = %d outside [0, total=%d]",
-				op, level, table, bucket, j-1, sg[j], total))
+				op, level, table, bucket, j, c, total))
 		}
 	}
 }

@@ -48,7 +48,7 @@ func (s *Sketch) scanLevel(level int) levelScan {
 	totalEmpty := 0
 	for j := 0; j < s.cfg.Tables; j++ {
 		for b := 0; b < s.cfg.Buckets; b++ {
-			if s.bucketSig(level, j, b)[0] == 0 {
+			if s.bucketTotal(level, j, b) == 0 {
 				// Total count zero: empty for occupancy purposes.
 				// (Residual zero-total collision artifacts are
 				// possible only for corrupted streams.)

@@ -13,7 +13,7 @@ func denseSeed(f *testing.F, cfg Config) []byte {
 	for k := uint64(1); minOccupied(s) < cfg.Tables*cfg.Buckets; k++ {
 		s.UpdateKey(k*0x9e3779b97f4a7c15, 1)
 	}
-	flat, stride, crossing := flatCounters(s), s.levelStride, false
+	flat, stride, crossing := flatCounters(s), s.buckets()*s.width, false
 	for l := 1; l < cfg.Levels; l++ {
 		crossing = crossing || flat[l*stride-1] != 0 && flat[l*stride] != 0
 	}
@@ -49,6 +49,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add(seed)
 	f.Add(denseSeed(f, Config{Tables: 1, Buckets: 2, Levels: 4}))
 	f.Add(denseSeed(f, Config{Tables: 2, Buckets: 2, Levels: 3, DisableFingerprint: true}))
+	f.Add(wideBitSeed(f))
 	f.Add([]byte("DCS1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,8 +10,8 @@ import (
 // PrefetchDistance is how many records ahead the located apply loops
 // prefetch: while record i applies, record i+PrefetchDistance's buckets
 // load. A record's apply takes a few hundred nanoseconds, longer than a
-// memory round trip, and two records keep only 2·r signatures (about 3 KB
-// at r=3) in flight.
+// memory round trip, and two records keep only 2·r signatures (30 cache
+// lines at r=3) in flight.
 const PrefetchDistance = 2
 
 // Locator holds the hash functions a sketch configuration derives from its
@@ -143,15 +143,17 @@ func (s *Sketch) checkLocatedConfig(lb *Located) {
 }
 
 // PrefetchLocated starts loading record i's r count signatures into cache,
-// so that the record's apply does not stall on memory. The apply loops
+// so that the record's apply does not stall on memory: per table the four
+// lines of the bucket's lanes and the line of its words. The apply loops
 // call it PrefetchDistance records ahead.
 //
 //lint:allocfree
 func (s *Sketch) PrefetchLocated(lb *Located, i int) {
 	r := len(s.loc.bucketHash)
-	slab := s.levels[lb.recs[i].level]
+	lv := &s.levels[lb.recs[i].level]
 	for j, b := range lb.buckets[i*r : i*r+r] {
-		vec.Prefetch(&slab[j*s.tableStride+int(b)*s.width])
+		at := j*s.cfg.Buckets + int(b)
+		vec.Prefetch(&lv.bits[at*vec.Lanes], &lv.words[at*s.nwords])
 	}
 }
 
@@ -181,10 +183,10 @@ func (s *Sketch) updateLocated(lb *Located) {
 //lint:bce
 func (s *Sketch) applyLocated(rec *locatedRec, bk []int32) {
 	s.startLocated(rec)
-	slab := s.levels[rec.level] //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
+	lv := &s.levels[rec.level] //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
 	occ := int32(0)
 	for j, b := range bk {
-		occ += s.applySig(slab, j*s.tableStride+int(b)*s.width, rec.delta, rec.fp)
+		occ += s.applySig(lv, j*s.cfg.Buckets+int(b), rec.delta, rec.fp)
 		if debugAssertions && rec.delta < 0 {
 			s.assertSig(rec.level, j, int(b), "delete")
 		}
@@ -211,9 +213,11 @@ func (s *Sketch) AddLocated(lb *Located, i int) {
 // before starting the next one.
 func (s *Sketch) StartLocated(lb *Located, i int) { s.startLocated(&lb.recs[i]) }
 
+// startLocated counts rec and builds its addends. The delta enters the
+// lanes as int32(delta), the same arithmetic modulo 2^32.
 func (s *Sketch) startLocated(rec *locatedRec) {
 	s.updates++
-	vec.BuildMaskedAddends(s.addends, rec.key, rec.delta)
+	vec.BuildMaskedAddends(s.addends, rec.key, int32(rec.delta))
 }
 
 // ApplyLocated adds record i of lb, begun with StartLocated, into its bucket
@@ -228,14 +232,12 @@ func (s *Sketch) startLocated(rec *locatedRec) {
 func (s *Sketch) ApplyLocated(lb *Located, i, j int) (before, after uint64, beforeOK, afterOK bool) {
 	rec := &lb.recs[i]                              //lint:bceok i < lb.Len() by the caller contract
 	b := int(lb.buckets[i*len(s.loc.bucketHash)+j]) //lint:bceok j < Tables by the caller contract; CheckLocated matched the batch's Tables
-	slab := s.levels[rec.level]                     //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
-	at := j*s.tableStride + b*s.width
-	sg := slab[at : at+s.width] //lint:bceok at is the slab index of a bucket of this sketch's shape
-	before, _, beforeOK = s.decodeSig(sg, rec.level, j, b, rec)
-	s.occupied[rec.level] += s.applySig(slab, at, rec.delta, rec.fp) //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
+	lv := &s.levels[rec.level]                      //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
+	before, _, beforeOK = s.decodeSig(lv, rec.level, j, b, rec)
+	s.occupied[rec.level] += s.applySig(lv, j*s.cfg.Buckets+b, rec.delta, rec.fp) //lint:bceok the level hash maps below Levels; CheckLocated matched the batch's Levels
 	if debugAssertions && rec.delta < 0 {
 		s.assertSig(rec.level, j, b, "delete")
 	}
-	after, _, afterOK = s.decodeSig(sg, rec.level, j, b, rec)
+	after, _, afterOK = s.decodeSig(lv, rec.level, j, b, rec)
 	return before, after, beforeOK, afterOK
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"dcsketch/internal/sig"
+	"dcsketch/internal/vec"
 )
 
 // Serialization format (little-endian, varint-based):
@@ -15,14 +16,19 @@ import (
 //	fingerprint flag | updates | counter payload
 //
 // The counter payload is the level-major array X[level][table][bucket][pos]
-// of all Levels·r·s·width counters, run-length encoded: a stream of uvarint
-// tokens t where an even t encodes a run of t/2 zero counters and an odd t
-// is followed by (t-1)/2 zigzag-varint counter values. A level without a
-// slab encodes as zeros and runs continue across level boundaries, so the
-// bytes depend only on the counter values, never on which levels are
-// allocated. Sketch counters are overwhelmingly zero (only ~log2(U) of 64
-// levels are populated), so the encoding shrinks the array to roughly the
-// size of its live content.
+// of all Levels·r·s·width counters, pos running over a bucket's total, its
+// 64 bit counters and its fingerprint (when enabled), run-length encoded: a
+// stream of uvarint tokens t where an even t encodes a run of t/2 zero
+// counters and an odd t is followed by (t-1)/2 zigzag-varint counter values.
+// A level without a slab encodes as zeros and runs continue across bucket and
+// level boundaries, so the bytes depend only on the counter values, never on
+// which levels are allocated. Sketch counters are overwhelmingly zero (only
+// ~log2(U) of 64 levels are populated), so the encoding shrinks the array to
+// roughly the size of its live content.
+//
+// A bit counter is written as its int32 lane sign-extended, so the bytes are
+// those of the exact counts for every bucket whose total is below 2^31, and
+// decoding stores each bit counter modulo 2^32.
 
 const sketchMagic = "DCS1"
 
@@ -52,83 +58,134 @@ func (s *Sketch) appendHeader(buf []byte) []byte {
 }
 
 // appendCounters RLE-encodes the counter payload onto buf, reading the
-// slabs in place.
+// slabs in place, bucket by bucket: the total, the 64 lanes sign-extended,
+// then the fingerprint.
 func (s *Sketch) appendCounters(buf []byte) []byte {
 	w := rleWriter{buf: buf}
-	for _, slab := range s.levels {
-		if slab == nil {
-			w.zeros(s.levelStride)
+	n := s.buckets()
+	for l := range s.levels {
+		if l >= s.top {
+			w.zeros(n * s.width)
 			continue
 		}
-		w.counters(slab)
+		lv := &s.levels[l]
+		for i := 0; i < n; i++ {
+			words := lv.words[i*s.nwords : i*s.nwords+s.nwords]
+			bits := lanes(lv, i)
+			if words[0] == 0 && words[len(words)-1] == 0 && *bits == [vec.Lanes]int32{} {
+				w.zeros(s.width)
+				continue
+			}
+			w.counter(words[0])
+			w.lanes(bits)
+			if s.layout.Fingerprint {
+				w.counter(words[1])
+			}
+		}
 	}
 	return w.finish()
 }
 
-// rleWriter run-length encodes a counter sequence handed to it in pieces: a
-// run that spans pieces is held back until it ends, so it encodes as one
-// token, exactly as if the pieces were one array.
+// rleWriter run-length encodes a counter sequence handed to it piece by
+// piece, exactly as if the pieces were one array. A run of values is written
+// as it is read, behind a one-byte placeholder for its token; the run's end
+// writes the token there, first shifting the values right when the token
+// needs more than one byte.
 type rleWriter struct {
 	buf []byte
 	// zeroRun is the length of the pending run of zeros.
 	zeroRun int
-	// valueRun is the pending run of non-zero counters, one segment per
-	// piece it spans, and valueLen its length.
-	valueRun [][]int64
-	valueLen int
+	// runLen is the number of values in the pending value run, and runAt
+	// the offset of its token's placeholder in buf.
+	runLen int
+	runAt  int
 }
 
 // zeros appends n zero counters.
 func (w *rleWriter) zeros(n int) {
-	w.flushValues()
+	if w.runLen > 0 {
+		w.endValues()
+	}
 	w.zeroRun += n
 }
 
-// counters appends the counters of seg.
-func (w *rleWriter) counters(seg []int64) {
-	for len(seg) > 0 {
-		i := 0
-		if seg[0] == 0 {
-			for i < len(seg) && seg[i] == 0 {
-				i++
-			}
-			w.zeros(i)
-		} else {
-			for i < len(seg) && seg[i] != 0 {
-				i++
-			}
-			w.flushZeros()
-			w.valueRun = append(w.valueRun, seg[:i])
-			w.valueLen += i
-		}
-		seg = seg[i:]
-	}
-}
-
-func (w *rleWriter) flushZeros() {
-	if w.zeroRun > 0 {
-		w.buf = binary.AppendUvarint(w.buf, uint64(w.zeroRun)<<1)
-		w.zeroRun = 0
-	}
-}
-
-func (w *rleWriter) flushValues() {
-	if w.valueLen == 0 {
+// counter appends one counter.
+func (w *rleWriter) counter(c int64) {
+	if c == 0 {
+		w.zeros(1)
 		return
 	}
-	w.buf = binary.AppendUvarint(w.buf, uint64(w.valueLen)<<1|1)
-	for _, seg := range w.valueRun {
-		for _, c := range seg {
-			w.buf = binary.AppendVarint(w.buf, c)
-		}
+	if w.runLen == 0 {
+		w.buf, w.runAt = openRun(w.buf, w.zeroRun)
+		w.zeroRun = 0
 	}
-	w.valueRun, w.valueLen = w.valueRun[:0], 0
+	w.buf = binary.AppendVarint(w.buf, c)
+	w.runLen++
+}
+
+// lanes appends a bucket's 64 bit counters. It is counter unrolled over the
+// lanes with the writer's state in locals: the encoder's inner loop.
+func (w *rleWriter) lanes(bits *[vec.Lanes]int32) {
+	buf, zeroRun, runLen := w.buf, w.zeroRun, w.runLen
+	for _, c := range bits {
+		if c == 0 {
+			if runLen > 0 {
+				buf = endRun(buf, w.runAt, runLen)
+				runLen = 0
+			}
+			zeroRun++
+			continue
+		}
+		if runLen == 0 {
+			buf, w.runAt = openRun(buf, zeroRun)
+			zeroRun = 0
+		}
+		buf = binary.AppendVarint(buf, int64(c))
+		runLen++
+	}
+	w.buf, w.zeroRun, w.runLen = buf, zeroRun, runLen
+}
+
+// openRun writes the token of a pending run of zeroRun zeros, if any, and
+// opens a value run: it returns buf with the run's one-byte token
+// placeholder appended, and the placeholder's offset.
+func openRun(buf []byte, zeroRun int) ([]byte, int) {
+	if zeroRun > 0 {
+		buf = binary.AppendUvarint(buf, uint64(zeroRun)<<1)
+	}
+	at := len(buf)
+	return append(buf, 0), at
+}
+
+// endValues closes the pending value run.
+func (w *rleWriter) endValues() {
+	w.buf = endRun(w.buf, w.runAt, w.runLen)
+	w.runLen = 0
+}
+
+// endRun writes the token of the n-value run whose placeholder byte is at
+// buf[at], after the values that follow it.
+func endRun(buf []byte, at, n int) []byte {
+	var tok [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(tok[:], uint64(n)<<1|1)
+	if k > 1 {
+		end := len(buf)
+		buf = append(buf, tok[1:k]...)
+		copy(buf[at+k:], buf[at+1:end])
+	}
+	copy(buf[at:], tok[:k])
+	return buf
 }
 
 // finish ends the pending run and returns the encoding.
 func (w *rleWriter) finish() []byte {
-	w.flushValues()
-	w.flushZeros()
+	if w.runLen > 0 {
+		w.endValues()
+	}
+	if w.zeroRun > 0 {
+		w.buf = binary.AppendUvarint(w.buf, uint64(w.zeroRun)<<1)
+		w.zeroRun = 0
+	}
 	return w.buf
 }
 
@@ -211,7 +268,8 @@ func UnmarshalBinary(data []byte) (*Sketch, error) {
 
 	// i indexes the level-major counter array. Slabs are allocated up to
 	// the highest level holding a non-zero value; zeros need no storage.
-	total := s.cfg.Levels * s.levelStride
+	levelLen := s.buckets() * s.width
+	total := s.cfg.Levels * levelLen
 	i := 0
 	for i < total {
 		token, n := binary.Uvarint(data)
@@ -234,9 +292,9 @@ func UnmarshalBinary(data []byte) (*Sketch, error) {
 			}
 			data = data[vn:]
 			if v != 0 {
-				l := i / s.levelStride
+				l := i / levelLen
 				s.reserve(l + 1)
-				s.levels[l][i-l*s.levelStride] = v
+				s.setCounter(&s.levels[l], i-l*levelLen, v)
 			}
 			i++
 		}
@@ -246,4 +304,19 @@ func UnmarshalBinary(data []byte) (*Sketch, error) {
 	}
 	s.recountOccupancy()
 	return s, nil
+}
+
+// setCounter stores v at position at of a level's encoded counters, where
+// bucket at/width's counter at%width is its total (0), bit counter j (1+j,
+// stored modulo 2^32), or fingerprint (1+KeyBits).
+func (s *Sketch) setCounter(lv *level, at int, v int64) {
+	i, pos := at/s.width, at%s.width
+	switch {
+	case pos == 0:
+		lv.words[i*s.nwords] = v
+	case pos <= sig.KeyBits:
+		lv.bits[i*vec.Lanes+pos-1] = int32(v)
+	default:
+		lv.words[i*s.nwords+1] = v
+	}
 }

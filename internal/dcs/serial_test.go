@@ -48,11 +48,32 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 // flatCounters returns s's counters as the level-major array the DCS1
 // payload encodes, X[level][table][bucket][pos] over all Levels, with the
-// levels that have no slab as zeros.
+// levels that have no slab as zeros: per bucket its total, its 64 lanes
+// sign-extended and its fingerprint.
 func flatCounters(s *Sketch) []int64 {
-	out := make([]int64, s.cfg.Levels*s.levelStride)
-	for l, slab := range s.levels[:s.top] {
-		copy(out[l*s.levelStride:], slab)
+	out := make([]int64, 0, s.cfg.Levels*s.buckets()*s.width)
+	for l := 0; l < s.cfg.Levels; l++ {
+		for i := 0; i < s.buckets(); i++ {
+			out = append(out, bucketCounters(s, l, i)...)
+		}
+	}
+	return out
+}
+
+// bucketCounters returns the width counters of bucket i = table·s + bucket
+// at level l in encoding order; a bucket of an unallocated level is zeros.
+func bucketCounters(s *Sketch, l, i int) []int64 {
+	out := make([]int64, s.width)
+	if l >= s.top {
+		return out
+	}
+	lv := &s.levels[l]
+	out[0] = lv.words[i*s.nwords]
+	for j, c := range lanes(lv, i) {
+		out[1+j] = int64(c)
+	}
+	if s.layout.Fingerprint {
+		out[s.width-1] = lv.words[i*s.nwords+1]
 	}
 	return out
 }

@@ -21,7 +21,8 @@ type QueryStats struct {
 	// singleton pair.
 	DecodeSingletons uint64
 	// DecodeFailures counts non-empty buckets whose signature was not a
-	// singleton (collisions and deletion residue). Empty buckets are not
+	// singleton (collisions, deletion residue, and saturated buckets whose
+	// total reached 2^31, see DecodeBucket). Empty buckets are not
 	// counted: they are the common case and carry no health signal.
 	DecodeFailures uint64
 	// ChecksumRejects counts would-be singletons rejected by the

@@ -63,8 +63,8 @@ func TestQueryStatsChecksumReject(t *testing.T) {
 	}
 	level, bucket := singletonBucket(t, s, testKey)
 	before := s.QueryStats()
-	sg := s.bucketSig(level, 0, bucket)
-	sg[s.width-1]++ // fingerprint is the trailing counter
+	fp := &s.levels[level].words[bucket*s.nwords+1] // the word after the total
+	*fp++
 	if _, _, ok := s.DecodeBucket(level, 0, bucket); ok {
 		t.Fatal("corrupted fingerprint still decoded")
 	}
@@ -72,7 +72,7 @@ func TestQueryStatsChecksumReject(t *testing.T) {
 	if qs.ChecksumRejects != before.ChecksumRejects+1 {
 		t.Fatalf("ChecksumRejects = %d, want %d", qs.ChecksumRejects, before.ChecksumRejects+1)
 	}
-	sg[s.width-1]-- // restore; the signature decodes again
+	*fp-- // restore; the signature decodes again
 	if _, _, ok := s.DecodeBucket(level, 0, bucket); !ok {
 		t.Fatal("restored signature no longer decodes")
 	}
@@ -88,7 +88,9 @@ func TestQueryStatsStructuralReject(t *testing.T) {
 	}
 	level, bucket := singletonBucket(t, s, testKey)
 	wrong := (bucket + 1) % s.cfg.Buckets
-	copy(s.bucketSig(level, 0, wrong), s.bucketSig(level, 0, bucket))
+	lv := &s.levels[level]
+	*lanes(lv, wrong) = *lanes(lv, bucket)
+	copy(lv.words[wrong*s.nwords:(wrong+1)*s.nwords], lv.words[bucket*s.nwords:])
 	if _, _, ok := s.DecodeBucket(level, 0, wrong); ok {
 		t.Fatal("relocated signature decoded in the wrong bucket")
 	}

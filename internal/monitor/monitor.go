@@ -14,6 +14,7 @@ package monitor
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcsketch/internal/dcs"
@@ -176,6 +177,9 @@ type Monitor struct {
 	cusumProbe func() (value, threshold float64, alarm bool)
 	// n counts consumed updates. guarded by mu
 	n uint64
+	// healthReads counts sketch-health reads, each of which may move the
+	// tracking floor; a test pins a telemetry scrape to one. guarded by mu
+	healthReads uint64
 
 	// tel is the optional telemetry bundle; nil until RegisterTelemetry.
 	// guarded by mu
@@ -396,6 +400,13 @@ type AlertStats struct {
 func (m *Monitor) AlertStats() AlertStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.alertStatsLocked()
+}
+
+// alertStatsLocked is AlertStats for callers holding the monitor lock.
+//
+//lint:locked mu
+func (m *Monitor) alertStatsLocked() AlertStats {
 	return AlertStats{
 		Raised:     m.alertsRaised,
 		Suppressed: m.alertsSuppressed,
@@ -477,6 +488,7 @@ func (m *Monitor) SketchHealth() SketchHealth {
 //
 //lint:locked mu
 func (m *Monitor) sketchHealthLocked() SketchHealth {
+	m.healthReads++
 	return SketchHealth{
 		Query:           m.sketch.QueryStats(),
 		Rebuilds:        m.sketch.Rebuilds(),
@@ -488,70 +500,93 @@ func (m *Monitor) sketchHealthLocked() SketchHealth {
 	}
 }
 
+// scrapeState is what one telemetry scrape reads of the monitor, under one
+// hold of the monitor lock: the probes below all read it.
+type scrapeState struct {
+	updates uint64
+	alerts  AlertStats
+	health  SketchHealth
+}
+
+// readScrape reads the scrape state under the monitor lock.
+func (m *Monitor) readScrape() *scrapeState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return &scrapeState{updates: m.n, alerts: m.alertStatsLocked(), health: m.sketchHealthLocked()}
+}
+
 // RegisterTelemetry attaches a live bundle (check counter, check/query
 // latency histograms) and registers the monitor's scrape-time probes on reg:
 // the alert lifecycle counters and the sketch-health series — decode
-// outcomes, distinct-sample shape, level occupancy, rebuilds. Probes read
-// the single-writer counters through the locked accessors (AlertStats,
-// SketchHealth); call at most once per monitor and registry pair.
+// outcomes, distinct-sample shape, level occupancy, rebuilds. The probes
+// share one read per scrape: a scrape hook takes the monitor lock once,
+// reads the update count, AlertStats and SketchHealth, and every probe
+// reads that. The lock is the one the server's ingest holds for every
+// frame, and a health read may move the tracking floor. Call at most once
+// per monitor and registry pair.
 func (m *Monitor) RegisterTelemetry(reg *telemetry.Registry) {
 	tel := telemetry.NewMonitorMetrics(reg)
 
+	var scraped atomic.Pointer[scrapeState]
+	scraped.Store(&scrapeState{})
+	reg.OnScrape(func() { scraped.Store(m.readScrape()) })
+	cur := scraped.Load
+
 	reg.CounterFunc("dcsketch_monitor_updates_total",
 		"Flow updates consumed by the monitor.",
-		m.Updates)
+		func() uint64 { return cur().updates })
 	reg.CounterFunc("dcsketch_monitor_alerts_raised_total",
 		"Alerts raised into the alert ring.",
-		func() uint64 { return m.AlertStats().Raised })
+		func() uint64 { return cur().alerts.Raised })
 	reg.CounterFunc("dcsketch_monitor_alerts_suppressed_total",
 		"Anomalous observations suppressed by hysteresis.",
-		func() uint64 { return m.AlertStats().Suppressed })
+		func() uint64 { return cur().alerts.Suppressed })
 	reg.CounterFunc("dcsketch_monitor_alerts_dropped_total",
 		"Alerts evicted from the full alert ring before being read.",
-		func() uint64 { return m.AlertStats().Dropped })
+		func() uint64 { return cur().alerts.Dropped })
 	reg.GaugeFunc("dcsketch_monitor_alerts_retained",
 		"Alerts currently retained in the ring.",
-		func() int64 { return int64(m.AlertStats().Retained) })
+		func() int64 { return int64(cur().alerts.Retained) })
 
 	reg.CounterFunc("dcsketch_sketch_queries_total",
 		"Sketch queries (sampling passes plus tracked top-k answers).",
-		func() uint64 { return m.SketchHealth().Query.Queries })
+		func() uint64 { return cur().health.Query.Queries })
 	reg.CounterFunc("dcsketch_sketch_decode_singletons_total",
 		"Bucket decodes that found a verified singleton pair (queries, floor lowerings, rebuilds, and updates at or above the tracking floor).",
-		func() uint64 { return m.SketchHealth().Query.DecodeSingletons })
+		func() uint64 { return cur().health.Query.DecodeSingletons })
 	reg.CounterFunc("dcsketch_sketch_decode_failures_total",
-		"Decodes of non-empty buckets that failed (collisions, residue), counted on the same paths as the singleton decodes.",
-		func() uint64 { return m.SketchHealth().Query.DecodeFailures })
+		"Decodes of non-empty buckets that failed (collisions, residue, and saturated buckets whose total reached 2^31), counted on the same paths as the singleton decodes.",
+		func() uint64 { return cur().health.Query.DecodeFailures })
 	reg.CounterFunc("dcsketch_sketch_checksum_rejects_total",
 		"Singleton decodes rejected by the fingerprint checksum.",
-		func() uint64 { return m.SketchHealth().Query.ChecksumRejects })
+		func() uint64 { return cur().health.Query.ChecksumRejects })
 	reg.CounterFunc("dcsketch_sketch_structural_rejects_total",
 		"Singleton decodes rejected by the level/bucket re-hash check.",
-		func() uint64 { return m.SketchHealth().Query.StructuralRejects })
+		func() uint64 { return cur().health.Query.StructuralRejects })
 	reg.CounterFunc("dcsketch_sketch_rebuilds_total",
 		"Tracking-state reconstructions (merges, deserializations).",
-		func() uint64 { return m.SketchHealth().Rebuilds })
+		func() uint64 { return cur().health.Rebuilds })
 	reg.GaugeFunc("dcsketch_sketch_tracking_floor",
 		"Lowest first-level bucket that carries tracking state; updates below it are plain counter adds.",
-		func() int64 { return int64(m.SketchHealth().TrackingFloor) })
+		func() int64 { return int64(cur().health.TrackingFloor) })
 	reg.CounterFunc("dcsketch_sketch_tracking_floor_raises_total",
 		"Times the tracking floor rose, dropping the tracking state of the levels below it.",
-		func() uint64 { return m.SketchHealth().FloorRaises })
+		func() uint64 { return cur().health.FloorRaises })
 	reg.CounterFunc("dcsketch_sketch_tracking_floor_lowers_total",
 		"Queries that lowered the tracking floor, rebuilding levels from the counters.",
-		func() uint64 { return m.SketchHealth().FloorLowers })
+		func() uint64 { return cur().health.FloorLowers })
 	reg.GaugeFunc("dcsketch_sketch_sample_level",
 		"First-level bucket the tracked top-k currently answers from.",
-		func() int64 { return int64(m.SketchHealth().Query.SampleLevel) })
+		func() int64 { return int64(cur().health.Query.SampleLevel) })
 	reg.GaugeFunc("dcsketch_sketch_sample_size",
 		"Distinct-sample size at the current sample level.",
-		func() int64 { return int64(m.SketchHealth().Query.SampleSize) })
+		func() int64 { return int64(cur().health.Query.SampleSize) })
 	reg.GaugeFunc("dcsketch_sketch_levels_nonempty",
 		"First-level buckets with at least one occupied second-level bucket.",
-		func() int64 { return int64(m.SketchHealth().LevelsNonEmpty) })
+		func() int64 { return int64(cur().health.LevelsNonEmpty) })
 	reg.GaugeFunc("dcsketch_sketch_levels_allocated",
 		"First-level buckets whose counters are allocated (each holds r*s count signatures).",
-		func() int64 { return int64(m.SketchHealth().LevelsAllocated) })
+		func() int64 { return int64(cur().health.LevelsAllocated) })
 
 	m.mu.Lock()
 	m.tel = tel

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"dcsketch/internal/dcs"
@@ -129,6 +130,71 @@ func TestMonitorTelemetry(t *testing.T) {
 	if !strings.Contains(out, "dcsketch_monitor_check_latency_ns_count 10") {
 		t.Fatalf("rendered output missing check-latency count:\n%s", out)
 	}
+}
+
+// TestScrapeReadsHealthOnce pins what one scrape costs the monitor lock: a
+// Snapshot, and a Prometheus rendering, each read the sketch health once,
+// shared by the 13 sketch-health probes, rather than once per probe.
+func TestScrapeReadsHealthOnce(t *testing.T) {
+	m, err := New(ringConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m.RegisterTelemetry(reg)
+	for d := uint32(1); d <= 10; d++ {
+		m.Update(100+d, d, 1)
+	}
+	reads := func() uint64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.healthReads
+	}
+	before := reads()
+	samples := reg.Snapshot()
+	if got := reads() - before; got != 1 {
+		t.Fatalf("one Snapshot read the sketch health %d times, want 1", got)
+	}
+	for _, s := range samples {
+		if s.Name == "dcsketch_monitor_updates_total" && s.Value != 10 {
+			t.Fatalf("updates_total = %v, want 10", s.Value)
+		}
+	}
+	before = reads()
+	renderProm(t, reg)
+	if got := reads() - before; got != 1 {
+		t.Fatalf("one WritePrometheus read the sketch health %d times, want 1", got)
+	}
+}
+
+// TestScrapeConcurrentWithUpdates runs scrapes on two goroutines while a
+// third feeds updates: the shared scrape state is written by every scrape's
+// hook and read by every probe. Run under -race.
+func TestScrapeConcurrentWithUpdates(t *testing.T) {
+	m, err := New(ringConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m.RegisterTelemetry(reg)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				for _, s := range reg.Snapshot() {
+					if s.Name == "dcsketch_monitor_updates_total" && s.Value > 1000 {
+						t.Errorf("updates_total = %v, more than were fed", s.Value)
+					}
+				}
+			}
+		}()
+	}
+	for i := uint32(0); i < 1000; i++ {
+		m.Update(i, 7, 1)
+	}
+	wg.Wait()
 }
 
 func renderProm(t *testing.T, reg *telemetry.Registry) []byte {

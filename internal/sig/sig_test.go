@@ -1,13 +1,38 @@
 package sig
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
-
-	"dcsketch/internal/hashing"
 )
 
-func newSig(l Layout) []int64 { return make([]int64, l.Width()) }
+// laneSig is a signature in the storage form the sketch keeps: an exact
+// total and 64 int32 bit lanes that add modulo 2^32.
+type laneSig struct {
+	total int64
+	bits  [KeyBits]int32
+}
+
+// update applies a net frequency change of delta for key, as the sketch's
+// update kernel does.
+func (s *laneSig) update(key uint64, delta int64) {
+	s.total += delta
+	for j := 0; j < KeyBits; j++ {
+		if key&(1<<uint(j)) != 0 {
+			s.bits[j] += int32(delta)
+		}
+	}
+}
+
+// add merges src into s, lane-wise modulo 2^32.
+func (s *laneSig) add(src *laneSig) {
+	s.total += src.total
+	for j := range s.bits {
+		s.bits[j] += src.bits[j]
+	}
+}
+
+func (s *laneSig) decode() (uint64, int64, State) { return DecodeLanes(s.total, &s.bits) }
 
 func TestWidth(t *testing.T) {
 	if w := (Layout{}).Width(); w != 65 {
@@ -19,31 +44,22 @@ func TestWidth(t *testing.T) {
 }
 
 func TestEmptyDecode(t *testing.T) {
-	for _, l := range []Layout{{}, {Fingerprint: true}} {
-		s := newSig(l)
-		key, count, state := l.Decode(s)
-		if state != Empty || key != 0 || count != 0 {
-			t.Fatalf("zero signature: got (%v,%v,%v), want Empty", key, count, state)
-		}
-		if !l.IsZero(s) {
-			t.Fatal("zero signature must report IsZero")
-		}
+	var s laneSig
+	key, count, state := s.decode()
+	if state != Empty || key != 0 || count != 0 {
+		t.Fatalf("zero signature: got (%v,%v,%v), want Empty", key, count, state)
 	}
 }
 
 func TestSingletonRoundTrip(t *testing.T) {
-	l := Layout{Fingerprint: true}
-	fph := hashing.NewTab64(1)
 	err := quick.Check(func(key uint64, countRaw uint16) bool {
 		count := int64(countRaw) + 1
-		s := newSig(l)
-		fp := fph.Fingerprint(key)
+		var s laneSig
 		for i := int64(0); i < count; i++ {
-			l.Update(s, key, 1, fp)
+			s.update(key, 1)
 		}
-		gotKey, gotCount, state := l.Decode(s)
-		return state == Singleton && gotKey == key && gotCount == count &&
-			l.VerifyFingerprint(s, gotCount, fph.Fingerprint(gotKey))
+		gotKey, gotCount, state := s.decode()
+		return state == Singleton && gotKey == key && gotCount == count
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -53,19 +69,16 @@ func TestSingletonRoundTrip(t *testing.T) {
 func TestDeleteRestoresSingleton(t *testing.T) {
 	// Insert two keys, delete one: the bucket must decode as a singleton
 	// of the survivor (delete-resilience, the paper's core property).
-	l := Layout{Fingerprint: true}
-	fph := hashing.NewTab64(2)
 	err := quick.Check(func(a, b uint64) bool {
 		if a == b {
 			return true
 		}
-		s := newSig(l)
-		l.Update(s, a, 1, fph.Fingerprint(a))
-		l.Update(s, b, 1, fph.Fingerprint(b))
-		l.Update(s, a, -1, fph.Fingerprint(a))
-		key, count, state := l.Decode(s)
-		return state == Singleton && key == b && count == 1 &&
-			l.VerifyFingerprint(s, count, fph.Fingerprint(key))
+		var s laneSig
+		s.update(a, 1)
+		s.update(b, 1)
+		s.update(a, -1)
+		key, count, state := s.decode()
+		return state == Singleton && key == b && count == 1
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -73,18 +86,16 @@ func TestDeleteRestoresSingleton(t *testing.T) {
 }
 
 func TestDeleteToEmpty(t *testing.T) {
-	l := Layout{Fingerprint: true}
-	fph := hashing.NewTab64(3)
 	err := quick.Check(func(keys []uint64) bool {
-		s := newSig(l)
+		var s laneSig
 		for _, k := range keys {
-			l.Update(s, k, 1, fph.Fingerprint(k))
+			s.update(k, 1)
 		}
 		for _, k := range keys {
-			l.Update(s, k, -1, fph.Fingerprint(k))
+			s.update(k, -1)
 		}
-		_, _, state := l.Decode(s)
-		return state == Empty && l.IsZero(s)
+		_, _, state := s.decode()
+		return state == Empty && s == laneSig{}
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -92,15 +103,14 @@ func TestDeleteToEmpty(t *testing.T) {
 }
 
 func TestCollisionDetected(t *testing.T) {
-	l := Layout{}
 	err := quick.Check(func(a, b uint64) bool {
 		if a == b {
 			return true
 		}
-		s := newSig(l)
-		l.Update(s, a, 1, 0)
-		l.Update(s, b, 1, 0)
-		_, _, state := l.Decode(s)
+		var s laneSig
+		s.update(a, 1)
+		s.update(b, 1)
+		_, _, state := s.decode()
 		// Two distinct keys with count 1 each always differ in a bit,
 		// so that bit counter is 1 != total 2.
 		return state == Collision
@@ -110,99 +120,85 @@ func TestCollisionDetected(t *testing.T) {
 	}
 }
 
-func TestFalseSingletonCaughtByFingerprint(t *testing.T) {
-	// Structural false singletons (a mixed bucket whose bit counters all
-	// land in {0, total}) require interleavings of multi-count keys that
-	// are hard to hit organically, so hand-build one: counters that
-	// structurally claim "key 0b101, count 2" while the fingerprint
-	// counter was accumulated from different content. The fingerprint
-	// check must reject it.
-	l := Layout{Fingerprint: true}
-	fph := hashing.NewTab64(4)
-	s := newSig(l)
-	// Hand-build counters that structurally claim "key 0b101, count 2"
-	// but whose fingerprint was accumulated from different content.
-	s[0] = 2
-	s[1] = 2 // bit 0
-	s[3] = 2 // bit 2
-	s[l.fpIndex()] = fph.Fingerprint(0b101)*1 + fph.Fingerprint(0b001)*1
-
-	key, count, state := l.Decode(s)
-	if state != Singleton || key != 0b101 || count != 2 {
-		t.Fatalf("setup: decode = (%v,%v,%v)", key, count, state)
-	}
-	if l.VerifyFingerprint(s, count, fph.Fingerprint(key)) {
-		t.Fatal("fingerprint must reject a mixed bucket masquerading as a singleton")
-	}
-}
-
 func TestNetNegativeTreatedAsCollision(t *testing.T) {
-	l := Layout{}
-	s := newSig(l)
-	l.Update(s, 42, -1, 0)
-	if _, _, state := l.Decode(s); state != Collision {
+	var s laneSig
+	s.update(42, -1)
+	if _, _, state := s.decode(); state != Collision {
 		t.Fatalf("net-negative bucket decoded as %v, want Collision", state)
 	}
 }
 
 func TestZeroTotalNonZeroBitsIsCollision(t *testing.T) {
-	l := Layout{}
-	s := newSig(l)
+	var s laneSig
 	// key 3 inserted once, key 1 deleted once: total 0, residual bits.
-	l.Update(s, 3, 1, 0)
-	l.Update(s, 1, -1, 0)
-	if _, _, state := l.Decode(s); state != Collision {
+	s.update(3, 1)
+	s.update(1, -1)
+	if _, _, state := s.decode(); state != Collision {
 		t.Fatalf("zero-total residual bucket decoded as %v, want Collision", state)
 	}
 }
 
+// TestAddMerge checks that lane-wise addition of two signatures is the
+// signature of the concatenated streams: one key merged with itself decodes
+// with the summed count, two keys collide.
 func TestAddMerge(t *testing.T) {
-	l := Layout{Fingerprint: true}
-	fph := hashing.NewTab64(5)
-	err := quick.Check(func(a, b uint64) bool {
-		s1, s2, both := newSig(l), newSig(l), newSig(l)
-		l.Update(s1, a, 1, fph.Fingerprint(a))
-		l.Update(s2, b, 1, fph.Fingerprint(b))
-		l.Update(both, a, 1, fph.Fingerprint(a))
-		l.Update(both, b, 1, fph.Fingerprint(b))
-		l.Add(s1, s2)
-		for i := range s1 {
-			if s1[i] != both[i] {
-				return false
-			}
+	err := quick.Check(func(a, b uint64, na, nb uint8) bool {
+		var s1, s2, both laneSig
+		s1.update(a, int64(na)+1)
+		s2.update(b, int64(nb)+1)
+		both.update(a, int64(na)+1)
+		both.update(b, int64(nb)+1)
+		s1.add(&s2)
+		if s1 != both {
+			return false
 		}
-		return true
+		key, count, state := s1.decode()
+		if a == b {
+			return state == Singleton && key == a && count == int64(na)+int64(nb)+2
+		}
+		return state == Collision
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestNoFingerprintLayoutAlwaysVerifies(t *testing.T) {
-	l := Layout{}
-	s := newSig(l)
-	l.Update(s, 9, 1, 12345)
-	if !l.VerifyFingerprint(s, 1, 999) {
-		t.Fatal("layout without fingerprint must always verify")
+// TestSaturatedDecodesAgainBelowLimit drives one key's count across 2^31 by
+// merge-doubling, where its lanes wrap: the bucket reports Saturated from
+// 2^31 on, and once a delete brings the total back below it the wrapped
+// lanes are exact again and decode the key and its count.
+func TestSaturatedDecodesAgainBelowLimit(t *testing.T) {
+	const key = 0xfedcba9876543210
+	var s laneSig
+	s.update(key, 1)
+	for s.total < math.MaxInt32 {
+		c := s
+		s.add(&c)
+		if s.total > math.MaxInt32 {
+			break
+		}
+		if k, n, state := s.decode(); state != Singleton || k != key || n != s.total {
+			t.Fatalf("total %d: decode = (%#x,%d,%v), want the key", s.total, k, n, state)
+		}
 	}
-}
-
-func BenchmarkUpdate(b *testing.B) {
-	l := Layout{Fingerprint: true}
-	s := newSig(l)
-	fph := hashing.NewTab64(6)
-	for i := 0; i < b.N; i++ {
-		k := uint64(i)
-		l.Update(s, k, 1, fph.Fingerprint(k))
+	if s.total != 1<<31 {
+		t.Fatalf("doubling reached total %d, want 2^31", s.total)
+	}
+	if _, _, state := s.decode(); state != Saturated {
+		t.Fatalf("total 2^31: decode state %v, want Saturated", state)
+	}
+	s.update(key, -1)
+	k, n, state := s.decode()
+	if state != Singleton || k != key || n != math.MaxInt32 {
+		t.Fatalf("after one delete: decode = (%#x,%d,%v), want (%#x,%d,Singleton)", k, n, state, uint64(key), int64(math.MaxInt32))
 	}
 }
 
 func BenchmarkDecode(b *testing.B) {
-	l := Layout{Fingerprint: true}
-	s := newSig(l)
-	l.Update(s, 0xdeadbeefcafef00d, 3, 77)
+	var s laneSig
+	s.update(0xdeadbeefcafef00d, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Decode(s)
+		s.decode()
 	}
 }

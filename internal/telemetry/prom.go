@@ -12,12 +12,13 @@ import (
 // WritePrometheus renders every registered series in the Prometheus text
 // exposition format (version 0.0.4): one HELP/TYPE header per family, then
 // the family's series. Histograms expand into cumulative _bucket series with
-// power-of-two "le" bounds plus _sum and _count. Scrape-time probes are
-// invoked here, so this is the one place export cost is paid.
+// power-of-two "le" bounds plus _sum and _count. Scrape hooks and
+// scrape-time probes are invoked here, so this is the one place export cost
+// is paid.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	lastFamily := ""
-	for _, e := range r.snapshotEntries() {
+	for _, e := range r.scrape() {
 		if e.family != lastFamily {
 			lastFamily = e.family
 			fmt.Fprintf(bw, "# HELP %s %s\n", e.family, escapeHelp(e.help))

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"expvar"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,6 +60,9 @@ type Registry struct {
 	entries []*entry
 	// byName indexes entries for duplicate detection. guarded by mu
 	byName map[string]*entry
+	// hooks run once at the start of every export (see OnScrape).
+	// guarded by mu
+	hooks []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -253,6 +257,18 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	r.register(&entry{name: name, help: help, kind: KindGauge, gaugeFn: fn})
 }
 
+// OnScrape registers fn to run once at the start of every export
+// (Snapshot, WritePrometheus and the expvar view), before any probe is read
+// and outside the registry's lock. A layer whose probes all read one locked
+// state takes that read in fn and lets its probes read the result, so a
+// scrape takes the layer's lock once rather than once per probe. fn must be
+// safe to call from any goroutine.
+func (r *Registry) OnScrape(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.hooks = append(r.hooks, fn)
+}
+
 // Sample is one series in a Snapshot.
 type Sample struct {
 	// Name is the full series name, labels included.
@@ -266,10 +282,20 @@ type Sample struct {
 	Hist *HistogramSnapshot
 }
 
+// scrape begins an export: it runs the OnScrape hooks, then returns the
+// entries sorted for export.
+func (r *Registry) scrape() []*entry {
+	entries, hooks := r.snapshotEntries()
+	for _, fn := range hooks {
+		fn()
+	}
+	return entries
+}
+
 // snapshotEntries returns the entries sorted for export: by family (so
 // labeled series of one family are contiguous for the text format), then by
-// registration order within the family.
-func (r *Registry) snapshotEntries() []*entry {
+// registration order within the family; and the scrape hooks.
+func (r *Registry) snapshotEntries() ([]*entry, []func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	order := make(map[*entry]int, len(r.entries))
@@ -284,7 +310,7 @@ func (r *Registry) snapshotEntries() []*entry {
 		}
 		return order[out[i]] < order[out[j]]
 	})
-	return out
+	return out, slices.Clone(r.hooks)
 }
 
 // value reads an entry's current scalar value, invoking probes.
@@ -305,7 +331,7 @@ func (e *entry) value() float64 {
 // Snapshot reads every registered series, invoking scrape-time probes. This
 // is the embedder API: everything the Prometheus endpoint exports, as data.
 func (r *Registry) Snapshot() []Sample {
-	entries := r.snapshotEntries()
+	entries := r.scrape()
 	out := make([]Sample, 0, len(entries))
 	for _, e := range entries {
 		s := Sample{Name: e.name, Kind: e.kind}

@@ -160,6 +160,31 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// TestOnScrape checks that a scrape hook runs once per export, Snapshot or
+// WritePrometheus, and before the probes that read what it stored.
+func TestOnScrape(t *testing.T) {
+	reg := NewRegistry()
+	hooks, stored := 0, uint64(0)
+	reg.OnScrape(func() { hooks++; stored = uint64(10 * hooks) })
+	reg.CounterFunc("a_total", "probe", func() uint64 { return stored })
+	reg.CounterFunc("b_total", "probe", func() uint64 { return stored + 1 })
+	for i, s := range reg.Snapshot() {
+		if want := float64(10 + i); s.Value != want {
+			t.Fatalf("%s = %v after the first scrape, want %v", s.Name, s.Value, want)
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if hooks != 2 {
+		t.Fatalf("two exports ran the hook %d times, want 2", hooks)
+	}
+	if !strings.Contains(sb.String(), "a_total 20\n") || !strings.Contains(sb.String(), "b_total 21\n") {
+		t.Fatalf("the rendering did not read the second scrape's state:\n%s", sb.String())
+	}
+}
+
 func TestPublishExpvar(t *testing.T) {
 	stale := NewRegistry()
 	stale.Counter("ev_stale_total", "h").Add(1)

@@ -14,10 +14,10 @@ var fastLanes = detectAVX2() && os.Getenv("DCSKETCH_FORCE_GENERIC") == ""
 
 // BuildMaskedAddends fills add with the masked addend vector for one update:
 // add[j] = delta when bit j of key is set, else 0. The result is applied to
-// each of the update's r tables with AddInt64Lanes.
+// each of the update's r tables with AddInt32Lanes.
 //
 //lint:allocfree
-func BuildMaskedAddends(add *[Lanes]int64, key uint64, delta int64) {
+func BuildMaskedAddends(add *[Lanes]int32, key uint64, delta int32) {
 	if fastLanes {
 		buildAddendsAVX2(add, key, delta)
 		return
@@ -25,51 +25,53 @@ func BuildMaskedAddends(add *[Lanes]int64, key uint64, delta int64) {
 	buildMaskedAddendsGeneric(add, key, delta)
 }
 
-// AddInt64Lanes adds add into dst lane-wise: dst[j] += add[j] for all 64
-// lanes. dst and add must not alias unless identical.
+// AddInt32Lanes adds add into dst lane-wise, modulo 2^32: dst[j] += add[j]
+// for all 64 lanes. dst and add must not alias unless identical.
 //
 //lint:allocfree
-func AddInt64Lanes(dst, add *[Lanes]int64) {
+func AddInt32Lanes(dst, add *[Lanes]int32) {
 	if fastLanes {
-		addLanes64AVX2(dst, add)
+		addLanes32AVX2(dst, add)
 		return
 	}
-	addInt64LanesGeneric(dst, add)
+	addInt32LanesGeneric(dst, add)
 }
 
-// Prefetch hints the CPU to pull the SigBytes bytes at p into every cache
-// level: one count signature, so that a later update of that bucket does not
-// stall on memory. It never faults and changes no memory. It is a no-op when
-// the AVX2 kernels are off (DCSKETCH_FORCE_GENERIC, or a CPU without AVX2).
+// Prefetch hints the CPU to pull one bucket's counters into every cache
+// level: the LaneBytes lane block at bits and the cache line at words (the
+// bucket's total and fingerprint), so that a later update of that bucket
+// does not stall on memory. It never faults and changes no memory. It is a
+// no-op when the AVX2 kernels are off (DCSKETCH_FORCE_GENERIC, or a CPU
+// without AVX2).
 //
 //lint:allocfree
-func Prefetch(p *int64) {
+func Prefetch(bits *int32, words *int64) {
 	if fastLanes {
-		prefetchSig(p)
+		prefetchSig(bits, words)
 	}
 }
 
-// buildAddendsAVX2 is the AVX2 addend builder (vec_amd64.s): broadcast
-// key/delta, compare against the bit-selector table, mask delta through.
-// Only call when fastLanes is true.
+// buildAddendsAVX2 is the AVX2 addend builder (vec_amd64.s): broadcast each
+// dword of key and delta, compare against the bit-selector table, mask delta
+// through. Only call when fastLanes is true.
 //
 //lint:allocfree
 //go:noescape
-func buildAddendsAVX2(add *[Lanes]int64, key uint64, delta int64)
+func buildAddendsAVX2(add *[Lanes]int32, key uint64, delta int32)
 
-// addLanes64AVX2 is the AVX2 lane-wise add (vec_amd64.s): sixteen 4-lane
+// addLanes32AVX2 is the AVX2 lane-wise add (vec_amd64.s): eight 8-lane
 // load/add/store groups. Only call when fastLanes is true.
 //
 //lint:allocfree
 //go:noescape
-func addLanes64AVX2(dst, add *[Lanes]int64)
+func addLanes32AVX2(dst, add *[Lanes]int32)
 
-// prefetchSig issues PREFETCHT0 for each 64-byte line of the SigBytes bytes
-// at p (vec_amd64.s).
+// prefetchSig issues PREFETCHT0 for each 64-byte line of the LaneBytes
+// bytes at bits and for the line at words (vec_amd64.s).
 //
 //lint:allocfree
 //go:noescape
-func prefetchSig(p *int64)
+func prefetchSig(bits *int32, words *int64)
 
 // cpuid executes the CPUID instruction for the given leaf/subleaf
 // (vec_amd64.s). Feature detection only; never on the hot path.

@@ -2,164 +2,157 @@
 
 #include "textflag.h"
 
-// bitsel<> holds the 64 single-bit selector masks 1<<0 .. 1<<63, one qword
-// per lane, so VPAND+VPCMPEQQ against a broadcast key turns "is bit j set"
-// into an all-ones/all-zeros lane mask four lanes at a time.
-DATA bitsel<>+0x000(SB)/8, $0x0000000000000001
-DATA bitsel<>+0x008(SB)/8, $0x0000000000000002
-DATA bitsel<>+0x010(SB)/8, $0x0000000000000004
-DATA bitsel<>+0x018(SB)/8, $0x0000000000000008
-DATA bitsel<>+0x020(SB)/8, $0x0000000000000010
-DATA bitsel<>+0x028(SB)/8, $0x0000000000000020
-DATA bitsel<>+0x030(SB)/8, $0x0000000000000040
-DATA bitsel<>+0x038(SB)/8, $0x0000000000000080
-DATA bitsel<>+0x040(SB)/8, $0x0000000000000100
-DATA bitsel<>+0x048(SB)/8, $0x0000000000000200
-DATA bitsel<>+0x050(SB)/8, $0x0000000000000400
-DATA bitsel<>+0x058(SB)/8, $0x0000000000000800
-DATA bitsel<>+0x060(SB)/8, $0x0000000000001000
-DATA bitsel<>+0x068(SB)/8, $0x0000000000002000
-DATA bitsel<>+0x070(SB)/8, $0x0000000000004000
-DATA bitsel<>+0x078(SB)/8, $0x0000000000008000
-DATA bitsel<>+0x080(SB)/8, $0x0000000000010000
-DATA bitsel<>+0x088(SB)/8, $0x0000000000020000
-DATA bitsel<>+0x090(SB)/8, $0x0000000000040000
-DATA bitsel<>+0x098(SB)/8, $0x0000000000080000
-DATA bitsel<>+0x0a0(SB)/8, $0x0000000000100000
-DATA bitsel<>+0x0a8(SB)/8, $0x0000000000200000
-DATA bitsel<>+0x0b0(SB)/8, $0x0000000000400000
-DATA bitsel<>+0x0b8(SB)/8, $0x0000000000800000
-DATA bitsel<>+0x0c0(SB)/8, $0x0000000001000000
-DATA bitsel<>+0x0c8(SB)/8, $0x0000000002000000
-DATA bitsel<>+0x0d0(SB)/8, $0x0000000004000000
-DATA bitsel<>+0x0d8(SB)/8, $0x0000000008000000
-DATA bitsel<>+0x0e0(SB)/8, $0x0000000010000000
-DATA bitsel<>+0x0e8(SB)/8, $0x0000000020000000
-DATA bitsel<>+0x0f0(SB)/8, $0x0000000040000000
-DATA bitsel<>+0x0f8(SB)/8, $0x0000000080000000
-DATA bitsel<>+0x100(SB)/8, $0x0000000100000000
-DATA bitsel<>+0x108(SB)/8, $0x0000000200000000
-DATA bitsel<>+0x110(SB)/8, $0x0000000400000000
-DATA bitsel<>+0x118(SB)/8, $0x0000000800000000
-DATA bitsel<>+0x120(SB)/8, $0x0000001000000000
-DATA bitsel<>+0x128(SB)/8, $0x0000002000000000
-DATA bitsel<>+0x130(SB)/8, $0x0000004000000000
-DATA bitsel<>+0x138(SB)/8, $0x0000008000000000
-DATA bitsel<>+0x140(SB)/8, $0x0000010000000000
-DATA bitsel<>+0x148(SB)/8, $0x0000020000000000
-DATA bitsel<>+0x150(SB)/8, $0x0000040000000000
-DATA bitsel<>+0x158(SB)/8, $0x0000080000000000
-DATA bitsel<>+0x160(SB)/8, $0x0000100000000000
-DATA bitsel<>+0x168(SB)/8, $0x0000200000000000
-DATA bitsel<>+0x170(SB)/8, $0x0000400000000000
-DATA bitsel<>+0x178(SB)/8, $0x0000800000000000
-DATA bitsel<>+0x180(SB)/8, $0x0001000000000000
-DATA bitsel<>+0x188(SB)/8, $0x0002000000000000
-DATA bitsel<>+0x190(SB)/8, $0x0004000000000000
-DATA bitsel<>+0x198(SB)/8, $0x0008000000000000
-DATA bitsel<>+0x1a0(SB)/8, $0x0010000000000000
-DATA bitsel<>+0x1a8(SB)/8, $0x0020000000000000
-DATA bitsel<>+0x1b0(SB)/8, $0x0040000000000000
-DATA bitsel<>+0x1b8(SB)/8, $0x0080000000000000
-DATA bitsel<>+0x1c0(SB)/8, $0x0100000000000000
-DATA bitsel<>+0x1c8(SB)/8, $0x0200000000000000
-DATA bitsel<>+0x1d0(SB)/8, $0x0400000000000000
-DATA bitsel<>+0x1d8(SB)/8, $0x0800000000000000
-DATA bitsel<>+0x1e0(SB)/8, $0x1000000000000000
-DATA bitsel<>+0x1e8(SB)/8, $0x2000000000000000
-DATA bitsel<>+0x1f0(SB)/8, $0x4000000000000000
-DATA bitsel<>+0x1f8(SB)/8, $0x8000000000000000
-GLOBL bitsel<>(SB), RODATA|NOPTR, $512
+// bitsel<> holds the 32 single-bit selector masks 1<<0 .. 1<<31, one dword
+// per lane, so VPAND+VPCMPEQD against a broadcast key dword turns "is bit j
+// set" into an all-ones/all-zeros lane mask eight lanes at a time. Lanes
+// 0-31 test the key's low dword and lanes 32-63 its high dword against the
+// same table.
+DATA bitsel<>+0x000(SB)/4, $0x00000001
+DATA bitsel<>+0x004(SB)/4, $0x00000002
+DATA bitsel<>+0x008(SB)/4, $0x00000004
+DATA bitsel<>+0x00c(SB)/4, $0x00000008
+DATA bitsel<>+0x010(SB)/4, $0x00000010
+DATA bitsel<>+0x014(SB)/4, $0x00000020
+DATA bitsel<>+0x018(SB)/4, $0x00000040
+DATA bitsel<>+0x01c(SB)/4, $0x00000080
+DATA bitsel<>+0x020(SB)/4, $0x00000100
+DATA bitsel<>+0x024(SB)/4, $0x00000200
+DATA bitsel<>+0x028(SB)/4, $0x00000400
+DATA bitsel<>+0x02c(SB)/4, $0x00000800
+DATA bitsel<>+0x030(SB)/4, $0x00001000
+DATA bitsel<>+0x034(SB)/4, $0x00002000
+DATA bitsel<>+0x038(SB)/4, $0x00004000
+DATA bitsel<>+0x03c(SB)/4, $0x00008000
+DATA bitsel<>+0x040(SB)/4, $0x00010000
+DATA bitsel<>+0x044(SB)/4, $0x00020000
+DATA bitsel<>+0x048(SB)/4, $0x00040000
+DATA bitsel<>+0x04c(SB)/4, $0x00080000
+DATA bitsel<>+0x050(SB)/4, $0x00100000
+DATA bitsel<>+0x054(SB)/4, $0x00200000
+DATA bitsel<>+0x058(SB)/4, $0x00400000
+DATA bitsel<>+0x05c(SB)/4, $0x00800000
+DATA bitsel<>+0x060(SB)/4, $0x01000000
+DATA bitsel<>+0x064(SB)/4, $0x02000000
+DATA bitsel<>+0x068(SB)/4, $0x04000000
+DATA bitsel<>+0x06c(SB)/4, $0x08000000
+DATA bitsel<>+0x070(SB)/4, $0x10000000
+DATA bitsel<>+0x074(SB)/4, $0x20000000
+DATA bitsel<>+0x078(SB)/4, $0x40000000
+DATA bitsel<>+0x07c(SB)/4, $0x80000000
+GLOBL bitsel<>(SB), RODATA|NOPTR, $128
 
-// func buildAddendsAVX2(add *[64]int64, key uint64, delta int64)
+// func buildAddendsAVX2(add *[64]int32, key uint64, delta int32)
 //
-// add[j] = delta & -((key>>j)&1), four lanes per iteration:
-//   Y2 = bitsel[j..j+3]          (the four selector bits)
-//   Y3 = (key & Y2) == Y2 ? ~0 : 0   per lane
+// add[j] = delta & -((key>>j)&1), eight lanes per instruction:
+//   Y2, Y4, Y6, Y8 = bitsel[0..31]        (the selector bits, loaded once)
+//   Y3 = (dword & Y2) == Y2 ? ~0 : 0      per lane
 //   Y3 &= delta
-TEXT ·buildAddendsAVX2(SB), NOSPLIT, $0-24
+// with dword the key's low half for lanes 0-31 and its high half for lanes
+// 32-63. The scalar arguments reach the vector unit through VMOVD/VMOVQ,
+// which are VEX-encoded, so no legacy-SSE instruction mixes in. They are not
+// broadcast from the argument slots: go vet types a VPBROADCASTD memory
+// operand as 8 bytes, which rejects a load of the int32 delta or of the key's
+// high dword.
+TEXT ·buildAddendsAVX2(SB), NOSPLIT, $0-20
 	MOVQ add+0(FP), DI
-	// Broadcast straight from the argument slots: VPBROADCASTQ m64 avoids a
-	// legacy-SSE MOVQ GP->XMM, which would mix VEX and non-VEX encodings and
-	// stall on AVX-SSE transition penalties.
-	VPBROADCASTQ key+8(FP), Y0   // key in all lanes
-	VPBROADCASTQ delta+16(FP), Y1 // delta in all lanes
+	MOVQ key+8(FP), AX
+	MOVL delta+16(FP), CX
+	VMOVQ AX, X0
+	SHRQ $32, AX
+	VMOVD AX, X10
+	VMOVD CX, X1
+	VPBROADCASTD X0, Y0   // key bits 0-31 in all lanes
+	VPBROADCASTD X10, Y10 // key bits 32-63 in all lanes
+	VPBROADCASTD X1, Y1   // delta in all lanes
 	LEAQ bitsel<>(SB), SI
-	MOVQ $4, DX
-	XORQ BX, BX
-loop:
-	VMOVDQU (SI)(BX*1), Y2
-	VMOVDQU 32(SI)(BX*1), Y4
-	VMOVDQU 64(SI)(BX*1), Y6
-	VMOVDQU 96(SI)(BX*1), Y8
+	VMOVDQU (SI), Y2
+	VMOVDQU 32(SI), Y4
+	VMOVDQU 64(SI), Y6
+	VMOVDQU 96(SI), Y8
 	VPAND Y0, Y2, Y3
 	VPAND Y0, Y4, Y5
 	VPAND Y0, Y6, Y7
 	VPAND Y0, Y8, Y9
-	VPCMPEQQ Y2, Y3, Y3
-	VPCMPEQQ Y4, Y5, Y5
-	VPCMPEQQ Y6, Y7, Y7
-	VPCMPEQQ Y8, Y9, Y9
+	VPCMPEQD Y2, Y3, Y3
+	VPCMPEQD Y4, Y5, Y5
+	VPCMPEQD Y6, Y7, Y7
+	VPCMPEQD Y8, Y9, Y9
 	VPAND Y1, Y3, Y3
 	VPAND Y1, Y5, Y5
 	VPAND Y1, Y7, Y7
 	VPAND Y1, Y9, Y9
-	VMOVDQU Y3, (DI)(BX*1)
-	VMOVDQU Y5, 32(DI)(BX*1)
-	VMOVDQU Y7, 64(DI)(BX*1)
-	VMOVDQU Y9, 96(DI)(BX*1)
-	ADDQ $128, BX
-	DECQ DX
-	JNZ loop
+	VMOVDQU Y3, (DI)
+	VMOVDQU Y5, 32(DI)
+	VMOVDQU Y7, 64(DI)
+	VMOVDQU Y9, 96(DI)
+	VPAND Y10, Y2, Y3
+	VPAND Y10, Y4, Y5
+	VPAND Y10, Y6, Y7
+	VPAND Y10, Y8, Y9
+	VPCMPEQD Y2, Y3, Y3
+	VPCMPEQD Y4, Y5, Y5
+	VPCMPEQD Y6, Y7, Y7
+	VPCMPEQD Y8, Y9, Y9
+	VPAND Y1, Y3, Y3
+	VPAND Y1, Y5, Y5
+	VPAND Y1, Y7, Y7
+	VPAND Y1, Y9, Y9
+	VMOVDQU Y3, 128(DI)
+	VMOVDQU Y5, 160(DI)
+	VMOVDQU Y7, 192(DI)
+	VMOVDQU Y9, 224(DI)
 	VZEROUPPER
 	RET
 
-// func addLanes64AVX2(dst, add *[64]int64)
+// func addLanes32AVX2(dst, add *[64]int32)
 //
-// dst[j] += add[j] for j in [0,64): sixteen 4-lane VPADDQ groups, unrolled
-// four groups per iteration.
-TEXT ·addLanes64AVX2(SB), NOSPLIT, $0-16
+// dst[j] += add[j] for j in [0,64), wrapping modulo 2^32: eight 8-lane
+// VPADDD groups, fully unrolled.
+TEXT ·addLanes32AVX2(SB), NOSPLIT, $0-16
 	MOVQ dst+0(FP), DI
 	MOVQ add+8(FP), SI
-	MOVQ $4, DX
-	XORQ BX, BX
-loop:
-	VMOVDQU (DI)(BX*1), Y0
-	VMOVDQU 32(DI)(BX*1), Y1
-	VMOVDQU 64(DI)(BX*1), Y2
-	VMOVDQU 96(DI)(BX*1), Y3
-	VPADDQ (SI)(BX*1), Y0, Y0
-	VPADDQ 32(SI)(BX*1), Y1, Y1
-	VPADDQ 64(SI)(BX*1), Y2, Y2
-	VPADDQ 96(SI)(BX*1), Y3, Y3
-	VMOVDQU Y0, (DI)(BX*1)
-	VMOVDQU Y1, 32(DI)(BX*1)
-	VMOVDQU Y2, 64(DI)(BX*1)
-	VMOVDQU Y3, 96(DI)(BX*1)
-	ADDQ $128, BX
-	DECQ DX
-	JNZ loop
+	VMOVDQU (DI), Y0
+	VMOVDQU 32(DI), Y1
+	VMOVDQU 64(DI), Y2
+	VMOVDQU 96(DI), Y3
+	VMOVDQU 128(DI), Y4
+	VMOVDQU 160(DI), Y5
+	VMOVDQU 192(DI), Y6
+	VMOVDQU 224(DI), Y7
+	VPADDD (SI), Y0, Y0
+	VPADDD 32(SI), Y1, Y1
+	VPADDD 64(SI), Y2, Y2
+	VPADDD 96(SI), Y3, Y3
+	VPADDD 128(SI), Y4, Y4
+	VPADDD 160(SI), Y5, Y5
+	VPADDD 192(SI), Y6, Y6
+	VPADDD 224(SI), Y7, Y7
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y1, 32(DI)
+	VMOVDQU Y2, 64(DI)
+	VMOVDQU Y3, 96(DI)
+	VMOVDQU Y4, 128(DI)
+	VMOVDQU Y5, 160(DI)
+	VMOVDQU Y6, 192(DI)
+	VMOVDQU Y7, 224(DI)
 	VZEROUPPER
 	RET
 
-// func prefetchSig(p *int64)
+// func prefetchSig(bits *int32, words *int64)
 //
-// PREFETCHT0 at p, p+64, ..., p+512: nine lines, which hold the whole
-// 528-byte signature when it starts within the first 49 bytes of its first
-// line. In a page-aligned counter array the bucket starts step through line
-// offsets 0, 16, 32 and 48 (528 = 8*64 + 16), so every bucket is covered.
-// A prefetch never faults, so the lines past the end of an array are safe.
-TEXT ·prefetchSig(SB), NOSPLIT, $0-8
-	MOVQ p+0(FP), AX
+// PREFETCHT0 at bits, bits+64, bits+128 and bits+192, the four lines of a
+// 256-byte lane block, and at words, the line holding the bucket's total and
+// fingerprint. A lane slab is over 32 KB, so the allocator places it on a
+// page boundary and every lane block is exactly four lines. A prefetch
+// never faults, so lines past the end of a slab are safe.
+TEXT ·prefetchSig(SB), NOSPLIT, $0-16
+	MOVQ bits+0(FP), AX
+	MOVQ words+8(FP), BX
 	PREFETCHT0 (AX)
 	PREFETCHT0 64(AX)
 	PREFETCHT0 128(AX)
 	PREFETCHT0 192(AX)
-	PREFETCHT0 256(AX)
-	PREFETCHT0 320(AX)
-	PREFETCHT0 384(AX)
-	PREFETCHT0 448(AX)
-	PREFETCHT0 512(AX)
+	PREFETCHT0 (BX)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

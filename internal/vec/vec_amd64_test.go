@@ -5,6 +5,7 @@ package vec
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -20,9 +21,9 @@ func TestBuildAddendsAVX2MatchesReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for _, key := range testKeys(rng, 200) {
-		for _, delta := range []int64{1, -1, 5, -5, 1 << 40, -(1 << 40)} {
+		for _, delta := range testDeltas {
 			want := refAddends(key, delta)
-			var got [Lanes]int64
+			var got [Lanes]int32
 			buildAddendsAVX2(&got, key, delta)
 			if got != want {
 				t.Fatalf("buildAddendsAVX2(key=%#x, delta=%d) = %v, want %v", key, delta, got, want)
@@ -31,44 +32,65 @@ func TestBuildAddendsAVX2MatchesReference(t *testing.T) {
 	}
 }
 
-func TestAddLanes64AVX2MatchesGeneric(t *testing.T) {
+func TestAddLanes32AVX2MatchesGeneric(t *testing.T) {
 	if !detectAVX2() {
 		t.Skip("CPU/OS does not support AVX2")
 	}
 	rng := rand.New(rand.NewSource(19))
 	for iter := 0; iter < 500; iter++ {
-		var dstAsm, dstGen, add [Lanes]int64
-		for j := range add {
-			dstAsm[j] = rng.Int63() - rng.Int63()
-			dstGen[j] = dstAsm[j]
-			add[j] = rng.Int63() - rng.Int63()
-		}
-		addLanes64AVX2(&dstAsm, &add)
-		addInt64LanesGeneric(&dstGen, &add)
+		var dstAsm, dstGen, add [Lanes]int32
+		randLanes(rng, &dstAsm)
+		dstGen = dstAsm
+		randLanes(rng, &add)
+		addLanes32AVX2(&dstAsm, &add)
+		addInt32LanesGeneric(&dstGen, &add)
 		if dstAsm != dstGen {
-			t.Fatalf("iter %d: addLanes64AVX2 diverged from the generic kernel", iter)
+			t.Fatalf("iter %d: addLanes32AVX2 diverged from the generic kernel", iter)
+		}
+	}
+	// Addends built at the extreme deltas, through both builders.
+	for _, key := range testKeys(rng, 20) {
+		for _, delta := range testDeltas {
+			var add [Lanes]int32
+			buildAddendsAVX2(&add, key, delta)
+			var dstAsm, dstGen [Lanes]int32
+			randLanes(rng, &dstAsm)
+			dstGen = dstAsm
+			addLanes32AVX2(&dstAsm, &add)
+			addInt32LanesGeneric(&dstGen, &add)
+			if dstAsm != dstGen {
+				t.Fatalf("key %#x delta %d: addLanes32AVX2 diverged from the generic kernel", key, delta)
+			}
 		}
 	}
 }
 
 // TestPrefetchSigLeavesMemoryUnchanged checks the prefetch stub is a pure
-// hint: every counter around the prefetched signature reads back unchanged,
-// including a signature whose nine prefetched lines run past the end of its
-// array.
+// hint: every counter around the prefetched bucket reads back unchanged,
+// including the last lane block of a slab and a misaligned block whose four
+// prefetched lines run past the end of its slab, and the last word.
 func TestPrefetchSigLeavesMemoryUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	const words = SigBytes / 8
-	counters := make([]int64, 4*words)
-	for i := range counters {
-		counters[i] = rng.Int63() - rng.Int63()
+	const buckets = 4
+	bits := make([]int32, buckets*Lanes)
+	words := make([]int64, 2*buckets)
+	for i := range bits {
+		bits[i] = int32(rng.Uint32())
 	}
-	want := append([]int64(nil), counters...)
-	for _, at := range []int{0, 2, words, len(counters) - words, len(counters) - 1} {
-		prefetchSig(&counters[at])
-		for i := range counters {
-			if counters[i] != want[i] {
-				t.Fatalf("prefetchSig at word %d changed word %d: %d, want %d", at, i, counters[i], want[i])
-			}
+	for i := range words {
+		words[i] = rng.Int63() - rng.Int63()
+	}
+	wantBits := append([]int32(nil), bits...)
+	wantWords := append([]int64(nil), words...)
+	for _, at := range []struct{ lane, word int }{
+		{0, 0},
+		{Lanes, 2},
+		{len(bits) - Lanes, len(words) - 2}, // the slab's last lane block
+		{len(bits) - 2, len(words) - 1},     // lines past the slab's end
+	} {
+		prefetchSig(&bits[at.lane], &words[at.word])
+		if !slices.Equal(bits, wantBits) || !slices.Equal(words, wantWords) {
+			t.Fatalf("prefetchSig at lane %d, word %d changed the counters", at.lane, at.word)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // refAddends is the one-bit-at-a-time reference definition the kernels must
 // match: add[j] = delta iff bit j of key is set.
-func refAddends(key uint64, delta int64) [Lanes]int64 {
-	var add [Lanes]int64
+func refAddends(key uint64, delta int32) [Lanes]int32 {
+	var add [Lanes]int32
 	for j := 0; j < Lanes; j++ {
 		if key&(1<<uint(j)) != 0 {
 			add[j] = delta
@@ -25,17 +25,30 @@ func testKeys(rng *rand.Rand, n int) []uint64 {
 	return keys
 }
 
+// testDeltas are the addend values the kernels are checked at: the stream's
+// ±1, small multiples, and the int32 extremes a merged or restored bucket's
+// lanes can carry, where a sign or width slip would show.
+var testDeltas = []int32{1, -1, 2, -2, 3, -3, 1 << 30, -(1 << 30), -(1 << 31), 1<<31 - 1}
+
+// randLanes fills a lane vector with values spread over the whole int32
+// range, so the adds wrap.
+func randLanes(rng *rand.Rand, v *[Lanes]int32) {
+	for j := range v {
+		v[j] = int32(rng.Uint32())
+	}
+}
+
 func TestBuildMaskedAddendsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, key := range testKeys(rng, 200) {
-		for _, delta := range []int64{1, -1, 3, -3, 1 << 40, -(1 << 40)} {
+		for _, delta := range testDeltas {
 			want := refAddends(key, delta)
-			var got [Lanes]int64
+			var got [Lanes]int32
 			BuildMaskedAddends(&got, key, delta)
 			if got != want {
 				t.Fatalf("BuildMaskedAddends(key=%#x, delta=%d) = %v, want %v", key, delta, got, want)
 			}
-			var gen [Lanes]int64
+			var gen [Lanes]int32
 			buildMaskedAddendsGeneric(&gen, key, delta)
 			if gen != want {
 				t.Fatalf("generic builder diverged for key=%#x delta=%d", key, delta)
@@ -44,19 +57,56 @@ func TestBuildMaskedAddendsMatchesReference(t *testing.T) {
 	}
 }
 
-func TestAddInt64LanesMatchesGeneric(t *testing.T) {
+func TestAddInt32LanesMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 500; iter++ {
-		var dstFast, dstGen, add [Lanes]int64
-		for j := range add {
-			dstFast[j] = rng.Int63() - rng.Int63()
-			dstGen[j] = dstFast[j]
-			add[j] = rng.Int63() - rng.Int63()
-		}
-		AddInt64Lanes(&dstFast, &add)
-		addInt64LanesGeneric(&dstGen, &add)
+		var dstFast, dstGen, add [Lanes]int32
+		randLanes(rng, &dstFast)
+		dstGen = dstFast
+		randLanes(rng, &add)
+		AddInt32Lanes(&dstFast, &add)
+		addInt32LanesGeneric(&dstGen, &add)
 		if dstFast != dstGen {
-			t.Fatalf("iter %d: AddInt64Lanes diverged from generic", iter)
+			t.Fatalf("iter %d: AddInt32Lanes diverged from generic", iter)
+		}
+		for j := range dstGen {
+			if want := int32(uint32(dstGen[j]-add[j]) + uint32(add[j])); dstGen[j] != want {
+				t.Fatalf("iter %d lane %d: %d, want the sum modulo 2^32 %d", iter, j, dstGen[j], want)
+			}
+		}
+	}
+}
+
+// TestLanesAddModulo2To32 drives both backends across the int32 boundary at
+// the extreme deltas: every lane must equal the exact int64 sum reduced
+// modulo 2^32, which is what keeps a saturated bucket's lanes exact once
+// deletes bring it back (package dcs).
+func TestLanesAddModulo2To32(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, key := range testKeys(rng, 50) {
+		for _, delta := range testDeltas {
+			var lanes, gen, add [Lanes]int32
+			var exact [Lanes]int64
+			randLanes(rng, &lanes)
+			gen = lanes
+			for j := range lanes {
+				exact[j] = int64(lanes[j])
+			}
+			BuildMaskedAddends(&add, key, delta)
+			for r := 0; r < 3; r++ {
+				AddInt32Lanes(&lanes, &add)
+				addInt32LanesGeneric(&gen, &add)
+				for j := range exact {
+					if key&(1<<uint(j)) != 0 {
+						exact[j] += int64(delta)
+					}
+				}
+			}
+			for j := range exact {
+				if lanes[j] != int32(exact[j]) || gen[j] != int32(exact[j]) {
+					t.Fatalf("key %#x delta %d lane %d: %d (generic %d), want %d modulo 2^32", key, delta, j, lanes[j], gen[j], exact[j])
+				}
+			}
 		}
 	}
 }
@@ -66,17 +116,17 @@ func TestAddInt64LanesMatchesGeneric(t *testing.T) {
 // counters against scalar accumulation.
 func TestBuildThenAddAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var counters, want [Lanes]int64
-	var add [Lanes]int64
+	var counters, want [Lanes]int32
+	var add [Lanes]int32
 	for iter := 0; iter < 300; iter++ {
 		key := rng.Uint64()
-		delta := int64(1)
+		delta := int32(1)
 		if iter%2 == 1 {
 			delta = -1
 		}
 		BuildMaskedAddends(&add, key, delta)
 		for r := 0; r < 3; r++ {
-			AddInt64Lanes(&counters, &add)
+			AddInt32Lanes(&counters, &add)
 		}
 		for j := 0; j < Lanes; j++ {
 			if key&(1<<uint(j)) != 0 {
@@ -93,14 +143,16 @@ func TestBuildThenAddAccumulates(t *testing.T) {
 // found it on whichever backend the build selected (the no-op under
 // DCSKETCH_FORCE_GENERIC).
 func TestPrefetchIsAHint(t *testing.T) {
-	var sig [SigBytes / 8]int64
-	for i := range sig {
-		sig[i] = int64(i) - 33
+	var bits [Lanes]int32
+	var words [2]int64
+	for i := range bits {
+		bits[i] = int32(i) - 33
 	}
-	want := sig
-	Prefetch(&sig[0])
-	if sig != want {
-		t.Fatalf("Prefetch changed the signature: %v, want %v", sig, want)
+	words[0], words[1] = 7, -7
+	wantBits, wantWords := bits, words
+	Prefetch(&bits[0], &words[0])
+	if bits != wantBits || words != wantWords {
+		t.Fatalf("Prefetch changed the signature: %v %v, want %v %v", bits, words, wantBits, wantWords)
 	}
 }
 
@@ -114,16 +166,16 @@ func TestFastReportsBackend(t *testing.T) {
 }
 
 func BenchmarkBuildMaskedAddends(b *testing.B) {
-	var add [Lanes]int64
+	var add [Lanes]int32
 	for i := 0; i < b.N; i++ {
 		BuildMaskedAddends(&add, uint64(i)*0x9E3779B97F4A7C15, 1)
 	}
 }
 
-func BenchmarkAddInt64Lanes(b *testing.B) {
-	var dst, add [Lanes]int64
+func BenchmarkAddInt32Lanes(b *testing.B) {
+	var dst, add [Lanes]int32
 	BuildMaskedAddends(&add, 0xDEADBEEFCAFEF00D, 1)
 	for i := 0; i < b.N; i++ {
-		AddInt64Lanes(&dst, &add)
+		AddInt32Lanes(&dst, &add)
 	}
 }
