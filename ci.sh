@@ -11,10 +11,11 @@
 #                   daemon tests in two shuffled orders, dcsdebug
 #                   assertion tests, and a concurrent fuzz smoke pass
 #   ./ci.sh bench   run the Table-2 update/query benchmarks plus the
-#                   tracking churn, pipeline ingest, alert-onset health
-#                   and server ingest benchmarks with -benchmem, record
-#                   medians to BENCH_2.json, and fail if any ns/op or
-#                   allocs/op regresses against BENCH_baseline.json
+#                   tracking churn, pipeline ingest, alert-onset health,
+#                   server ingest and flight-recorder Record benchmarks
+#                   with -benchmem, record medians to BENCH_2.json,
+#                   and fail if any ns/op or allocs/op regresses
+#                   against BENCH_baseline.json
 #
 # `check` is the full gate documented in ROADMAP.md; run it before merging.
 set -eu
@@ -185,8 +186,9 @@ bench() {
 	# pipeline ingest layer, the sketch-health read every alert onset makes
 	# under the server's ingest lock, the DCS1 encoding a state capture runs
 	# under that lock (a dense sketch, and the daemon-shaped churned one a
-	# capture encodes), and the server's sequenced ingest over TCP
-	# (ServerIngestSeq, one and two connections).
+	# capture encodes), the server's sequenced ingest over TCP
+	# (ServerIngestSeq, one and two connections), and one flight-recorder
+	# Record, which every ingest frame makes three of.
 	# 5 repeats give benchcheck a stable median.
 	out="$(mktemp)"
 	trap 'rm -f "$out"' EXIT
@@ -196,6 +198,9 @@ bench() {
 	go test -run '^$' \
 		-bench '^BenchmarkServerIngestSeq$' \
 		-benchmem -count 5 ./internal/server | tee -a "$out"
+	go test -run '^$' \
+		-bench '^BenchmarkRecord$/^writers=1$' \
+		-benchmem -count 5 ./internal/tracelog | tee -a "$out"
 	# Server throughput at a glance: per benchmark, the median of the
 	# updates/s metric reported alongside the per-frame ns/op.
 	awk '/^BenchmarkServerIngest/ { name = $1; sub(/-[0-9]+$/, "", name)

@@ -227,9 +227,14 @@ type Sketch struct {
 
 	// qstats holds the query-path health counters (see QueryStats). Plain
 	// words under the same single-writer contract as the rest of the
-	// sketch; exported to telemetry through scrape-time probes that take
-	// the owning layer's lock.
+	// sketch; exported to telemetry through one scrape-time read under the
+	// owning layer's lock.
 	qstats QueryStats
+
+	// encLen is the length of the last MarshalBinary output, which sizes
+	// the next one's buffer. MarshalBinary writes it, so an encoding is a
+	// mutating operation; the single-goroutine contract covers that.
+	encLen int
 }
 
 // level is one first-level bucket's counters, in two slabs. Bucket i =

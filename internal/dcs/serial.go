@@ -36,8 +36,15 @@ const sketchMagic = "DCS1"
 var ErrCorrupt = errors.New("dcs: corrupt sketch encoding")
 
 // MarshalBinary encodes the sketch. It implements encoding.BinaryMarshaler.
+// The buffer starts at the previous encoding's length plus an eighth, so a
+// sketch encoded again (a daemon's periodic state capture) allocates about
+// one output's worth instead of growing a small buffer by doubling.
+// MarshalBinary records that length in the sketch: like a query, it is a
+// mutating operation under the sketch's single-goroutine contract.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	return s.appendCounters(s.appendHeader(make([]byte, 0, 4096))), nil
+	buf := s.appendCounters(s.appendHeader(make([]byte, 0, max(4096, s.encLen+s.encLen/8))))
+	s.encLen = len(buf)
+	return buf, nil
 }
 
 // appendHeader encodes everything before the counter payload onto buf.

@@ -168,8 +168,7 @@ type Exporter struct {
 	// stats is the delivery ledger (SpoolDepth/Connected derived). guarded by mu
 	stats Stats
 	// ring is the exporter's flight-recorder ring; the pointer is
-	// immutable after New. The ring's single-writer contract holds
-	// because every Record call sits in a mu-protected critical section.
+	// immutable after New.
 	ring *tracelog.Ring
 }
 
@@ -589,48 +588,51 @@ func (e *Exporter) sleepBackoff(d *time.Duration) bool {
 
 // RegisterTelemetry registers the exporter's scrape-time probes on reg
 // under dcsketch_export_*: the delivery ledger, reconnect/backoff
-// activity, and spool occupancy.
+// activity, and spool occupancy. Every series reads one Stats taken per
+// scrape, so a scrape takes mu once and its ledger series agree with each
+// other.
 func (e *Exporter) RegisterTelemetry(reg *telemetry.Registry) {
+	st := telemetry.Scraped(reg, e.Stats)
 	reg.CounterFunc("dcsketch_export_batches_enqueued_total",
 		"Batches admitted to the spool.",
-		func() uint64 { return e.Stats().BatchesEnqueued })
+		func() uint64 { return st().BatchesEnqueued })
 	reg.CounterFunc("dcsketch_export_updates_enqueued_total",
 		"Flow updates admitted to the spool.",
-		func() uint64 { return e.Stats().UpdatesEnqueued })
+		func() uint64 { return st().UpdatesEnqueued })
 	reg.CounterFunc("dcsketch_export_batches_acked_total",
 		"Batches confirmed applied by the server.",
-		func() uint64 { return e.Stats().BatchesAcked })
+		func() uint64 { return st().BatchesAcked })
 	reg.CounterFunc("dcsketch_export_updates_acked_total",
 		"Flow updates confirmed applied by the server.",
-		func() uint64 { return e.Stats().UpdatesAcked })
+		func() uint64 { return st().UpdatesAcked })
 	reg.CounterFunc("dcsketch_export_batches_dropped_total",
 		"Batches shed by spool overflow or rejected by the server.",
-		func() uint64 { return e.Stats().BatchesDropped })
+		func() uint64 { return st().BatchesDropped })
 	reg.CounterFunc("dcsketch_export_updates_dropped_total",
 		"Flow updates lost to shed or rejected batches.",
-		func() uint64 { return e.Stats().UpdatesDropped })
+		func() uint64 { return st().UpdatesDropped })
 	reg.CounterFunc("dcsketch_export_send_attempts_total",
 		"Sequenced-batch round trips started.",
-		func() uint64 { return e.Stats().SendAttempts })
+		func() uint64 { return st().SendAttempts })
 	reg.CounterFunc("dcsketch_export_retransmits_total",
 		"Batch sends beyond each batch's first attempt.",
-		func() uint64 { return e.Stats().Retransmits })
+		func() uint64 { return st().Retransmits })
 	reg.CounterFunc("dcsketch_export_reconnects_total",
 		"Live connections torn down after a transport failure.",
-		func() uint64 { return e.Stats().Reconnects })
+		func() uint64 { return st().Reconnects })
 	reg.CounterFunc("dcsketch_export_dial_failures_total",
 		"Connection attempts that never yielded a session.",
-		func() uint64 { return e.Stats().DialFailures })
+		func() uint64 { return st().DialFailures })
 	reg.CounterFunc("dcsketch_export_hellos_total",
 		"Replay handshakes completed.",
-		func() uint64 { return e.Stats().Hellos })
+		func() uint64 { return st().Hellos })
 	reg.GaugeFunc("dcsketch_export_spool_depth",
 		"Unacked batches currently spooled.",
-		func() int64 { return int64(e.Stats().SpoolDepth) })
+		func() int64 { return int64(st().SpoolDepth) })
 	reg.GaugeFunc("dcsketch_export_connected",
 		"1 while the delivery loop holds a live connection.",
 		func() int64 {
-			if e.Stats().Connected {
+			if st().Connected {
 				return 1
 			}
 			return 0

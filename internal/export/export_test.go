@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -203,6 +204,74 @@ func TestRegisterTelemetry(t *testing.T) {
 	if _, ok := got["dcsketch_export_spool_depth"]; !ok {
 		t.Fatalf("spool depth gauge missing from %v", got)
 	}
+}
+
+// TestScrapeReadsLedgerOnce checks that a scrape reads the exporter's
+// ledger at one instant: while two goroutines export into a small spool and
+// the loop delivers, every scrape's spool depth equals that same scrape's
+// enqueued − acked − dropped batches.
+func TestScrapeReadsLedgerOnce(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	e, err := New(Config{Addr: addr, SessionID: 5, Seed: 5, SpoolBatches: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	reg := telemetry.NewRegistry()
+	e.RegisterTelemetry(reg)
+
+	traffic := genBatches(5, 64, 16)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for _, b := range traffic {
+					if err := e.Export(b); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	exported := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(exported)
+	}()
+
+	check := func() bool {
+		t.Helper()
+		got := map[string]float64{}
+		for _, s := range reg.Snapshot() {
+			got[s.Name] = s.Value
+		}
+		enq, acked := got["dcsketch_export_batches_enqueued_total"], got["dcsketch_export_batches_acked_total"]
+		dropped, depth := got["dcsketch_export_batches_dropped_total"], got["dcsketch_export_spool_depth"]
+		if depth != enq-acked-dropped {
+			t.Errorf("one scrape read spool depth %v but enqueued %v - acked %v - dropped %v = %v",
+				depth, enq, acked, dropped, enq-acked-dropped)
+			return false
+		}
+		return true
+	}
+	for scraping := true; scraping; {
+		select {
+		case <-exported:
+			scraping = false
+		default:
+		}
+		if !check() {
+			<-exported // the exporters must finish before Close
+			return
+		}
+	}
+	if err := e.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	check()
 }
 
 // TestChaosExactlyOnceUnderCuts is the acceptance e2e: a seeded faultnet

@@ -14,7 +14,6 @@ package monitor
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dcsketch/internal/dcs"
@@ -509,10 +508,10 @@ type scrapeState struct {
 }
 
 // readScrape reads the scrape state under the monitor lock.
-func (m *Monitor) readScrape() *scrapeState {
+func (m *Monitor) readScrape() scrapeState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return &scrapeState{updates: m.n, alerts: m.alertStatsLocked(), health: m.sketchHealthLocked()}
+	return scrapeState{updates: m.n, alerts: m.alertStatsLocked(), health: m.sketchHealthLocked()}
 }
 
 // RegisterTelemetry attaches a live bundle (check counter, check/query
@@ -526,11 +525,7 @@ func (m *Monitor) readScrape() *scrapeState {
 // per monitor and registry pair.
 func (m *Monitor) RegisterTelemetry(reg *telemetry.Registry) {
 	tel := telemetry.NewMonitorMetrics(reg)
-
-	var scraped atomic.Pointer[scrapeState]
-	scraped.Store(&scrapeState{})
-	reg.OnScrape(func() { scraped.Store(m.readScrape()) })
-	cur := scraped.Load
+	cur := telemetry.Scraped(reg, m.readScrape)
 
 	reg.CounterFunc("dcsketch_monitor_updates_total",
 		"Flow updates consumed by the monitor.",

@@ -141,9 +141,8 @@ type Server struct {
 	// nil (one atomic load per query frame) until then.
 	tel atomic.Pointer[telemetry.ServerMetrics]
 
-	// rec is the flight recorder; handlers acquire one ring each, so every
-	// Record call stays on its connection's goroutine (the ring
-	// single-writer contract).
+	// rec is the flight recorder; each connection handler acquires a ring
+	// of its own.
 	rec *tracelog.Recorder
 	// connSeq mints the writer tag stamped into each connection ring.
 	connSeq atomic.Uint64
@@ -326,18 +325,18 @@ type connState struct {
 	// ring is the connection's flight-recorder ring; only this connection's
 	// handler goroutine Records into it.
 	ring *tracelog.Ring
-	// scratch holds the connection's pooled ingest buffers for the life of
-	// the connection.
+	// scratch holds the connection's ingest buffers for the life of the
+	// connection.
 	scratch *ingestScratch
 }
 
 // ingestScratch aggregates the reusable per-connection ingest buffers: the
 // frame payload arena (wire.ReadFrameInto), the decoded update records
 // (wire.DecodeUpdatesInto), the re-keyed batch, and its located form handed
-// to the monitor's apply phase. One connection at a time owns an instance
-// (handle holds it from pool Get to the deferred Put), so in steady state a
-// frame travels socket → payload arena → decoded records → located batch →
-// kernel with zero per-record allocations.
+// to the monitor's apply phase. Each connection's handler owns one from
+// connect to close, so in steady state a frame travels socket → payload
+// arena → decoded records → located batch → kernel with zero per-record
+// allocations.
 type ingestScratch struct {
 	payload []byte         //lint:scratch
 	ups     []wire.Update  //lint:scratch
@@ -350,23 +349,15 @@ type ingestScratch struct {
 	ack [10]byte //lint:scratch
 }
 
-// ingestScratchPool recycles ingest buffers across connections; buffers keep
-// their grown capacity, so a reconnecting exporter's frames find a warm
-// arena.
-var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
-
 // handle runs one connection's request loop.
-//
-//lint:poolown scratch is owned by this handler from Get to the deferred Put; dispatch only borrows it
 func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	connID := uint32(s.connSeq.Add(1))
 	cs := connState{
-		scratch: ingestScratchPool.Get().(*ingestScratch),
+		scratch: new(ingestScratch),
 		ring:    s.rec.Acquire(connID),
 	}
-	defer ingestScratchPool.Put(cs.scratch)
 	cs.ring.Record(tracelog.StageServerConnOpen, 0, 0, 0, uint64(connID))
 	defer func() {
 		// The close event lands keyed to the session the connection last
@@ -693,16 +684,23 @@ func (s *Server) Stats() Stats {
 		st.ErrorsByType[t] = s.errorsByType[t].Load()
 		st.ProtocolErrors += st.ErrorsByType[t]
 	}
-	st.SessionsActive, st.SessionsEvicted = s.sessionCounts()
+	sc := s.sessionCounts()
+	st.SessionsActive, st.SessionsEvicted = sc.active, sc.evicted
 	return st
+}
+
+// sessionCount is the session table's size and its eviction count.
+type sessionCount struct {
+	active  int
+	evicted uint64
 }
 
 // sessionCounts reads the session table's size and eviction count; the
 // table is not self-locking, so this is the one counter read under mu.
-func (s *Server) sessionCounts() (active int, evicted uint64) {
+func (s *Server) sessionCounts() sessionCount {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sessions.len(), s.sessions.evicted
+	return sessionCount{active: s.sessions.len(), evicted: s.sessions.evicted}
 }
 
 // Monitor exposes the shared monitor, e.g. so embedders can read
@@ -714,7 +712,9 @@ func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 // RegisterTelemetry attaches the live bundle (query-frame latency) and
 // registers the server's scrape-time probes on reg: request totals,
 // per-type frame and protocol-error counters, oversized/unknown frame
-// counters, and connection lifecycle. It also registers the shared
+// counters, the dedup table's sessions, and connection lifecycle. The
+// counters are lock-free; the two session series share one read of the
+// table per scrape, which takes mu once. It also registers the shared
 // monitor's telemetry (check latency, alert ring, sketch health). Call at
 // most once per server and registry pair; the server may already be
 // serving — the bundle attaches atomically.
@@ -753,12 +753,13 @@ func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("dcsketch_server_forward_errors_total",
 		"Batches aborted by the relay forward tap (connection dropped unacked).",
 		s.forwardErrs.Load)
+	sessions := telemetry.Scraped(reg, s.sessionCounts)
 	reg.GaugeFunc("dcsketch_server_sessions_active",
 		"Live replay sessions in the dedup table.",
-		func() int64 { n, _ := s.sessionCounts(); return int64(n) })
+		func() int64 { return int64(sessions().active) })
 	reg.CounterFunc("dcsketch_server_sessions_evicted_total",
 		"Replay sessions LRU-evicted past the MaxSessions bound.",
-		func() uint64 { _, n := s.sessionCounts(); return n })
+		func() uint64 { return sessions().evicted })
 	reg.CounterFunc("dcsketch_server_accept_errors_total",
 		"Listener accept failures (retried with backoff).",
 		s.acceptErrors.Load)

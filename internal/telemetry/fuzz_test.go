@@ -24,7 +24,7 @@ func FuzzWritePrometheus(f *testing.F) {
 		// Distinct families for the other kinds; skip when the fuzzer's
 		// family collides with a suffixed variant.
 		gname, hname := family+"_g", family+"_h"
-		reg.Gauge(gname, help).Set(gv)
+		reg.GaugeFunc(gname, help, func() int64 { return gv })
 		reg.Histogram(hname, help).Observe(hv)
 
 		var sb strings.Builder

@@ -13,22 +13,23 @@ import (
 // exposition format (version 0.0.4): one HELP/TYPE header per family, then
 // the family's series. Histograms expand into cumulative _bucket series with
 // power-of-two "le" bounds plus _sum and _count. Scrape hooks and
-// scrape-time probes are invoked here, so this is the one place export cost
-// is paid.
+// scrape-time probes are invoked here, all before the first byte is written,
+// so this is the one place export cost is paid.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	entries, samples := r.scrape()
 	bw := bufio.NewWriter(w)
 	lastFamily := ""
-	for _, e := range r.scrape() {
+	for i, e := range entries {
 		if e.family != lastFamily {
 			lastFamily = e.family
 			fmt.Fprintf(bw, "# HELP %s %s\n", e.family, escapeHelp(e.help))
 			fmt.Fprintf(bw, "# TYPE %s %s\n", e.family, e.kind)
 		}
-		if e.kind == KindHistogram {
-			writeHistogram(bw, e)
+		if hs := samples[i].Hist; hs != nil {
+			writeHistogram(bw, e, hs)
 			continue
 		}
-		fmt.Fprintf(bw, "%s %s\n", e.name, formatValue(e.value()))
+		fmt.Fprintf(bw, "%s %s\n", e.name, formatValue(samples[i].Value))
 	}
 	return bw.Flush()
 }
@@ -36,8 +37,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // writeHistogram renders one histogram series: cumulative buckets up to the
 // highest occupied power-of-two bound, the mandatory +Inf bucket, _sum and
 // _count.
-func writeHistogram(w io.Writer, e *entry) {
-	hs := e.hist.Snapshot()
+func writeHistogram(w io.Writer, e *entry, hs *HistogramSnapshot) {
 	top := 0
 	for i, n := range hs.Buckets {
 		if n > 0 {

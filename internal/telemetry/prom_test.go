@@ -11,7 +11,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("p_c_total", "a counter").Add(7)
 	reg.Counter(`p_c_total{shard="1"}`, "a counter").Add(2)
-	reg.Gauge("p_g", "a gauge").Set(-5)
+	reg.GaugeFunc("p_g", "a gauge", func() int64 { return -5 })
 	h := reg.Histogram("p_h_ns", "a histogram")
 	h.Observe(0)
 	h.Observe(3)

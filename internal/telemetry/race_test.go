@@ -3,6 +3,7 @@ package telemetry
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -13,9 +14,14 @@ import (
 func TestConcurrentRecordAndScrape(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("race_c_total", "h")
-	g := reg.Gauge("race_g", "h")
+	var g atomic.Int64
+	reg.GaugeFunc("race_g", "h", g.Load)
 	h := reg.Histogram("race_h_ns", "h")
 	reg.CounterFunc("race_cf_total", "h", func() uint64 { return c.Load() })
+	// A Scraped read shared by two probes, as the layers register theirs.
+	cur := Scraped(reg, g.Load)
+	reg.GaugeFunc("race_scraped_a", "h", cur)
+	reg.GaugeFunc("race_scraped_b", "h", cur)
 
 	const writers, iters = 8, 2000
 	var wg sync.WaitGroup
@@ -44,7 +50,19 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 					t.Errorf("mid-load scrape invalid: %v", err)
 					return
 				}
-				_ = reg.Snapshot()
+				var a, b float64
+				for _, s := range reg.Snapshot() {
+					switch s.Name {
+					case "race_scraped_a":
+						a = s.Value
+					case "race_scraped_b":
+						b = s.Value
+					}
+				}
+				if a != b {
+					t.Errorf("one scrape read its Scraped state twice: %v then %v", a, b)
+					return
+				}
 			}
 		}(r)
 	}

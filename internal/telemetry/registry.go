@@ -42,7 +42,6 @@ type entry struct {
 	kind   Kind
 
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() int64
@@ -63,6 +62,11 @@ type Registry struct {
 	// hooks run once at the start of every export (see OnScrape).
 	// guarded by mu
 	hooks []func()
+
+	// scrapeMu serializes exports: each holds it from its first hook to
+	// its last probe read, so every probe reads what its own export's
+	// hooks stored.
+	scrapeMu sync.Mutex
 }
 
 // NewRegistry returns an empty registry.
@@ -230,13 +234,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge registers and returns a live gauge series.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&entry{name: name, help: help, kind: KindGauge, gauge: g})
-	return g
-}
-
 // Histogram registers and returns a live histogram series.
 func (r *Registry) Histogram(name, help string) *Histogram {
 	h := &Histogram{}
@@ -245,8 +242,8 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 }
 
 // CounterFunc registers a scrape-time counter probe: fn is called on every
-// export and must be safe to call from any goroutine (it typically takes the
-// owning layer's lock to read single-writer counters, e.g. dcs.QueryStats).
+// export and must be safe to call from any goroutine. It should take no
+// lock: it loads an atomic counter, or reads locked state through Scraped.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(&entry{name: name, help: help, kind: KindCounter, counterFn: fn})
 }
@@ -259,14 +256,25 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 
 // OnScrape registers fn to run once at the start of every export
 // (Snapshot, WritePrometheus and the expvar view), before any probe is read
-// and outside the registry's lock. A layer whose probes all read one locked
-// state takes that read in fn and lets its probes read the result, so a
-// scrape takes the layer's lock once rather than once per probe. fn must be
-// safe to call from any goroutine.
+// and outside the registry's lock. Exports are serialized from the first
+// hook to the last probe read, so no other export's hooks run in between.
+// fn must be safe to call from any goroutine.
 func (r *Registry) OnScrape(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.hooks = append(r.hooks, fn)
+}
+
+// Scraped registers read as an OnScrape hook and returns a function that
+// reports what read returned at the start of the current export. A layer
+// whose probes read locked or sampled state passes that read here and lets
+// every probe call the returned function, so a scrape reads the layer once
+// and all its series come from one instant. Call the returned function only
+// from probes registered on reg.
+func Scraped[T any](reg *Registry, read func() T) func() T {
+	var cur T // written by the hook, read by probes: both under reg.scrapeMu
+	reg.OnScrape(func() { cur = read() })
+	return func() T { return cur }
 }
 
 // Sample is one series in a Snapshot.
@@ -282,14 +290,21 @@ type Sample struct {
 	Hist *HistogramSnapshot
 }
 
-// scrape begins an export: it runs the OnScrape hooks, then returns the
-// entries sorted for export.
-func (r *Registry) scrape() []*entry {
+// scrape reads every series for one export: it runs the OnScrape hooks,
+// then reads each entry, invoking probes, all under scrapeMu. It returns the
+// entries sorted for export beside their samples.
+func (r *Registry) scrape() ([]*entry, []Sample) {
 	entries, hooks := r.snapshotEntries()
+	r.scrapeMu.Lock()
+	defer r.scrapeMu.Unlock()
 	for _, fn := range hooks {
 		fn()
 	}
-	return entries
+	samples := make([]Sample, len(entries))
+	for i, e := range entries {
+		samples[i] = e.sample()
+	}
+	return entries, samples
 }
 
 // snapshotEntries returns the entries sorted for export: by family (so
@@ -313,37 +328,28 @@ func (r *Registry) snapshotEntries() ([]*entry, []func()) {
 	return out, slices.Clone(r.hooks)
 }
 
-// value reads an entry's current scalar value, invoking probes.
-func (e *entry) value() float64 {
+// sample reads an entry's current state, invoking its probe.
+func (e *entry) sample() Sample {
+	s := Sample{Name: e.name, Kind: e.kind}
 	switch {
+	case e.hist != nil:
+		hs := e.hist.Snapshot()
+		s.Hist = &hs
 	case e.counter != nil:
-		return float64(e.counter.Load())
+		s.Value = float64(e.counter.Load())
 	case e.counterFn != nil:
-		return float64(e.counterFn())
-	case e.gauge != nil:
-		return float64(e.gauge.Load())
+		s.Value = float64(e.counterFn())
 	case e.gaugeFn != nil:
-		return float64(e.gaugeFn())
+		s.Value = float64(e.gaugeFn())
 	}
-	return 0
+	return s
 }
 
 // Snapshot reads every registered series, invoking scrape-time probes. This
 // is the embedder API: everything the Prometheus endpoint exports, as data.
 func (r *Registry) Snapshot() []Sample {
-	entries := r.scrape()
-	out := make([]Sample, 0, len(entries))
-	for _, e := range entries {
-		s := Sample{Name: e.name, Kind: e.kind}
-		if e.kind == KindHistogram {
-			hs := e.hist.Snapshot()
-			s.Hist = &hs
-		} else {
-			s.Value = e.value()
-		}
-		out = append(out, s)
-	}
-	return out
+	_, samples := r.scrape()
+	return samples
 }
 
 // expvarValue renders the registry as a map for expvar.

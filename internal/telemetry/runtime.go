@@ -3,8 +3,6 @@ package telemetry
 import (
 	"math"
 	"runtime/metrics"
-	"sync"
-	"time"
 )
 
 // Runtime self-profiling metric names. Everything the flight recorder and
@@ -21,47 +19,34 @@ const (
 	runtimeMutexWait    = "/sync/mutex/wait/total:seconds"
 )
 
-// runtimeSampler reads the runtime/metrics samples the registry probes need,
-// coalescing all probe calls of one scrape into a single metrics.Read: the
-// registry invokes each probe separately, but one Read covers them all and
-// stays valid for the refresh window.
-type runtimeSampler struct {
-	mu      sync.Mutex
-	samples []metrics.Sample
-	index   map[string]int
-	last    time.Time
-	maxAge  time.Duration
+// runtimeReading is one scrape's read of the runtime/metrics samples the
+// probes export. A sample the runtime does not support reads as 0.
+type runtimeReading struct {
+	heapLive, gcCycles, goroutines  uint64
+	gcPauseMaxNS, schedLatencyMaxNS int64
+	mutexWaitNS                     uint64
 }
 
-func newRuntimeSampler(names []string, maxAge time.Duration) *runtimeSampler {
-	s := &runtimeSampler{
-		samples: make([]metrics.Sample, len(names)),
-		index:   make(map[string]int, len(names)),
-		maxAge:  maxAge,
+// readRuntime takes one metrics.Read of every exported sample.
+func readRuntime() runtimeReading {
+	s := []metrics.Sample{
+		{Name: runtimeHeapLive}, {Name: runtimeGCCycles}, {Name: runtimeGoroutines},
+		{Name: runtimeGCPauses}, {Name: runtimeSchedLatency}, {Name: runtimeMutexWait},
 	}
-	for i, n := range names {
-		s.samples[i].Name = n
-		s.index[n] = i
-	}
-	metrics.Read(s.samples)
-	s.last = time.Now()
-	return s
-}
-
-// refreshLocked re-reads the samples when the cached view is stale.
-func (s *runtimeSampler) refreshLocked() {
-	if time.Since(s.last) > s.maxAge {
-		metrics.Read(s.samples)
-		s.last = time.Now()
+	metrics.Read(s)
+	return runtimeReading{
+		heapLive:          uint64Value(s[0].Value),
+		gcCycles:          uint64Value(s[1].Value),
+		goroutines:        uint64Value(s[2].Value),
+		gcPauseMaxNS:      histMaxNS(s[3].Value),
+		schedLatencyMaxNS: histMaxNS(s[4].Value),
+		mutexWaitNS:       uint64(float64Value(s[5].Value) * 1e9),
 	}
 }
 
 // uint64Value returns a scalar sample (0 if the runtime does not support it).
-func (s *runtimeSampler) uint64Value(name string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refreshLocked()
-	if v := s.samples[s.index[name]].Value; v.Kind() == metrics.KindUint64 {
+func uint64Value(v metrics.Value) uint64 {
+	if v.Kind() == metrics.KindUint64 {
 		return v.Uint64()
 	}
 	return 0
@@ -69,11 +54,8 @@ func (s *runtimeSampler) uint64Value(name string) uint64 {
 
 // float64Value returns a float sample (0 if the runtime does not support
 // it).
-func (s *runtimeSampler) float64Value(name string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refreshLocked()
-	if v := s.samples[s.index[name]].Value; v.Kind() == metrics.KindFloat64 {
+func float64Value(v metrics.Value) float64 {
+	if v.Kind() == metrics.KindFloat64 {
 		return v.Float64()
 	}
 	return 0
@@ -83,11 +65,7 @@ func (s *runtimeSampler) float64Value(name string) float64 {
 // bucket of a duration histogram sample — a cheap "worst observed" summary
 // that needs no histogram-shape agreement between runtime and registry. The
 // +Inf upper edge of the last bucket falls back to its finite lower edge.
-func (s *runtimeSampler) histMaxNS(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refreshLocked()
-	v := s.samples[s.index[name]].Value
+func histMaxNS(v metrics.Value) int64 {
 	if v.Kind() != metrics.KindFloat64Histogram {
 		return 0
 	}
@@ -109,32 +87,27 @@ func (s *runtimeSampler) histMaxNS(name string) int64 {
 // series on reg: live heap bytes, completed GC cycles, goroutine count,
 // worst-observed GC pause and goroutine scheduling latency, and the total
 // time goroutines have spent blocked on sync.Mutex and sync.RWMutex (the
-// server's ingest lock among them). Probes sample
-// runtime/metrics at scrape cadence through a shared cached reader, so a
-// scrape costs one metrics.Read regardless of how many series it exports.
-// Call at most once per registry.
+// server's ingest lock among them). A scrape takes one metrics.Read, shared
+// by every series. Call at most once per registry.
 func RegisterRuntimeMetrics(reg *Registry) {
-	s := newRuntimeSampler([]string{
-		runtimeHeapLive, runtimeGCCycles, runtimeGoroutines,
-		runtimeGCPauses, runtimeSchedLatency, runtimeMutexWait,
-	}, 250*time.Millisecond)
+	rt := Scraped(reg, readRuntime)
 
 	reg.GaugeFunc("dcsketch_runtime_heap_live_bytes",
 		"Bytes of live heap objects (runtime/metrics heap/objects).",
-		func() int64 { return int64(s.uint64Value(runtimeHeapLive)) })
+		func() int64 { return int64(rt().heapLive) })
 	reg.CounterFunc("dcsketch_runtime_gc_cycles_total",
 		"Completed GC cycles.",
-		func() uint64 { return s.uint64Value(runtimeGCCycles) })
+		func() uint64 { return rt().gcCycles })
 	reg.GaugeFunc("dcsketch_runtime_goroutines",
 		"Live goroutines.",
-		func() int64 { return int64(s.uint64Value(runtimeGoroutines)) })
+		func() int64 { return int64(rt().goroutines) })
 	reg.GaugeFunc("dcsketch_runtime_gc_pause_max_ns",
 		"Upper edge of the highest observed stop-the-world GC pause bucket.",
-		func() int64 { return s.histMaxNS(runtimeGCPauses) })
+		func() int64 { return rt().gcPauseMaxNS })
 	reg.GaugeFunc("dcsketch_runtime_sched_latency_max_ns",
 		"Upper edge of the highest observed goroutine scheduling latency bucket.",
-		func() int64 { return s.histMaxNS(runtimeSchedLatency) })
+		func() int64 { return rt().schedLatencyMaxNS })
 	reg.CounterFunc("dcsketch_runtime_mutex_wait_ns_total",
 		"Approximate total time goroutines spent blocked on sync.Mutex and sync.RWMutex.",
-		func() uint64 { return uint64(s.float64Value(runtimeMutexWait) * 1e9) })
+		func() uint64 { return rt().mutexWaitNS })
 }

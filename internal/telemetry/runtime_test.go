@@ -63,13 +63,14 @@ func TestRuntimeMetricsExport(t *testing.T) {
 // goroutines block on a held sync.Mutex. The runtime times a wait on only
 // one in eight goroutine block transitions, so a single blocked goroutine is
 // usually not recorded: the test keeps blocking fresh goroutines until the
-// counter moves, under a deadline, and reads it through a new registry each
-// time because the runtime sampler caches its reads.
+// counter moves, under a deadline, scraping one registry after each round.
 func TestRuntimeMutexWaitCounts(t *testing.T) {
+	reg := NewRegistry()
+	RegisterRuntimeMetrics(reg)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		blockOnHeldMutex(8, 2*time.Millisecond)
-		if v := mutexWaitNS(t); v > 0 {
+		if v := mutexWaitNS(t, reg); v > 0 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -100,12 +101,9 @@ func blockOnHeldMutex(n int, d time.Duration) {
 	done.Wait()
 }
 
-// mutexWaitNS reads dcsketch_runtime_mutex_wait_ns_total from a fresh
-// registry, so the value is sampled now rather than served from a cache.
-func mutexWaitNS(t *testing.T) float64 {
+// mutexWaitNS scrapes dcsketch_runtime_mutex_wait_ns_total from reg.
+func mutexWaitNS(t *testing.T, reg *Registry) float64 {
 	t.Helper()
-	reg := NewRegistry()
-	RegisterRuntimeMetrics(reg)
 	for _, s := range reg.Snapshot() {
 		if s.Name == "dcsketch_runtime_mutex_wait_ns_total" {
 			return s.Value

@@ -13,11 +13,12 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-10)
-	if got := g.Load(); got != -3 {
-		t.Fatalf("gauge = %d, want -3", got)
+	reg := NewRegistry()
+	g := int64(7)
+	reg.GaugeFunc("g", "gauge", func() int64 { return g })
+	g -= 10
+	if s := reg.Snapshot(); len(s) != 1 || s[0].Kind != KindGauge || s[0].Value != -3 {
+		t.Fatalf("gauge probe snapshot = %+v, want one gauge reading -3", s)
 	}
 }
 
@@ -116,7 +117,7 @@ func TestRegistryPanics(t *testing.T) {
 	reg.Counter("dup_total", "h")
 	mustPanic("duplicate", func() { reg.Counter("dup_total", "h") })
 	mustPanic("bad name", func() { reg.Counter("9bad", "h") })
-	mustPanic("family kind conflict", func() { reg.Gauge(`dup_total{a="b"}`, "h") })
+	mustPanic("family kind conflict", func() { reg.GaugeFunc(`dup_total{a="b"}`, "h", func() int64 { return 0 }) })
 	mustPanic("family help conflict", func() { reg.Counter(`dup_total{a="b"}`, "other help") })
 	// Same family, same kind and help, different labels is the supported
 	// multi-series shape.
@@ -126,12 +127,10 @@ func TestRegistryPanics(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "counter")
-	g := reg.Gauge("g", "gauge")
 	h := reg.Histogram("h_ns", "hist")
 	reg.CounterFunc("cf_total", "probe", func() uint64 { return 11 })
 	reg.GaugeFunc("gf", "probe", func() int64 { return -4 })
 	c.Add(3)
-	g.Set(9)
 	h.Observe(100)
 	h.Observe(200)
 
@@ -139,19 +138,16 @@ func TestSnapshot(t *testing.T) {
 	for _, s := range reg.Snapshot() {
 		got[s.Name] = s
 	}
-	if len(got) != 5 {
-		t.Fatalf("snapshot has %d series, want 5", len(got))
+	if len(got) != 4 {
+		t.Fatalf("snapshot has %d series, want 4", len(got))
 	}
 	if got["c_total"].Value != 3 || got["c_total"].Kind != KindCounter {
 		t.Errorf("c_total = %+v", got["c_total"])
 	}
-	if got["g"].Value != 9 {
-		t.Errorf("g = %+v", got["g"])
-	}
 	if got["cf_total"].Value != 11 {
 		t.Errorf("cf_total = %+v", got["cf_total"])
 	}
-	if got["gf"].Value != -4 {
+	if got["gf"].Value != -4 || got["gf"].Kind != KindGauge {
 		t.Errorf("gf = %+v", got["gf"])
 	}
 	hs := got["h_ns"].Hist

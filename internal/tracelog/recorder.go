@@ -10,7 +10,7 @@ import (
 // ring, 64 retained released rings.
 type Options struct {
 	// SlotsPerRing is the per-ring record capacity; rounded up to a power of
-	// two, minimum 16, default 256 (16 KiB of slots per ring).
+	// two, minimum 16, default 256 (14 KiB of Events per ring).
 	SlotsPerRing int
 	// MaxRings bounds how many released rings are retained for postmortem
 	// reads; the oldest released ring (and its history) is dropped beyond
@@ -19,9 +19,8 @@ type Options struct {
 	MaxRings int
 }
 
-// Recorder owns a set of single-writer rings, the global event sequence and
-// the coarse monotonic clock they share. All methods are safe for concurrent
-// use; only Ring.Record is restricted to the ring's one writer.
+// Recorder owns a set of rings, the global event sequence and the coarse
+// monotonic clock they share. All methods are safe for concurrent use.
 type Recorder struct {
 	gseq atomicU64pad // global event order, claimed by every Record
 	now  atomicU64pad // coarse clock: ns since the clock base instant
@@ -56,7 +55,7 @@ func New(o Options) *Recorder {
 	return &Recorder{slotsPer: p, maxRings: maxRings}
 }
 
-// Acquire hands out a ring for one writer, reusing a released ring (its
+// Acquire hands out a ring tagged writer, reusing a released ring (its
 // prior records are retained as history — they carry their own keys) or
 // allocating a fresh one. Never call it on a per-event path.
 func (r *Recorder) Acquire(writer uint32) *Ring {
@@ -69,10 +68,12 @@ func (r *Recorder) Acquire(writer uint32) *Ring {
 		r.free[n-1] = nil
 		r.free = r.free[:n-1]
 	} else {
-		rg = &Ring{rec: r, slots: make([]slot, r.slotsPer), mask: uint64(r.slotsPer - 1)}
+		rg = &Ring{rec: r, evs: make([]Event, r.slotsPer), mask: uint64(r.slotsPer - 1)}
 		r.rings = append(r.rings, rg)
 	}
-	rg.writer.Store(uint64(writer))
+	rg.mu.Lock()
+	rg.writer = writer
+	rg.mu.Unlock()
 	return rg
 }
 

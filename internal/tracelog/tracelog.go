@@ -1,27 +1,30 @@
 // Package tracelog is the dcsketch flight recorder: fixed-size, per-stage
-// event records in cache-line-sized ring buffers that trace an update batch
-// through the whole pipeline — exporter enqueue/spool/send/ack, server
-// decode/dedup/apply/ack, and query visibility — keyed by
-// the wire protocol's existing (session, seq) batch identity, so provenance
-// needs no wire-format change.
+// event records in ring buffers that trace an update batch through the
+// whole pipeline — exporter enqueue/spool/send/ack, server
+// decode/dedup/apply/ack, and query visibility — keyed by the wire
+// protocol's existing (session, seq) batch identity, so provenance needs no
+// wire-format change.
 //
 // # Design
 //
-// Every record site costs a handful of atomic stores and no allocation: the
-// Record path is proven by the allocfree analyzer and ground-truthed by
-// cmd/perfcheck (see perfpins.txt), so the recorder is safe to leave enabled
-// in production. Timestamps come from a coarse monotonic clock — a single
-// atomic nanosecond counter advanced by a recorder-owned ticker goroutine —
-// because reading time.Now() is neither allocation-provable nor cheap enough
-// for the hot path. A global sequence number (Event.GSeq) gives a total
-// order across rings even when the coarse clock lumps events into one tick.
+// A record costs its ring's lock, a global sequence claim, a clock read and
+// one Event store, and no allocation: the Record path is proven by the
+// allocfree analyzer and ground-truthed by cmd/perfcheck (see perfpins.txt),
+// so the recorder is safe to leave enabled in production.
+// Timestamps come from a coarse monotonic clock — a single atomic
+// nanosecond counter advanced every 100µs by a recorder-owned ticker
+// goroutine — so the record path reads one word instead of calling the time
+// package (DESIGN.md §13.1 says why the ticker stays). A global sequence
+// number (Event.GSeq) gives a total order across rings even when the coarse
+// clock lumps events into one tick.
 //
-// Each Ring has exactly one writer (a connection handler or the exporter
-// loop); any number of readers may snapshot it concurrently. Slots
-// are 64-byte seqlocks whose fields are all atomic.Uint64: the writer bumps
-// the slot version to odd, stores the fields, and bumps it back to even;
-// readers retry or discard a slot whose version is odd or changed underfoot.
-// Wraparound therefore evicts oldest records without ever tearing one —
+// Each Ring is a mutex-guarded slice of Events. Any goroutine may Record
+// into a ring and any number may snapshot it concurrently; in practice each
+// ring has one writer (a connection handler, or the exporter under its own
+// mutex), so the ring's lock is uncontended except against a snapshot.
+// Record claims the global sequence under the ring's lock, so a ring's slots
+// are in gseq order, and a snapshot copies the retained window under the
+// same lock: wraparound evicts the oldest records and never tears one —
 // TestRingWraparoundNeverTears holds this as a property under concurrency.
 //
 // The Recorder owns the rings, the clock, and the global sequence; Trace
@@ -30,8 +33,7 @@
 package tracelog
 
 // Stage identifies where in the pipeline an event was recorded. The zero
-// value is reserved so a torn or never-written slot cannot masquerade as a
-// valid record.
+// value is reserved: StageFromString returns it for an unknown name.
 type Stage uint8
 
 const (
@@ -136,7 +138,7 @@ func StageFromString(name string) Stage {
 	return StageInvalid
 }
 
-// Event is one decoded flight-recorder record.
+// Event is one flight-recorder record.
 type Event struct {
 	// GSeq is the recorder-global sequence number: a total order over every
 	// event in every ring of one Recorder.
@@ -150,21 +152,10 @@ type Event struct {
 	Seq     uint64
 	// Stage says where in the pipeline the event was recorded.
 	Stage Stage
-	// Writer tags the recording ring (connection id, 0 for the exporter
-	// loop).
+	// Writer tags the recording ring (connection id, 0 for the exporter).
 	Writer uint32
 	// N is the stage-specific record count (updates decoded, staged, ...).
 	N uint32
 	// Aux is the stage-specific extra word documented per Stage constant.
 	Aux uint64
-}
-
-// meta packs Stage, Writer and N into one word so a slot stays within a
-// cache line: stage in bits 56..63, writer in 32..55 (24 bits), n in 0..31.
-func packMeta(st Stage, writer uint32, n uint32) uint64 {
-	return uint64(st)<<56 | uint64(writer&0xFFFFFF)<<32 | uint64(n)
-}
-
-func unpackMeta(m uint64) (st Stage, writer uint32, n uint32) {
-	return Stage(m >> 56), uint32(m >> 32 & 0xFFFFFF), uint32(m)
 }
