@@ -84,13 +84,9 @@ func WithLevels(l int) Option { return func(c *dcs.Config) { c.Levels = l } }
 // seed to be mergeable.
 func WithSeed(seed uint64) Option { return func(c *dcs.Config) { c.Seed = seed } }
 
-// WithEpsilon sets the accuracy parameter ε of the TRACKAPPROXTOPK
-// guarantee (default 1/3).
-func WithEpsilon(eps float64) Option { return func(c *dcs.Config) { c.Epsilon = eps } }
-
 // WithSampleTarget overrides the estimator's stopping threshold (default s;
-// the paper's pseudocode constant is available as (1+ε)·s/16 — see DESIGN.md
-// for why the default is larger).
+// the paper's pseudocode constant (1+ε)·s/16 is dcs.PaperSampleTarget — see
+// DESIGN.md for why the default is larger).
 func WithSampleTarget(n int) Option { return func(c *dcs.Config) { c.SampleTarget = n } }
 
 // WithoutFingerprint drops the checksum counter from the count signatures,

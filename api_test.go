@@ -55,8 +55,8 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewTracker(WithLevels(99)); err == nil {
 		t.Fatal("invalid levels accepted")
 	}
-	if _, err := NewSuperspreader(WithEpsilon(7)); err == nil {
-		t.Fatal("invalid epsilon accepted")
+	if _, err := NewSuperspreader(WithSampleTarget(-1)); err == nil {
+		t.Fatal("invalid sample target accepted")
 	}
 }
 

@@ -109,9 +109,9 @@ check() {
 	# answer.
 	go test -run '^TestRelayTierDebugSmoke$' -count 1 ./cmd/ddosmond
 	# Shuffled daemon tests: each test starts its own in-process daemons
-	# and reads their process-global surfaces (/debug/vars), so no test
-	# may depend on which ran before it. Two fixed seeds keep a failure
-	# reproducible.
+	# and reads process-global state (the dcsketch_runtime_* series,
+	# /debug/pprof), so no test may depend on which ran before it. Two
+	# fixed seeds keep a failure reproducible.
 	go test -count=1 -shuffle=1 ./cmd/ddosmond
 	go test -count=1 -shuffle=2 ./cmd/ddosmond
 	# Runtime invariant assertions (counter non-negativity, tracking/

@@ -22,7 +22,6 @@ package main
 
 import (
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -68,7 +67,7 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr, debugAddr n
 		buckets  = fs.Int("s", 128, "second-level hash-table buckets (s)")
 		tables   = fs.Int("r", 3, "second-level hash tables (r)")
 		status   = fs.Duration("status-every", 10*time.Second, "status line period (0 disables)")
-		debug    = fs.String("debug-addr", "", "telemetry listen address serving /metrics (Prometheus text), /debug/vars (expvar), and /debug/pprof (empty disables)")
+		debug    = fs.String("debug-addr", "", "telemetry listen address serving /metrics (Prometheus text), /debug/pprof, /debug/trace and /debug/alerts (empty disables)")
 		snapDir  = fs.String("snapshot-dir", "", "directory for crash-safe state snapshots: restored on boot, written periodically and on graceful shutdown (empty disables)")
 		snapSecs = fs.Duration("snapshot-interval", 30*time.Second, "period between crash-safe snapshots when -snapshot-dir is set (0 disables the timer; shutdown still flushes)")
 		upstream = fs.String("upstream", "", "relay tier: collector address to re-export every accepted batch to (empty runs the global tier)")
@@ -164,8 +163,6 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr, debugAddr n
 
 	var debugAddr net.Addr
 	if *debug != "" {
-		// Bind before publishing so a daemon that fails to start does not
-		// claim the process-wide expvar slot.
 		ln, err := net.Listen("tcp", *debug)
 		if err != nil {
 			halt(0)
@@ -178,10 +175,8 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr, debugAddr n
 			srv.RegisterTelemetry(reg)
 		}
 		telemetry.RegisterRuntimeMetrics(reg)
-		reg.PublishExpvar("dcsketch")
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
 		mux.Handle("/debug/trace", tracelog.TraceHandler(srv.Tracer()))
 		mux.Handle("/debug/alerts", debugapi.AlertsHandler(srv.Monitor()))
 		mux.Handle("/debug/alerts/", debugapi.AlertsHandler(srv.Monitor()))
@@ -193,7 +188,7 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr, debugAddr n
 		dsrv := &http.Server{Handler: mux}
 		defer serveDebug(dsrv, ln)()
 		debugAddr = ln.Addr()
-		fmt.Printf("telemetry on http://%s/metrics (expvar at /debug/vars, profiles at /debug/pprof, batch traces at /debug/trace, alert evidence at /debug/alerts)\n", debugAddr)
+		fmt.Printf("telemetry on http://%s/metrics (profiles at /debug/pprof, batch traces at /debug/trace, alert evidence at /debug/alerts)\n", debugAddr)
 	}
 	if ready != nil {
 		ready(addr, debugAddr)

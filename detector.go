@@ -104,9 +104,9 @@ type Monitor struct {
 	cusumStat  atomic.Uint64
 	cusumAlarm atomic.Bool
 
-	// tel holds the telemetry bundle once RegisterTelemetry attaches one;
-	// nil (one atomic load per packet) until then.
-	tel atomic.Pointer[telemetry.DetectorMetrics]
+	// packets counts packets observed by ProcessPacket; cusumAlarms counts
+	// CUSUM alarm onsets (off->on transitions).
+	packets, cusumAlarms telemetry.Counter
 }
 
 // NewMonitor builds a monitor.
@@ -235,10 +235,7 @@ func (p Packet) record() trace.Record {
 // monitor: a client SYN inserts, the completing ACK or an RST deletes.
 // Packets should arrive in non-decreasing Time order.
 func (m *Monitor) ProcessPacket(p Packet) {
-	tel := m.tel.Load()
-	if tel != nil {
-		tel.PacketsTotal.Inc()
-	}
+	m.packets.Inc()
 	m.conv.Process(p.record(), m.sink)
 	if m.synfin == nil {
 		return
@@ -257,8 +254,8 @@ func (m *Monitor) ProcessPacket(p Packet) {
 		// Count alarm onsets (off->on transitions), not in-alarm intervals.
 		alarm := m.synfin.InAlarm()
 		m.cusumAlarm.Store(alarm)
-		if alarm && !m.cusumWasAlarm && tel != nil {
-			tel.CusumAlarmsTotal.Inc()
+		if alarm && !m.cusumWasAlarm {
+			m.cusumAlarms.Inc()
 		}
 		m.cusumWasAlarm = alarm
 	}
@@ -300,23 +297,29 @@ type AlertStats struct {
 func (m *Monitor) AlertStats() AlertStats { return AlertStats(m.inner.AlertStats()) }
 
 // Registry aggregates runtime telemetry for export as Prometheus text
-// (Registry.Handler, Registry.WritePrometheus) or expvar
-// (Registry.PublishExpvar). The alias makes the internal implementation
-// usable by importers of this package.
+// (Registry.Handler, Registry.WritePrometheus) or as a structured
+// Registry.Snapshot. The alias makes the internal implementation usable by
+// importers of this package.
 type Registry = telemetry.Registry
 
 // NewTelemetryRegistry builds an empty telemetry registry to pass to
 // RegisterTelemetry.
 func NewTelemetryRegistry() *Registry { return telemetry.NewRegistry() }
 
-// RegisterTelemetry attaches the packet-path instrument bundle and registers
-// every monitor-layer and sketch-layer probe on reg; reg's Prometheus or
-// expvar export then covers this monitor. Call at most once per monitor and
-// registry pair, before or while the monitor is ingesting.
+// RegisterTelemetry registers the packet-path counters and every
+// monitor-layer and sketch-layer series on reg; reg's Prometheus export
+// then covers this monitor. Every instrument counts from NewMonitor, so
+// the first scrape shows traffic from before the registration too. Call at
+// most once per monitor and registry pair, before or while the monitor is
+// ingesting.
 func (m *Monitor) RegisterTelemetry(reg *Registry) {
-	tel := telemetry.NewDetectorMetrics(reg)
+	reg.CounterFunc("dcsketch_detector_packets_total",
+		"Packets observed by the detector.",
+		m.packets.Load)
+	reg.CounterFunc("dcsketch_detector_cusum_alarms_total",
+		"CUSUM threshold crossings.",
+		m.cusumAlarms.Load)
 	m.inner.RegisterTelemetry(reg)
-	m.tel.Store(tel)
 }
 
 // Updates returns the number of flow updates consumed.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dcsketch"
+	"dcsketch/internal/export"
 	"dcsketch/internal/monitor"
 	"dcsketch/internal/server"
 	"dcsketch/internal/trace"
@@ -132,21 +133,29 @@ func TestEdgeToCollectorOverWire(t *testing.T) {
 	defer srv.Shutdown()
 
 	victim := uint32(0xcb007107)
-	var c *server.Client
 	for _, edgeNet := range []uint32{0xc0000000, 0xd0000000} {
-		if c, err = server.Dial(addr.String(), 5*time.Second); err != nil {
+		exp, err := export.New(export.Config{Addr: addr.String()})
+		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
+		defer exp.Close()
 		batch := make([]wire.Update, 0, 400)
 		for i := uint32(0); i < 400; i++ {
 			batch = append(batch, wire.Update{Src: edgeNet + i, Dst: victim, Delta: 1})
 		}
-		if err := c.SendUpdates(batch); err != nil {
+		if err := exp.Export(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := exp.Drain(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
 
+	c, err := server.Dial(addr.String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	top, err := c.TopK(1)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package metricname implements the sketchlint analyzer that polices the
 // telemetry namespace. Every series registered on a telemetry.Registry —
-// Counter, Gauge, Histogram, CounterFunc, GaugeFunc — is the module's public
+// Histogram, CounterFunc, GaugeFunc — is the module's public
 // observability contract: dashboards, alert rules and the CI scrape smoke all
 // key on exact series strings. The analyzer enforces three invariants at the
 // registration site:
@@ -46,8 +46,6 @@ var Analyzer = &analysis.Analyzer{
 // registerMethods is the method set of telemetry.Registry whose first
 // argument is a series name.
 var registerMethods = map[string]bool{
-	"Counter":     true,
-	"Gauge":       true,
 	"Histogram":   true,
 	"CounterFunc": true,
 	"GaugeFunc":   true,

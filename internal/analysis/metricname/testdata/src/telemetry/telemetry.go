@@ -3,38 +3,29 @@
 // package name/path and type name).
 package telemetry
 
-// Counter is a monotonic series.
+// Counter is a monotonic series its layer owns.
 type Counter struct{ v uint64 }
 
-// Add increments the counter.
-func (c *Counter) Add(n uint64) { c.v += n }
+// Inc adds 1.
+func (c *Counter) Inc() { c.v++ }
 
-// Gauge is a point-in-time series.
-type Gauge struct{ v int64 }
+// Load returns the current value.
+func (c *Counter) Load() uint64 { return c.v }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Histogram is a bucketed latency series.
+// Histogram is a bucketed latency series its layer owns.
 type Histogram struct{ n uint64 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v int64) { h.n++ }
+func (h *Histogram) Observe(v uint64) { h.n++ }
 
-// Registry holds registered series.
+// Registry names registered series.
 type Registry struct{}
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter registers and returns a counter series.
-func (r *Registry) Counter(name, help string) *Counter { return &Counter{} }
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string) *Gauge { return &Gauge{} }
-
-// Histogram registers and returns a histogram series.
-func (r *Registry) Histogram(name, help string) *Histogram { return &Histogram{} }
+// Histogram registers h, a histogram its layer owns, under name.
+func (r *Registry) Histogram(name, help string, h *Histogram) {}
 
 // CounterFunc registers a counter sampled from fn at scrape time.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {}

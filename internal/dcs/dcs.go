@@ -48,6 +48,8 @@ const (
 	DefaultTables  = 3
 	DefaultBuckets = 128
 	DefaultLevels  = 64
+	// DefaultEpsilon is the paper's accuracy parameter ε, the one value
+	// PaperSampleTarget is evaluated at; no Config field carries ε.
 	DefaultEpsilon = 1.0 / 3.0
 )
 
@@ -71,9 +73,6 @@ type Config struct {
 	// Seed derives every hash function in the sketch. Two sketches must
 	// share a seed to be mergeable.
 	Seed uint64
-	// Epsilon is the accuracy parameter ε of the TRACKAPPROXTOPK
-	// guarantee, used by the paper-form stopping rule (see SampleTarget).
-	Epsilon float64
 	// SampleTarget is the estimator's stopping threshold: sampling
 	// descends first-level buckets until the distinct sample holds at
 	// least this many pairs. Zero selects the practical default of s
@@ -103,9 +102,6 @@ func (c Config) withDefaults() Config {
 	if c.Levels == 0 {
 		c.Levels = DefaultLevels
 	}
-	if c.Epsilon == 0 {
-		c.Epsilon = DefaultEpsilon
-	}
 	if c.SampleTarget == 0 {
 		c.SampleTarget = c.Buckets
 	}
@@ -132,8 +128,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("dcs: Buckets = %d, must be >= 2", c.Buckets)
 	case c.Levels < 1 || c.Levels > 64:
 		return fmt.Errorf("dcs: Levels = %d, must be in [1,64]", c.Levels)
-	case c.Epsilon <= 0 || c.Epsilon >= 1:
-		return fmt.Errorf("dcs: Epsilon = %v, must be in (0,1)", c.Epsilon)
 	case c.SampleTarget < 1:
 		return fmt.Errorf("dcs: SampleTarget = %d, must be >= 1", c.SampleTarget)
 	}

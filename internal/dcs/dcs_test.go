@@ -23,8 +23,7 @@ func TestConfigDefaults(t *testing.T) {
 	s := mustNew(t, Config{})
 	cfg := s.Config()
 	if cfg.Tables != DefaultTables || cfg.Buckets != DefaultBuckets ||
-		cfg.Levels != DefaultLevels || cfg.Epsilon != DefaultEpsilon ||
-		cfg.SampleTarget != DefaultBuckets {
+		cfg.Levels != DefaultLevels || cfg.SampleTarget != DefaultBuckets {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -35,8 +34,6 @@ func TestConfigValidation(t *testing.T) {
 		{Buckets: 1},
 		{Levels: 65},
 		{Levels: -3},
-		{Epsilon: 1.5},
-		{Epsilon: -0.1},
 		{SampleTarget: -1},
 	}
 	for _, cfg := range cases {

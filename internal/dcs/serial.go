@@ -12,8 +12,14 @@ import (
 
 // Serialization format (little-endian, varint-based):
 //
-//	magic "DCS1" | tables | buckets | levels | seed | epsilon bits |
-//	fingerprint flag | updates | counter payload
+//	magic "DCS1" | tables | buckets | levels | seed | epsilon slot |
+//	fingerprint flag | sample target | updates | counter payload
+//
+// The epsilon slot is 8 bytes that no configuration field fills: the
+// encoder writes the float64 bits of DefaultEpsilon, so the bytes of a
+// default-configured sketch are those it always had, and the decoder
+// rejects a slot outside [0, 1), as it always has, and otherwise ignores
+// it.
 //
 // The counter payload is the level-major array X[level][table][bucket][pos]
 // of all Levels·r·s·width counters, pos running over a bucket's total, its
@@ -54,7 +60,7 @@ func (s *Sketch) appendHeader(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.cfg.Buckets))
 	buf = binary.AppendUvarint(buf, uint64(s.cfg.Levels))
 	buf = binary.LittleEndian.AppendUint64(buf, s.cfg.Seed)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.cfg.Epsilon))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(DefaultEpsilon))
 	if s.cfg.DisableFingerprint {
 		buf = append(buf, 1)
 	} else {
@@ -230,7 +236,9 @@ func UnmarshalBinary(data []byte) (*Sketch, error) {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	seed := binary.LittleEndian.Uint64(data)
-	epsilon := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
+	if eps := math.Float64frombits(binary.LittleEndian.Uint64(data[8:])); eps < 0 || eps >= 1 {
+		return nil, fmt.Errorf("%w: epsilon slot %v outside [0,1)", ErrCorrupt, eps)
+	}
 	fpFlag := data[16]
 	data = data[17:]
 	sampleTarget, err := readUvarint()
@@ -264,7 +272,6 @@ func UnmarshalBinary(data []byte) (*Sketch, error) {
 		Buckets:            int(buckets),
 		Levels:             int(levels),
 		Seed:               seed,
-		Epsilon:            epsilon,
 		SampleTarget:       int(sampleTarget),
 		DisableFingerprint: fpFlag == 1,
 	})

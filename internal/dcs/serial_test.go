@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -285,6 +286,42 @@ func TestUnmarshalRejectsImplausibleParameters(t *testing.T) {
 	buf = append(buf, make([]byte, 17)...)         // seed+eps+flag
 	if _, err := UnmarshalBinary(buf); err == nil {
 		t.Fatal("implausible parameters accepted")
+	}
+}
+
+// TestEpsilonSlotIgnored pins the header's epsilon slot, which no
+// configuration field fills: a value in [0, 1) decodes and re-encodes as
+// the bits of DefaultEpsilon, and a value outside it is rejected as corrupt,
+// the headers the decoder has always rejected.
+func TestEpsilonSlotIgnored(t *testing.T) {
+	s := mustNew(t, Config{Tables: 1, Buckets: 4, Levels: 4})
+	s.UpdateKey(42, 1)
+	enc, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slot = len("DCS1") + 3 + 8 // three one-byte uvarints, then the seed
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(enc[slot:])); got != DefaultEpsilon {
+		t.Fatalf("encoder wrote %v in the epsilon slot, want DefaultEpsilon", got)
+	}
+	patched := func(eps float64) []byte {
+		b := bytes.Clone(enc)
+		binary.LittleEndian.PutUint64(b[slot:], math.Float64bits(eps))
+		return b
+	}
+	for _, eps := range []float64{0, 0.9, math.NaN()} {
+		d, err := UnmarshalBinary(patched(eps))
+		if err != nil {
+			t.Fatalf("slot %v rejected: %v", eps, err)
+		}
+		if again, _ := d.MarshalBinary(); !bytes.Equal(again, enc) {
+			t.Fatalf("slot %v did not re-encode as DefaultEpsilon's bits", eps)
+		}
+	}
+	for _, eps := range []float64{-0.5, 1, 7, math.Inf(1)} {
+		if _, err := UnmarshalBinary(patched(eps)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("slot %v: got %v, want ErrCorrupt", eps, err)
+		}
 	}
 }
 

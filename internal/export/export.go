@@ -1,10 +1,9 @@
-// Package export is the fault-tolerant edge exporter: the resilient
-// counterpart to server.Client for streaming flow updates into the monitor
-// daemon over an unreliable network. Where Client fails its caller on the
-// first transport error, an Exporter absorbs faults: updates are enqueued
-// into a bounded in-memory spool and a background loop ships them with
-// automatic reconnection, jittered exponential backoff, and per-attempt
-// timeouts.
+// Package export is the fault-tolerant edge exporter, the one sender of
+// flow updates to the monitor daemon: it alone writes the MsgHello
+// handshake and the sequenced MsgSeqUpdates batches. An Exporter absorbs
+// the faults of an unreliable network: updates are enqueued into a bounded
+// in-memory spool and a background loop ships them with automatic
+// reconnection, jittered exponential backoff, and per-attempt timeouts.
 //
 // Delivery is exactly-once as long as the spool and the server's session
 // table hold: every batch carries a session-scoped sequence number, the

@@ -180,9 +180,13 @@ type Monitor struct {
 	// tracking floor; a test pins a telemetry scrape to one. guarded by mu
 	healthReads uint64
 
-	// tel is the optional telemetry bundle; nil until RegisterTelemetry.
-	// guarded by mu
-	tel *telemetry.MonitorMetrics
+	// checks counts periodic anomaly checks; checkLatency observes the
+	// wall time of one full check (query, baseline update, alerting) and
+	// queryLatency that of its top-k query alone, in nanoseconds. They are
+	// atomics: check records them, and a scrape reads them without taking
+	// the monitor lock.
+	checks                     telemetry.Counter
+	checkLatency, queryLatency telemetry.Histogram
 
 	// onAlert is immutable after New; it is invoked with mu held and must
 	// not call back into the monitor.
@@ -277,15 +281,10 @@ func (m *Monitor) consumed(n int) {
 //
 //lint:locked mu
 func (m *Monitor) check() {
-	var start time.Time
-	if m.tel != nil {
-		m.tel.ChecksTotal.Inc()
-		start = time.Now()
-	}
+	m.checks.Inc()
+	start := time.Now()
 	top := m.sketch.TopK(m.cfg.K)
-	if m.tel != nil {
-		m.tel.QueryLatency.Observe(uint64(time.Since(start)))
-	}
+	m.queryLatency.Observe(uint64(time.Since(start)))
 	for _, e := range top {
 		base := m.baseline[e.Dest]
 		trigger := m.trigger(base)
@@ -316,9 +315,7 @@ func (m *Monitor) check() {
 		}
 	}
 	m.clearOutsideTopK(top)
-	if m.tel != nil {
-		m.tel.CheckLatency.Observe(uint64(time.Since(start)))
-	}
+	m.checkLatency.Observe(uint64(time.Since(start)))
 }
 
 // clearOutsideTopK ends the excursion of every alerting destination that
@@ -514,17 +511,26 @@ func (m *Monitor) readScrape() scrapeState {
 	return scrapeState{updates: m.n, alerts: m.alertStatsLocked(), health: m.sketchHealthLocked()}
 }
 
-// RegisterTelemetry attaches a live bundle (check counter, check/query
-// latency histograms) and registers the monitor's scrape-time probes on reg:
-// the alert lifecycle counters and the sketch-health series — decode
-// outcomes, distinct-sample shape, level occupancy, rebuilds. The probes
-// share one read per scrape: a scrape hook takes the monitor lock once,
-// reads the update count, AlertStats and SketchHealth, and every probe
-// reads that. The lock is the one the server's ingest holds for every
-// frame, and a health read may move the tracking floor. Call at most once
-// per monitor and registry pair.
+// RegisterTelemetry registers the monitor's check counter and its check and
+// query latency histograms on reg, with its scrape-time probes: the alert
+// lifecycle counters and the sketch-health series — decode outcomes,
+// distinct-sample shape, level occupancy, rebuilds. The probes share one
+// read per scrape: a scrape hook takes the monitor lock once, reads the
+// update count, AlertStats and SketchHealth, and every probe reads that.
+// The lock is the one the server's ingest holds for every frame, and a
+// health read may move the tracking floor. Call at most once per monitor
+// and registry pair.
 func (m *Monitor) RegisterTelemetry(reg *telemetry.Registry) {
-	tel := telemetry.NewMonitorMetrics(reg)
+	reg.CounterFunc("dcsketch_monitor_checks_total",
+		"Periodic anomaly checks run.",
+		m.checks.Load)
+	reg.Histogram("dcsketch_monitor_check_latency_ns",
+		"Wall time of one anomaly check in nanoseconds.",
+		&m.checkLatency)
+	reg.Histogram("dcsketch_monitor_query_latency_ns",
+		"Wall time of the top-k sketch query in nanoseconds.",
+		&m.queryLatency)
+
 	cur := telemetry.Scraped(reg, m.readScrape)
 
 	reg.CounterFunc("dcsketch_monitor_updates_total",
@@ -582,10 +588,6 @@ func (m *Monitor) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("dcsketch_sketch_levels_allocated",
 		"First-level buckets whose counters are allocated (each holds r*s count signatures).",
 		func() int64 { return int64(cur().health.LevelsAllocated) })
-
-	m.mu.Lock()
-	m.tel = tel
-	m.mu.Unlock()
 }
 
 // Collector merges the sketches of several edge monitors into a global view

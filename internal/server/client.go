@@ -2,8 +2,6 @@ package server
 
 import (
 	"bufio"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -12,26 +10,22 @@ import (
 	"dcsketch/internal/wire"
 )
 
-// Client is an edge-side connection to the monitor daemon: it streams flow
-// updates as the sequenced batches of one replay session and issues top-k
-// queries. A Client is not safe for concurrent use; run one per exporter
-// goroutine.
+// Client is a query connection to the monitor daemon: it issues top-k
+// queries. Flow updates reach the daemon through internal/export, the one
+// sender of the hello and sequenced-batch protocol. A Client is not safe for
+// concurrent use.
 //
 // A Client is poisoned by its first transport error: any mid-frame write or
 // read failure leaves the byte stream desynchronized (the peer may hold a
 // partial frame, or an unread reply is in flight), so every later call
 // fails fast with the original error instead of silently corrupting the
 // framing. In-band MsgError replies arrive on an intact stream and do not
-// poison. There is no reconnection here — that is internal/export's job.
+// poison. There is no reconnection here.
 type Client struct {
 	conn    net.Conn
 	r       *bufio.Reader
 	w       *bufio.Writer
 	timeout time.Duration
-	scratch []byte
-	// session is the replay session SendUpdates opened with its hello (0
-	// until the first call); seq is the last batch sequence it sent.
-	session, seq uint64
 	// err is the sticky first transport error; once set, roundTrip
 	// refuses without touching the connection.
 	err error
@@ -86,71 +80,6 @@ func (c *Client) roundTrip(t wire.MsgType, payload []byte) (wire.MsgType, []byte
 		c.err = err
 	}
 	return typ, reply, err
-}
-
-// SendUpdates ships a batch of flow updates as the next sequenced batch of
-// the client's replay session and waits for its ack. The first call opens
-// the session with a MsgHello under a random nonzero session ID. There is
-// no retransmission here (that is internal/export's job), so the session
-// only gives each batch its (session, seq) identity.
-func (c *Client) SendUpdates(updates []wire.Update) error {
-	if c.session == 0 {
-		if err := c.hello(); err != nil {
-			return err
-		}
-	}
-	c.seq++
-	c.scratch = wire.AppendSeqUpdates(c.scratch[:0], c.seq, updates)
-	typ, payload, err := c.roundTrip(wire.MsgSeqUpdates, c.scratch)
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case wire.MsgSeqAck:
-		acked, err := wire.DecodeSeqAck(payload)
-		if err != nil {
-			return fmt.Errorf("server: seq ack: %w", err)
-		}
-		if acked != c.seq {
-			return fmt.Errorf("server: ack for seq %d, want %d", acked, c.seq)
-		}
-		return nil
-	case wire.MsgError:
-		return fmt.Errorf("server: remote error: %s", payload)
-	default:
-		return fmt.Errorf("server: unexpected reply type %d", typ)
-	}
-}
-
-// hello opens the client's replay session under a fresh random ID, drawn
-// the way internal/export draws one. Sequences continue above the echoed
-// horizon, so even an ID collision cannot make the server suppress a batch.
-func (c *Client) hello() error {
-	var id uint64
-	for id == 0 {
-		var b [8]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			return fmt.Errorf("server: session id: %w", err)
-		}
-		id = binary.LittleEndian.Uint64(b[:])
-	}
-	typ, payload, err := c.roundTrip(wire.MsgHello, wire.AppendHello(nil, id))
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case wire.MsgHelloAck:
-		last, err := wire.DecodeHelloAck(payload)
-		if err != nil {
-			return fmt.Errorf("server: hello ack: %w", err)
-		}
-		c.session, c.seq = id, last
-		return nil
-	case wire.MsgError:
-		return fmt.Errorf("server: remote error: %s", payload)
-	default:
-		return fmt.Errorf("server: unexpected reply type %d", typ)
-	}
 }
 
 // TopK queries the daemon's current top-k destinations.

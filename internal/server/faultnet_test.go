@@ -121,12 +121,11 @@ func TestMidFrameResetRecovers(t *testing.T) {
 	}
 
 	// A clean client still gets answers.
-	cl := dial(t, addr)
-	if err := cl.SendUpdates(batchOf(10, 9, 1)); err != nil {
+	sc := dialSess(t, addr)
+	sc.hello(99)
+	sc.seqSend(1, batchOf(10, 9, 1))
+	if _, err := dial(t, addr).TopK(1); err != nil {
 		t.Fatalf("server wedged after mid-frame resets: %v", err)
-	}
-	if _, err := cl.TopK(1); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -144,10 +143,9 @@ func TestPartialHeaderThenClose(t *testing.T) {
 	}
 	conn.Close()
 
-	cl := dial(t, addr)
-	if err := cl.SendUpdates(batchOf(5, 3, 1)); err != nil {
-		t.Fatal(err)
-	}
+	sc := dialSess(t, addr)
+	sc.hello(1)
+	sc.seqSend(1, batchOf(5, 3, 1))
 	if st := srv.Stats(); st.Batches != 1 || st.Updates != 5 {
 		t.Fatalf("stats after torn header = %+v", st)
 	}
@@ -277,7 +275,7 @@ func TestAcceptErrorsRetriedWithBackoff(t *testing.T) {
 
 	// The three failures cost ~5+10+20ms of backoff before Accept recovers.
 	cl := dial(t, ln.Addr().String())
-	if err := cl.SendUpdates(batchOf(5, 1, 1)); err != nil {
+	if _, err := cl.TopK(1); err != nil {
 		t.Fatalf("accept loop did not recover: %v", err)
 	}
 	if st := srv.Stats(); st.AcceptErrors != 3 || st.ConnsAccepted != 1 {
@@ -329,18 +327,14 @@ func TestClientPoisonedAfterTransportError(t *testing.T) {
 	}
 	defer c.Close()
 
-	first := c.SendUpdates(batchOf(10, 1, 1))
+	_, first := c.TopK(1)
 	if first == nil {
 		t.Fatal("round trip against a slamming peer succeeded")
 	}
 	if errors.Is(first, ErrPoisoned) {
 		t.Fatalf("first error already wrapped ErrPoisoned: %v", first)
 	}
-	second := c.SendUpdates(batchOf(10, 1, 1))
-	if !errors.Is(second, ErrPoisoned) {
+	if _, second := c.TopK(1); !errors.Is(second, ErrPoisoned) {
 		t.Fatalf("second call error = %v, want ErrPoisoned", second)
-	}
-	if _, err := c.TopK(1); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("TopK after poison = %v, want ErrPoisoned", err)
 	}
 }

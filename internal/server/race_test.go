@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dcsketch/internal/export"
 	"dcsketch/internal/wire"
 )
 
@@ -45,6 +46,12 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		wg.Add(1)
 		go func(e int) {
 			defer wg.Done()
+			exp, err := export.New(export.Config{Addr: addr})
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer exp.Close()
 			c, err := Dial(addr, 5*time.Second)
 			if err != nil {
 				errs <- err
@@ -56,7 +63,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 				for i := range batch {
 					batch[i] = wire.Update{Src: uint32(e)<<20 | uint32(b*20+i), Dst: 9, Delta: 1}
 				}
-				if err := c.SendUpdates(batch); err != nil {
+				if err := exp.Export(batch); err != nil {
 					errs <- err
 					return
 				}
@@ -65,7 +72,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 					return
 				}
 			}
-			errs <- nil
+			errs <- exp.Drain(10 * time.Second)
 		}(e)
 	}
 	stop := make(chan struct{})

@@ -319,7 +319,7 @@ func TestSessionEvictionRacingSnapshot(t *testing.T) {
 
 // TestRestoredServerIngestsLikeFreshSketch restores a snapshot into a fresh
 // server and keeps ingesting churn over two sessions: the restored one and a
-// fresh Client's. The restored sketch is a new object, so the batches the
+// fresh one. The restored sketch is a new object, so the batches the
 // server locates with the monitor's original Locator now meet a sketch with
 // an equal config but other hash-table instances. The server's top-k must
 // equal that of a fresh sketch fed only the live pairs.
@@ -368,11 +368,10 @@ func TestRestoredServerIngestsLikeFreshSketch(t *testing.T) {
 		seq++
 		sc2.seqSend(seq, f)
 	}
-	c := dial(t, addr2)
-	for _, f := range frames(3500, 4000, 1000, 1200) {
-		if err := c.SendUpdates(f); err != nil {
-			t.Fatal(err)
-		}
+	sc3 := dialSess(t, addr2)
+	sc3.hello(4)
+	for i, f := range frames(3500, 4000, 1000, 1200) {
+		sc3.seqSend(uint64(i+1), f)
 	}
 
 	fresh, err := tdcs.New(cfg.Monitor.Sketch)

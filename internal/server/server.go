@@ -136,10 +136,9 @@ type Server struct {
 	// Connection lifecycle counters; acceptErrors counts listener Accept
 	// failures, which the accept loop retries with backoff.
 	connsAccepted, connsRejected, connsClosed, acceptErrors telemetry.Counter
-
-	// tel holds the telemetry bundle once RegisterTelemetry attaches one;
-	// nil (one atomic load per query frame) until then.
-	tel atomic.Pointer[telemetry.ServerMetrics]
+	// queryLatency observes the wall time of serving one top-k query frame
+	// (decode, query, reply encode), in nanoseconds.
+	queryLatency telemetry.Histogram
 
 	// rec is the flight recorder; each connection handler acquires a ring
 	// of its own.
@@ -517,11 +516,7 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		return err
 
 	case wire.MsgTopKQuery:
-		tel := s.tel.Load()
-		var start time.Time
-		if tel != nil {
-			start = time.Now()
-		}
+		start := time.Now()
 		k, err := wire.DecodeTopKQuery(payload)
 		if err != nil {
 			s.noteProtocolError(typ)
@@ -536,9 +531,7 @@ func (s *Server) dispatch(cs *connState, typ wire.MsgType, payload []byte, w io.
 		if err == nil {
 			cs.ring.Record(tracelog.StageServerQuery, cs.sessionID, 0, uint32(k), 0)
 		}
-		if tel != nil {
-			tel.QueryLatency.Observe(uint64(time.Since(start)))
-		}
+		s.queryLatency.Observe(uint64(time.Since(start)))
 		return err
 
 	default:
@@ -709,18 +702,19 @@ func (s *Server) sessionCounts() sessionCount {
 // supported.
 func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
-// RegisterTelemetry attaches the live bundle (query-frame latency) and
-// registers the server's scrape-time probes on reg: request totals,
-// per-type frame and protocol-error counters, oversized/unknown frame
-// counters, the dedup table's sessions, and connection lifecycle. The
-// counters are lock-free; the two session series share one read of the
-// table per scrape, which takes mu once. It also registers the shared
-// monitor's telemetry (check latency, alert ring, sketch health). Call at
-// most once per server and registry pair; the server may already be
-// serving — the bundle attaches atomically.
+// RegisterTelemetry registers the server's query-frame latency histogram
+// and its scrape-time probes on reg: request totals, per-type frame and
+// protocol-error counters, oversized/unknown frame counters, the dedup
+// table's sessions, and connection lifecycle. The counters are lock-free;
+// the two session series share one read of the table per scrape, which
+// takes mu once. It also registers the shared monitor's telemetry (check
+// latency, alert ring, sketch health). Every instrument counts from New, so
+// the server may already be serving. Call at most once per server and
+// registry pair.
 func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
-	tel := telemetry.NewServerMetrics(reg)
-
+	reg.Histogram("dcsketch_server_query_latency_ns",
+		"Wall time of serving one top-k query frame in nanoseconds.",
+		&s.queryLatency)
 	reg.CounterFunc("dcsketch_server_updates_total",
 		"Flow updates applied from sequenced update batches.",
 		s.updatesIn.Load)
@@ -783,7 +777,6 @@ func (s *Server) RegisterTelemetry(reg *telemetry.Registry) {
 		func() int64 { closed := s.connsClosed.Load(); return int64(s.connsAccepted.Load() - closed) })
 
 	s.mon.RegisterTelemetry(reg)
-	s.tel.Store(tel)
 }
 
 // Shutdown stops accepting, closes all live connections, and waits for

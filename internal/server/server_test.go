@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dcsketch/internal/export"
 	"dcsketch/internal/monitor"
 	"dcsketch/internal/wire"
 )
@@ -37,16 +38,15 @@ func dial(t *testing.T, addr string) *Client {
 
 func TestUpdateAndQueryOverWire(t *testing.T) {
 	srv, addr := startServer(t, Config{})
-	c := dial(t, addr)
+	sc := dialSess(t, addr)
+	sc.hello(1)
 
 	batch := make([]wire.Update, 0, 200)
 	for i := uint32(0); i < 200; i++ {
 		batch = append(batch, wire.Update{Src: 1000 + i, Dst: 443, Delta: 1})
 	}
-	if err := c.SendUpdates(batch); err != nil {
-		t.Fatalf("SendUpdates: %v", err)
-	}
-	top, err := c.TopK(1)
+	sc.seqSend(1, batch)
+	top, err := dial(t, addr).TopK(1)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)
 	}
@@ -66,7 +66,8 @@ func TestUpdateAndQueryOverWire(t *testing.T) {
 
 func TestDeletesOverWire(t *testing.T) {
 	_, addr := startServer(t, Config{})
-	c := dial(t, addr)
+	sc := dialSess(t, addr)
+	sc.hello(1)
 
 	ins := make([]wire.Update, 0, 50)
 	del := make([]wire.Update, 0, 50)
@@ -74,13 +75,9 @@ func TestDeletesOverWire(t *testing.T) {
 		ins = append(ins, wire.Update{Src: i, Dst: 80, Delta: 1})
 		del = append(del, wire.Update{Src: i, Dst: 80, Delta: -1})
 	}
-	if err := c.SendUpdates(ins); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SendUpdates(del); err != nil {
-		t.Fatal(err)
-	}
-	top, err := c.TopK(5)
+	sc.seqSend(1, ins)
+	sc.seqSend(2, del)
+	top, err := dial(t, addr).TopK(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,24 +119,24 @@ func TestConcurrentExporters(t *testing.T) {
 		wg.Add(1)
 		go func(e int) {
 			defer wg.Done()
-			c, err := Dial(addr, 5*time.Second)
+			exp, err := export.New(export.Config{Addr: addr})
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer c.Close()
+			defer exp.Close()
 			for b := 0; b < batches; b++ {
 				batch := make([]wire.Update, perBatch)
 				for i := range batch {
 					src := uint32(e)<<16 | uint32(b*perBatch+i)
 					batch[i] = wire.Update{Src: src, Dst: 7, Delta: 1}
 				}
-				if err := c.SendUpdates(batch); err != nil {
+				if err := exp.Export(batch); err != nil {
 					errs <- err
 					return
 				}
 			}
-			errs <- nil
+			errs <- exp.Drain(10 * time.Second)
 		}(e)
 	}
 	wg.Wait()
@@ -162,7 +159,7 @@ func TestConcurrentExporters(t *testing.T) {
 func TestMaxConnsEnforced(t *testing.T) {
 	_, addr := startServer(t, Config{MaxConns: 1})
 	c1 := dial(t, addr)
-	if err := c1.SendUpdates([]wire.Update{{Src: 1, Dst: 2, Delta: 1}}); err != nil {
+	if _, err := c1.TopK(1); err != nil {
 		t.Fatal(err)
 	}
 	// The second connection is accepted at TCP level then closed; any
@@ -172,7 +169,7 @@ func TestMaxConnsEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c2.SendUpdates([]wire.Update{{Src: 1, Dst: 2, Delta: 1}}); err == nil {
+	if _, err := c2.TopK(1); err == nil {
 		t.Fatal("connection over MaxConns served a request")
 	}
 }
@@ -180,7 +177,7 @@ func TestMaxConnsEnforced(t *testing.T) {
 func TestShutdownUnblocksClients(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	c := dial(t, addr)
-	if err := c.SendUpdates([]wire.Update{{Src: 1, Dst: 2, Delta: 1}}); err != nil {
+	if _, err := c.TopK(1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -193,7 +190,7 @@ func TestShutdownUnblocksClients(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown did not complete")
 	}
-	if err := c.SendUpdates([]wire.Update{{Src: 1, Dst: 2, Delta: 1}}); err == nil {
+	if _, err := c.TopK(1); err == nil {
 		t.Fatal("request succeeded after shutdown")
 	}
 }
@@ -221,14 +218,13 @@ func TestAlertOverServer(t *testing.T) {
 	conn, r := rawConn(t, addr)
 	expectError(t, conn, r, wire.MsgSeqUpdates, []byte{1, 1}) // truncated
 	expectError(t, conn, r, wire.MsgType(200), nil)           // undefined type
-	c := dial(t, addr)
+	sc := dialSess(t, addr)
+	sc.hello(1)
 	batch := make([]wire.Update, 500)
 	for i := range batch {
 		batch[i] = wire.Update{Src: uint32(i), Dst: 443, Delta: 1}
 	}
-	if err := c.SendUpdates(batch); err != nil {
-		t.Fatal(err)
-	}
+	sc.seqSend(1, batch)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(alerts) == 0 || alerts[0].Dest != 443 {

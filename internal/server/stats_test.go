@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dcsketch/internal/monitor"
 	"dcsketch/internal/telemetry"
 	"dcsketch/internal/wire"
 )
@@ -158,7 +159,7 @@ func TestOversizedFrameCountedAndDropped(t *testing.T) {
 func TestConnLifecycleCounters(t *testing.T) {
 	srv, addr := startServer(t, Config{MaxConns: 1})
 	c1 := dial(t, addr)
-	if err := c1.SendUpdates([]wire.Update{{Src: 1, Dst: 2, Delta: 1}}); err != nil {
+	if _, err := c1.TopK(1); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
@@ -171,7 +172,7 @@ func TestConnLifecycleCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c2.SendUpdates([]wire.Update{{Src: 1, Dst: 2, Delta: 1}}); err == nil {
+	if _, err := c2.TopK(1); err == nil {
 		t.Fatal("connection over MaxConns served a request")
 	}
 	waitForStats(t, srv, "rejected conn", func(st Stats) bool {
@@ -187,22 +188,42 @@ func TestConnLifecycleCounters(t *testing.T) {
 	}
 }
 
-// TestServerTelemetry registers the server on a registry, drives good and
-// bad traffic, and checks the exported series.
+// TestServerTelemetry drives good and bad traffic through a server and
+// checks the exported series, once with the server registered before the
+// traffic and once after it: an instrument counts from the server's
+// construction, so the first scrape of a late registration shows the same
+// traffic.
 func TestServerTelemetry(t *testing.T) {
-	srv, addr := startServer(t, Config{})
-	reg := telemetry.NewRegistry()
-	srv.RegisterTelemetry(reg)
-
-	c := dial(t, addr)
-	if err := c.SendUpdates([]wire.Update{{Src: 1, Dst: 443, Delta: 1}, {Src: 2, Dst: 443, Delta: 1}}); err != nil {
-		t.Fatal(err)
+	for _, late := range []bool{false, true} {
+		name := "registered-before-traffic"
+		if late {
+			name = "registered-after-traffic"
+		}
+		t.Run(name, func(t *testing.T) { checkServerTelemetry(t, late) })
 	}
-	if _, err := c.TopK(1); err != nil {
-		t.Fatal(err)
+}
+
+// checkServerTelemetry sends one batch and one query over one connection
+// and a malformed query over a second, registering the server on a fresh
+// registry before that traffic or, if late, after it.
+func checkServerTelemetry(t *testing.T, late bool) {
+	srv, addr := startServer(t, Config{Monitor: monitor.Config{CheckInterval: 2}})
+	reg := telemetry.NewRegistry()
+	if !late {
+		srv.RegisterTelemetry(reg)
+	}
+
+	sc := dialSess(t, addr)
+	sc.hello(1)
+	sc.seqSend(1, []wire.Update{{Src: 1, Dst: 443, Delta: 1}, {Src: 2, Dst: 443, Delta: 1}})
+	if typ, payload := sc.send(wire.MsgTopKQuery, wire.AppendTopKQuery(nil, 1)); typ != wire.MsgTopKReply {
+		t.Fatalf("query reply = %v (%q)", typ, payload)
 	}
 	conn, r := rawConn(t, addr)
 	expectError(t, conn, r, wire.MsgTopKQuery, []byte{1, 0xff})
+	if late {
+		srv.RegisterTelemetry(reg)
+	}
 
 	vals := map[string]float64{}
 	hists := map[string]*telemetry.HistogramSnapshot{}
@@ -222,15 +243,23 @@ func TestServerTelemetry(t *testing.T) {
 		"dcsketch_server_conns_active":                              2,
 		"dcsketch_server_unknown_frames_total":                      0,
 		"dcsketch_server_oversized_frames_total":                    0,
+		"dcsketch_monitor_checks_total":                             1,
 	} {
 		if vals[name] != want {
 			t.Errorf("%s = %v, want %v", name, vals[name], want)
 		}
 	}
-	// The good query was timed by the live bundle; the malformed one bailed
-	// out before the observation.
-	if h := hists["dcsketch_server_query_latency_ns"]; h == nil || h.Count != 1 {
-		t.Errorf("query latency hist = %+v, want 1 observation", h)
+	// The good query was timed; the malformed one bailed out before the
+	// observation. The batch crossed one CheckInterval boundary, so the
+	// monitor timed one check and its query.
+	for name, want := range map[string]uint64{
+		"dcsketch_server_query_latency_ns":  1,
+		"dcsketch_monitor_check_latency_ns": 1,
+		"dcsketch_monitor_query_latency_ns": 1,
+	} {
+		if h := hists[name]; h == nil || h.Count != want {
+			t.Errorf("%s = %+v, want %d observations", name, h, want)
+		}
 	}
 	// Monitor telemetry rides along with the server's registration.
 	if vals["dcsketch_monitor_updates_total"] != 2 {

@@ -20,12 +20,14 @@ func FuzzWritePrometheus(f *testing.F) {
 		}
 		family, _, _ := splitSeries(name)
 		reg := NewRegistry()
-		reg.Counter(name, help).Add(cv)
+		reg.CounterFunc(name, help, func() uint64 { return cv })
 		// Distinct families for the other kinds; skip when the fuzzer's
 		// family collides with a suffixed variant.
 		gname, hname := family+"_g", family+"_h"
 		reg.GaugeFunc(gname, help, func() int64 { return gv })
-		reg.Histogram(hname, help).Observe(hv)
+		var h Histogram
+		h.Observe(hv)
+		reg.Histogram(hname, help, &h)
 
 		var sb strings.Builder
 		if err := reg.WritePrometheus(&sb); err != nil {

@@ -19,8 +19,8 @@ const HistogramBuckets = 65
 // cumulative series is always internally consistent (monotone in le) even
 // while recorders race with the scrape.
 //
-// The zero value is ready to use; histograms are normally obtained from
-// Registry.Histogram so they are exported.
+// The zero value is ready to use; a layer keeps its histograms as fields and
+// exports each through Registry.Histogram.
 type Histogram struct {
 	sum     atomic.Uint64
 	_       [cacheLine - 8]byte

@@ -9,10 +9,14 @@ import (
 
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("p_c_total", "a counter").Add(7)
-	reg.Counter(`p_c_total{shard="1"}`, "a counter").Add(2)
+	var c, shard Counter
+	c.Add(7)
+	shard.Add(2)
+	reg.CounterFunc("p_c_total", "a counter", c.Load)
+	reg.CounterFunc(`p_c_total{shard="1"}`, "a counter", shard.Load)
 	reg.GaugeFunc("p_g", "a gauge", func() int64 { return -5 })
-	h := reg.Histogram("p_h_ns", "a histogram")
+	var h Histogram
+	reg.Histogram("p_h_ns", "a histogram", &h)
 	h.Observe(0)
 	h.Observe(3)
 	h.Observe(3)
@@ -49,7 +53,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWritePrometheusEscapesHelp(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("esc_total", "line1\nline2 \\ tail")
+	reg.CounterFunc("esc_total", "line1\nline2 \\ tail", func() uint64 { return 0 })
 	out := string(mustRender(t, reg))
 	if !strings.Contains(out, `# HELP esc_total line1\nline2 \\ tail`+"\n") {
 		t.Fatalf("help not escaped:\n%s", out)
@@ -61,7 +65,8 @@ func TestWritePrometheusEscapesHelp(t *testing.T) {
 
 func TestHistogramCumulativeMonotone(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("mono_ns", "h")
+	var h Histogram
+	reg.Histogram("mono_ns", "h", &h)
 	for v := uint64(1); v < 1<<20; v *= 3 {
 		h.Observe(v)
 	}
@@ -84,7 +89,9 @@ func TestHistogramCumulativeMonotone(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("hh_total", "h").Inc()
+	var c Counter
+	c.Inc()
+	reg.CounterFunc("hh_total", "h", c.Load)
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {

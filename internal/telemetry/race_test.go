@@ -13,11 +13,12 @@ import (
 // under -race in CI.
 func TestConcurrentRecordAndScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("race_c_total", "h")
+	var c Counter
+	reg.CounterFunc("race_c_total", "h", c.Load)
 	var g atomic.Int64
 	reg.GaugeFunc("race_g", "h", g.Load)
-	h := reg.Histogram("race_h_ns", "h")
-	reg.CounterFunc("race_cf_total", "h", func() uint64 { return c.Load() })
+	var h Histogram
+	reg.Histogram("race_h_ns", "h", &h)
 	// A Scraped read shared by two probes, as the layers register theirs.
 	cur := Scraped(reg, g.Load)
 	reg.GaugeFunc("race_scraped_a", "h", cur)

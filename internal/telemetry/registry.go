@@ -1,13 +1,11 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind classifies a registered series.
@@ -33,7 +31,8 @@ func (k Kind) String() string {
 	return "untyped"
 }
 
-// entry is one registered series: a live instrument or a scrape-time probe.
+// entry is one registered series: a layer's histogram or a scrape-time
+// probe.
 type entry struct {
 	name   string // full series name, including an optional {label="v"} block
 	family string // name up to the label block
@@ -41,16 +40,17 @@ type entry struct {
 	help   string
 	kind   Kind
 
-	counter   *Counter
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() int64
 }
 
-// Registry holds a set of named series and renders them as Prometheus text,
-// expvar, or a structured snapshot. Registration normally happens once at
-// wiring time; instruments themselves are recorded into without touching the
-// registry (or its lock) at all.
+// Registry names a set of series and renders them as Prometheus text or a
+// structured snapshot. It owns no instrument: every Counter and Histogram is
+// a field of the layer that records into it, counting from that layer's
+// construction, and registration only names it. Registration normally
+// happens once at wiring time; instruments are recorded into without
+// touching the registry (or its lock) at all.
 type Registry struct {
 	// mu guards the registration state below. The record path never takes
 	// it; only registration and export do.
@@ -205,8 +205,7 @@ func scanQuoted(s string) (int, error) {
 
 // register validates and stores one entry, panicking on misuse (duplicate
 // or malformed names, or a kind/help conflict within a family): registration
-// is wiring-time code, and a bad series name is a programming error on the
-// same footing as a bad expvar.Publish.
+// is wiring-time code, and a bad series name is a programming error.
 func (r *Registry) register(e *entry) {
 	family, labels, err := splitSeries(e.name)
 	if err != nil {
@@ -227,23 +226,15 @@ func (r *Registry) register(e *entry) {
 	r.entries = append(r.entries, e)
 }
 
-// Counter registers and returns a live counter series.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&entry{name: name, help: help, kind: KindCounter, counter: c})
-	return c
-}
-
-// Histogram registers and returns a live histogram series.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	h := &Histogram{}
+// Histogram registers h, a histogram its layer owns, under name.
+func (r *Registry) Histogram(name, help string, h *Histogram) {
 	r.register(&entry{name: name, help: help, kind: KindHistogram, hist: h})
-	return h
 }
 
 // CounterFunc registers a scrape-time counter probe: fn is called on every
 // export and must be safe to call from any goroutine. It should take no
-// lock: it loads an atomic counter, or reads locked state through Scraped.
+// lock: it loads an atomic counter (a layer's Counter registers as
+// CounterFunc(name, help, c.Load)), or reads locked state through Scraped.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(&entry{name: name, help: help, kind: KindCounter, counterFn: fn})
 }
@@ -255,7 +246,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 }
 
 // OnScrape registers fn to run once at the start of every export
-// (Snapshot, WritePrometheus and the expvar view), before any probe is read
+// (Snapshot and WritePrometheus), before any probe is read
 // and outside the registry's lock. Exports are serialized from the first
 // hook to the last probe read, so no other export's hooks run in between.
 // fn must be safe to call from any goroutine.
@@ -335,8 +326,6 @@ func (e *entry) sample() Sample {
 	case e.hist != nil:
 		hs := e.hist.Snapshot()
 		s.Hist = &hs
-	case e.counter != nil:
-		s.Value = float64(e.counter.Load())
 	case e.counterFn != nil:
 		s.Value = float64(e.counterFn())
 	case e.gaugeFn != nil:
@@ -350,39 +339,4 @@ func (e *entry) sample() Sample {
 func (r *Registry) Snapshot() []Sample {
 	_, samples := r.scrape()
 	return samples
-}
-
-// expvarValue renders the registry as a map for expvar.
-func (r *Registry) expvarValue() any {
-	out := make(map[string]any)
-	for _, s := range r.Snapshot() {
-		if s.Hist != nil {
-			out[s.Name] = map[string]any{
-				"count": s.Hist.Count,
-				"sum":   s.Hist.Sum,
-			}
-			continue
-		}
-		out[s.Name] = s.Value
-	}
-	return out
-}
-
-// expvarSlots maps each name PublishExpvar has published to the registry
-// it serves, an *atomic.Pointer[Registry].
-var expvarSlots sync.Map
-
-// PublishExpvar publishes the registry's snapshot under the given expvar
-// name (alongside the standard memstats/cmdline vars on /debug/vars). The
-// expvar namespace is process-global and append-only, so the name is
-// published once and then serves the registry that published it last: a
-// daemon restarted in-process serves its own numbers, not a stopped one's.
-// A name that other code has published is left alone.
-func (r *Registry) PublishExpvar(name string) {
-	slot, loaded := expvarSlots.LoadOrStore(name, new(atomic.Pointer[Registry]))
-	p := slot.(*atomic.Pointer[Registry])
-	p.Store(r)
-	if !loaded && expvar.Get(name) == nil {
-		expvar.Publish(name, expvar.Func(func() any { return p.Load().expvarValue() }))
-	}
 }

@@ -1,9 +1,9 @@
 // Package telemetry is the repository's allocation-free instrumentation
 // substrate: atomic counters and power-of-two-bucket latency histograms that
 // hot paths can record into without locks and without touching the
-// allocator, plus a Registry that exports every registered instrument and
-// scrape-time probe as Prometheus text (WritePrometheus), expvar
-// (PublishExpvar), and a structured Snapshot for embedders.
+// allocator, plus a Registry that exports every registered histogram and
+// scrape-time probe as Prometheus text (WritePrometheus, served on
+// /metrics) and as a structured Snapshot for embedders.
 //
 // The monitor of the paper runs *inside* the network path (§2's distributed
 // monitoring architecture): an operator needs to see sketch health — level
@@ -21,6 +21,12 @@
 //     functions registered with CounterFunc/GaugeFunc) may lock and
 //     allocate freely; it runs at scrape cadence, not line rate.
 //
+// Every instrument is a field of the layer that records into it, so it
+// counts from that layer's construction whether or not anything is
+// registered yet. Registration only names it: a layer's RegisterTelemetry
+// registers each Counter as CounterFunc(name, help, c.Load) and each
+// Histogram with Registry.Histogram.
+//
 // Single-writer structures (the dcs/tdcs sketches) do not pay even an
 // uncontended atomic on their kernels: they keep plain counters owned by
 // their single writer (dcs.QueryStats). A layer reads such state, and
@@ -28,6 +34,12 @@
 // probes share that read. The substrate's atomics are for genuinely
 // concurrent recorders: server connection handlers and the packet-path
 // detector.
+//
+// Series are named dcsketch_<layer>_<metric>[_<unit>][{label="v"}]
+// (DESIGN.md §10): counters end in _total, durations are histograms in
+// nanoseconds with an _ns suffix, and sizes are histograms with no unit
+// suffix. The sketchlint metricname analyzer enforces the namespace and
+// proves every constant series name is registered once module-wide.
 package telemetry
 
 import "sync/atomic"
@@ -38,8 +50,8 @@ import "sync/atomic"
 const cacheLine = 64
 
 // Counter is a monotonically increasing cache-line-padded atomic counter.
-// The zero value is ready to use, but counters are normally obtained from
-// Registry.Counter so they are exported.
+// The zero value is ready to use; a layer keeps its counters as fields and
+// exports each through Registry.CounterFunc over its Load method.
 type Counter struct {
 	v atomic.Uint64
 	_ [cacheLine - 8]byte

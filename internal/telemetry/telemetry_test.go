@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"strings"
 	"testing"
 )
@@ -114,20 +113,23 @@ func TestRegistryPanics(t *testing.T) {
 		fn()
 	}
 	reg := NewRegistry()
-	reg.Counter("dup_total", "h")
-	mustPanic("duplicate", func() { reg.Counter("dup_total", "h") })
-	mustPanic("bad name", func() { reg.Counter("9bad", "h") })
+	var c Counter
+	reg.CounterFunc("dup_total", "h", c.Load)
+	mustPanic("duplicate", func() { reg.CounterFunc("dup_total", "h", c.Load) })
+	mustPanic("bad name", func() { reg.CounterFunc("9bad", "h", c.Load) })
 	mustPanic("family kind conflict", func() { reg.GaugeFunc(`dup_total{a="b"}`, "h", func() int64 { return 0 }) })
-	mustPanic("family help conflict", func() { reg.Counter(`dup_total{a="b"}`, "other help") })
+	mustPanic("family help conflict", func() { reg.CounterFunc(`dup_total{a="b"}`, "other help", c.Load) })
 	// Same family, same kind and help, different labels is the supported
 	// multi-series shape.
-	reg.Counter(`dup_total{a="b"}`, "h")
+	reg.CounterFunc(`dup_total{a="b"}`, "h", c.Load)
 }
 
 func TestSnapshot(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("c_total", "counter")
-	h := reg.Histogram("h_ns", "hist")
+	var c Counter
+	var h Histogram
+	reg.CounterFunc("c_total", "counter", c.Load)
+	reg.Histogram("h_ns", "hist", &h)
 	reg.CounterFunc("cf_total", "probe", func() uint64 { return 11 })
 	reg.GaugeFunc("gf", "probe", func() int64 { return -4 })
 	c.Add(3)
@@ -178,64 +180,6 @@ func TestOnScrape(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "a_total 20\n") || !strings.Contains(sb.String(), "b_total 21\n") {
 		t.Fatalf("the rendering did not read the second scrape's state:\n%s", sb.String())
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	stale := NewRegistry()
-	stale.Counter("ev_stale_total", "h").Add(1)
-	stale.PublishExpvar("telemetry_test")
-	reg := NewRegistry()
-	reg.Counter("ev_c_total", "h").Add(5)
-	reg.Histogram("ev_h_ns", "h").Observe(10)
-	// Re-publishing (same or another registry) must not panic, and the
-	// name serves the registry published last.
-	reg.PublishExpvar("telemetry_test")
-	reg.PublishExpvar("telemetry_test")
-
-	v := expvar.Get("telemetry_test")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	s := v.String()
-	for _, want := range []string{`"ev_c_total":5`, `"ev_h_ns"`, `"count":1`, `"sum":10`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("expvar output %q missing %q", s, want)
-		}
-	}
-	if strings.Contains(s, "ev_stale_total") {
-		t.Errorf("expvar output %q still serves the first registry", s)
-	}
-}
-
-func TestMetricSets(t *testing.T) {
-	// All three bundles must register on one registry without name
-	// collisions, and every instrument must be non-nil.
-	reg := NewRegistry()
-	m := NewMonitorMetrics(reg)
-	s := NewServerMetrics(reg)
-	d := NewDetectorMetrics(reg)
-	for name, ptr := range map[string]any{
-		"monitor.ChecksTotal":   m.ChecksTotal,
-		"monitor.CheckLatency":  m.CheckLatency,
-		"monitor.QueryLatency":  m.QueryLatency,
-		"server.QueryLatency":   s.QueryLatency,
-		"detector.PacketsTotal": d.PacketsTotal,
-		"detector.CusumAlarms":  d.CusumAlarmsTotal,
-	} {
-		switch v := ptr.(type) {
-		case *Counter:
-			if v == nil {
-				t.Errorf("%s is nil", name)
-			}
-		case *Histogram:
-			if v == nil {
-				t.Errorf("%s is nil", name)
-			}
-		}
-	}
-	if err := ValidatePrometheusText(mustRender(t, reg)); err != nil {
-		t.Fatalf("bundle exposition invalid: %v", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 )
 
 // Dump is the JSON shape served by /debug/trace and read back by
@@ -73,20 +75,15 @@ func ParseTraceQuery(raw string) (session, seq uint64, err error) {
 	var haveSession, haveSeq bool
 	for raw != "" {
 		var pair string
-		if i := indexByte(raw, '&'); i >= 0 {
-			pair, raw = raw[:i], raw[i+1:]
-		} else {
-			pair, raw = raw, ""
-		}
+		pair, raw, _ = strings.Cut(raw, "&")
 		if pair == "" {
 			continue
 		}
-		eq := indexByte(pair, '=')
-		if eq < 0 {
+		key, val, ok := strings.Cut(pair, "=")
+		if !ok {
 			return 0, 0, fmt.Errorf("trace query: %q is not key=value", pair)
 		}
-		key, val := pair[:eq], pair[eq+1:]
-		v, perr := parseDecUint64(val)
+		v, perr := strconv.ParseUint(val, 10, 64)
 		if perr != nil {
 			return 0, 0, fmt.Errorf("trace query %s: %w", key, perr)
 		}
@@ -109,35 +106,6 @@ func ParseTraceQuery(raw string) (session, seq uint64, err error) {
 		return 0, 0, fmt.Errorf("trace query: need both session= and seq=")
 	}
 	return session, seq, nil
-}
-
-// parseDecUint64 parses a non-empty decimal uint64 with overflow detection.
-func parseDecUint64(s string) (uint64, error) {
-	if s == "" {
-		return 0, fmt.Errorf("empty value")
-	}
-	var v uint64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad decimal %q", s)
-		}
-		d := uint64(c - '0')
-		if v > (^uint64(0)-d)/10 {
-			return 0, fmt.Errorf("overflow in %q", s)
-		}
-		v = v*10 + d
-	}
-	return v, nil
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // TraceHandler serves /debug/trace?session=&seq= as a JSON Dump from rec.

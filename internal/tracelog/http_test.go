@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -106,7 +107,7 @@ func FuzzDecodeTraceQuery(f *testing.F) {
 			return
 		}
 		// Round trip: a canonical rebuild must parse to the same pair.
-		rebuilt := "session=" + formatUint(session) + "&seq=" + formatUint(seq)
+		rebuilt := "session=" + strconv.FormatUint(session, 10) + "&seq=" + strconv.FormatUint(seq, 10)
 		s2, q2, err2 := ParseTraceQuery(rebuilt)
 		if err2 != nil || s2 != session || q2 != seq {
 			t.Fatalf("round trip %q -> %q failed: (%d,%d,%v)", raw, rebuilt, s2, q2, err2)
@@ -116,26 +117,12 @@ func FuzzDecodeTraceQuery(f *testing.F) {
 		vals, uerr := url.ParseQuery(raw)
 		if uerr == nil {
 			// Compare numerically: the raw value may carry leading zeros.
-			if got, perr := parseDecUint64(vals.Get("session")); perr != nil || got != session {
+			if got, perr := strconv.ParseUint(vals.Get("session"), 10, 64); perr != nil || got != session {
 				t.Fatalf("net/url sees session=%q, parser saw %d (raw %q)", vals.Get("session"), session, raw)
 			}
-			if got, perr := parseDecUint64(vals.Get("seq")); perr != nil || got != seq {
+			if got, perr := strconv.ParseUint(vals.Get("seq"), 10, 64); perr != nil || got != seq {
 				t.Fatalf("net/url sees seq=%q, parser saw %d (raw %q)", vals.Get("seq"), seq, raw)
 			}
 		}
 	})
-}
-
-func formatUint(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

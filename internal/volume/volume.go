@@ -1,9 +1,8 @@
-// Package volume implements the volume-based detection baselines the paper
-// argues against (§1): trackers that rank destinations by *packet volume*
-// rather than by distinct half-open sources. Two classic small-space
-// detectors are provided — a Count-Min sketch with a candidate heap, and
-// Estan-Varghese-style sample-and-hold — so the evaluation can demonstrate
-// the paper's robustness claims:
+// Package volume implements the volume-based detection baseline the paper
+// argues against (§1): a tracker that ranks destinations by *packet volume*
+// rather than by distinct half-open sources. It is the classic small-space
+// detector — a Count-Min sketch with a candidate heap — so the evaluation
+// can demonstrate the paper's robustness claims:
 //
 //   - a SYN flood of deliberately tiny flows ("none of the malicious
 //     half-open TCP flows will be large since no data packets are ever
@@ -13,14 +12,12 @@
 //     though its handshakes complete, while the distinct-count sketch's
 //     deletions clear it.
 //
-// Both baselines deliberately count every observed packet towards a
+// The baseline deliberately counts every observed packet towards a
 // destination's volume — including the ACKs that *remove* half-open state —
 // because that is what a volume detector sees on the wire.
 package volume
 
 import (
-	"sort"
-
 	"dcsketch/internal/hashing"
 	"dcsketch/internal/iheap"
 )
@@ -156,79 +153,3 @@ func (h *HeavyHitters) TopK(k int) []Estimate {
 
 // Packets returns the total packets observed.
 func (h *HeavyHitters) Packets() int64 { return h.packets }
-
-// SampleAndHold implements Estan & Varghese's sample-and-hold: each packet
-// is sampled with a fixed probability; once a destination is sampled it gets
-// an exact counter ("held"). Large-volume flows are caught with high
-// probability; small ones are missed — precisely why low-volume SYN floods
-// evade it.
-type SampleAndHold struct {
-	prob    float64
-	rng     *hashing.SplitMix64
-	held    map[uint32]int64
-	maxHeld int
-	packets int64
-}
-
-// NewSampleAndHold builds a tracker sampling with probability prob and
-// holding at most maxHeld destination counters.
-func NewSampleAndHold(prob float64, maxHeld int, seed uint64) *SampleAndHold {
-	if prob < 0 {
-		prob = 0
-	}
-	if prob > 1 {
-		prob = 1
-	}
-	if maxHeld < 1 {
-		maxHeld = 1
-	}
-	return &SampleAndHold{
-		prob:    prob,
-		rng:     hashing.NewSplitMix64(seed),
-		held:    make(map[uint32]int64),
-		maxHeld: maxHeld,
-	}
-}
-
-// Update observes one flow update as a packet.
-func (s *SampleAndHold) Update(src, dst uint32, delta int64) {
-	if delta == 0 {
-		return
-	}
-	s.packets++
-	if c, ok := s.held[dst]; ok {
-		s.held[dst] = c + 1
-		return
-	}
-	if len(s.held) >= s.maxHeld {
-		return
-	}
-	if float64(s.rng.Next()>>11)/(1<<53) < s.prob {
-		s.held[dst] = 1
-	}
-}
-
-// TopK returns the k held destinations with the largest counters, sorted by
-// descending volume then ascending address.
-func (s *SampleAndHold) TopK(k int) []Estimate {
-	out := make([]Estimate, 0, len(s.held))
-	for dst, c := range s.held {
-		out = append(out, Estimate{Dest: dst, Volume: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Volume != out[j].Volume {
-			return out[i].Volume > out[j].Volume
-		}
-		return out[i].Dest < out[j].Dest
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// Held returns the number of held counters.
-func (s *SampleAndHold) Held() int { return len(s.held) }
-
-// Packets returns the total packets observed.
-func (s *SampleAndHold) Packets() int64 { return s.packets }

@@ -7,10 +7,22 @@ import (
 	"dcsketch/internal/telemetry"
 )
 
-// TestMonitorRegisterTelemetry drives the packet path of a registered
-// monitor through balanced traffic and then a SYN flood, and checks the
-// detector-, monitor-, and sketch-layer series all report it.
+// TestMonitorRegisterTelemetry drives the packet path of a monitor through
+// balanced traffic and then a SYN flood, and checks the detector-, monitor-,
+// and sketch-layer series all report it: once with the monitor registered
+// before the traffic, and once after it, where the first scrape must show
+// the same traffic because every instrument counts from NewMonitor.
 func TestMonitorRegisterTelemetry(t *testing.T) {
+	for _, late := range []bool{false, true} {
+		name := "registered-before-traffic"
+		if late {
+			name = "registered-after-traffic"
+		}
+		t.Run(name, func(t *testing.T) { checkMonitorTelemetry(t, late) })
+	}
+}
+
+func checkMonitorTelemetry(t *testing.T, late bool) {
 	m, err := NewMonitor(MonitorConfig{
 		SketchOptions: []Option{WithSeed(33)},
 		CheckInterval: 100,
@@ -22,7 +34,9 @@ func TestMonitorRegisterTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewTelemetryRegistry()
-	m.RegisterTelemetry(reg)
+	if !late {
+		m.RegisterTelemetry(reg)
+	}
 
 	var packets float64
 	now := uint64(0)
@@ -42,10 +56,15 @@ func TestMonitorRegisterTelemetry(t *testing.T) {
 	if !m.CUSUMAlarm() {
 		t.Fatal("flood did not trip the CUSUM")
 	}
+	if late {
+		m.RegisterTelemetry(reg)
+	}
 
 	vals := map[string]float64{}
+	hists := map[string]*telemetry.HistogramSnapshot{}
 	for _, s := range reg.Snapshot() {
 		vals[s.Name] = s.Value
+		hists[s.Name] = s.Hist
 	}
 	if vals["dcsketch_detector_packets_total"] != packets {
 		t.Errorf("packets_total = %v, want %v", vals["dcsketch_detector_packets_total"], packets)
@@ -62,6 +81,16 @@ func TestMonitorRegisterTelemetry(t *testing.T) {
 	}
 	if vals["dcsketch_sketch_queries_total"] == 0 {
 		t.Error("sketch queries_total is zero despite periodic checks")
+	}
+	// Every check is counted and timed twice: the whole check and its query.
+	checks := vals["dcsketch_monitor_checks_total"]
+	if want := float64(m.Updates() / 100); checks != want {
+		t.Errorf("checks_total = %v, want %v (one per 100 updates)", checks, want)
+	}
+	for _, name := range []string{"dcsketch_monitor_check_latency_ns", "dcsketch_monitor_query_latency_ns"} {
+		if h := hists[name]; h == nil || float64(h.Count) != checks {
+			t.Errorf("%s = %+v, want %v observations", name, h, checks)
+		}
 	}
 
 	st := m.AlertStats()
