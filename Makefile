@@ -10,6 +10,7 @@ test:
 
 lint:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) run ./cmd/sketchlint ./...
 	$(GO) run ./cmd/perfcheck -require-file perfpins.txt
 

@@ -60,6 +60,12 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+func TestSuperspreaderInvalidConfig(t *testing.T) {
+	if _, err := NewSuperspreader(WithBuckets(1)); err == nil {
+		t.Fatal("superspreader with invalid buckets accepted")
+	}
+}
+
 func TestSketchMergeAcrossOptions(t *testing.T) {
 	a, err := NewSketch(WithSeed(3))
 	if err != nil {
@@ -232,6 +238,56 @@ func TestSuperspreaderPublicAPI(t *testing.T) {
 	}
 	if got := ss.Threshold(50); len(got) != 0 {
 		t.Fatalf("after deletes Threshold = %+v", got)
+	}
+
+	// More fan-out inputs. Each fan applies delta to src -> base+d for
+	// d < n, in order; top must be TopK(1)'s source, its estimate within
+	// [minF, maxF] when maxF > 0, and Threshold(tau) exactly top when
+	// tau > 0.
+	type fan struct {
+		src, base uint32
+		n         int
+		delta     int64
+	}
+	scan := []fan{{99, 0x0a000000, 200, 1}} // a scanner among 20 hosts touching 3 dests
+	for src := uint32(1); src <= 20; src++ {
+		scan = append(scan, fan{src, 0x0b000000, 3, 1})
+	}
+	for _, c := range []struct {
+		name       string
+		seed       uint64
+		fans       []fan
+		top        uint32
+		minF, maxF int64
+		tau        int64
+	}{
+		{"port scanner detected", 1, scan, 99, 150, 250, 0},
+		// A busy proxy's 100 connections all complete; a scanner leaves
+		// 50 half-open probes.
+		{"completed connections removed", 2, []fan{{7, 0, 100, 1}, {7, 0, 100, -1}, {9, 1000, 50, 1}}, 9, 0, 0, 0},
+		{"threshold", 3, []fan{{1, 0, 40, 1}, {2, 100, 5, 1}}, 1, 0, 0, 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ss, err := NewSuperspreader(WithSeed(c.seed), WithBuckets(256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range c.fans {
+				for d := 0; d < f.n; d++ {
+					ss.Update(f.src, f.base+uint32(d), f.delta)
+				}
+			}
+			top := ss.TopK(1)
+			if len(top) != 1 || top[0].Src != c.top {
+				t.Fatalf("TopK(1) = %+v, want source %d", top, c.top)
+			}
+			if c.maxF > 0 && (top[0].Count < c.minF || top[0].Count > c.maxF) {
+				t.Fatalf("fan-out estimate %d, want in [%d, %d]", top[0].Count, c.minF, c.maxF)
+			}
+			if got := ss.Threshold(c.tau); c.tau > 0 && (len(got) != 1 || got[0].Src != c.top) {
+				t.Fatalf("Threshold(%d) = %+v, want only source %d", c.tau, got, c.top)
+			}
+		})
 	}
 }
 

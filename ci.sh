@@ -2,14 +2,15 @@
 # CI entry points for the dcsketch repo.
 #
 #   ./ci.sh tier1   build + unit tests (the always-green floor)
-#   ./ci.sh check   tier1 plus vet, a gofmt check, the bench/ module's
-#                   vet and smoke test, sketchlint, the perfcheck
-#                   compiler contract gate (allocfree/bce/inline pins
-#                   from perfpins.txt), -race tests, a forced-generic
-#                   vec pass, the chaos and capture-oracle passes, the
-#                   daemon's debug-surface smokes at both tiers, the
-#                   daemon tests in two shuffled orders, dcsdebug
-#                   assertion tests, and a concurrent fuzz smoke pass
+#   ./ci.sh check   tier1 plus vet (host and arm64), a gofmt check,
+#                   the bench/ module's vet and smoke test, sketchlint,
+#                   the perfcheck compiler contract gate (allocfree/bce/
+#                   inline pins from perfpins.txt), -race tests, a
+#                   forced-generic vec pass, the chaos and capture-oracle
+#                   passes, the daemon's debug-surface smokes at both
+#                   tiers, the daemon tests in two shuffled orders,
+#                   dcsdebug assertion tests, and a concurrent fuzz
+#                   smoke pass
 #   ./ci.sh bench   run the Table-2 update/query benchmarks plus the
 #                   tracking churn, pipeline ingest, alert-onset health,
 #                   server ingest and flight-recorder Record benchmarks
@@ -30,6 +31,11 @@ tier1() {
 check() {
 	tier1
 	go vet ./...
+	# The !amd64 fallback (internal/vec/vec_other.go) never compiles on an
+	# amd64 host. Vetting the module for arm64 type-checks it against every
+	# caller, so a missing fallback function or a drifted signature fails
+	# here instead of on the first non-amd64 machine that builds it.
+	GOARCH=arm64 go vet ./...
 	# Every tracked Go file must be gofmt-clean. Listing tracked files keeps
 	# the untracked .bench_build/ module cache out; the analyzers' golden
 	# testdata inputs are left as written.
@@ -56,8 +62,10 @@ check() {
 	# run also print the per-analyzer finding/suppression/timing trailers,
 	# so every //lint: escape hatch in the tree stays visible in the CI
 	# log instead of rotting silently. The suite includes asmabi, which
-	# cross-checks the internal/vec assembly against its Go stubs (NOSPLIT,
-	# ABI0 frame offsets, fallback signature parity, differential tests).
+	# makes the internal/vec assembly checks the toolchain does not:
+	# //go:noescape and a differential test on every stub, NOSPLIT on its
+	# TEXT, and DATA that fits a GLOBL. The two go vet runs above own
+	# frame sizes, offsets and the fallback; the linker owns symbols.
 	go run ./cmd/sketchlint -inventory ./...
 	# perfcheck ground-truths the perf contracts against the compiler
 	# itself: //lint:allocfree vs escape analysis, //lint:bce vs residual

@@ -135,7 +135,6 @@ func run(args []string, stop <-chan os.Signal, ready func(serveAddr, debugAddr n
 			Upstream:     *upstream,
 			Monitor:      mcfg,
 			SpoolBatches: *spool,
-			Seed:         *seed,
 			Restore:      restored,
 		})
 		if err != nil {

@@ -13,7 +13,7 @@
 //	goroleak       every go spawn needs a provable join or shutdown path
 //	atomicfield    shared words are typed atomics, never sync/atomic package functions
 //	msgexhaustive  every wire MsgType is encoded, decoded, tested, printed, routed
-//	asmabi         assembly kernels match their Go stubs: NOSPLIT, ABI0 offsets, parity
+//	asmabi         asm stubs: //go:noescape, a named test, NOSPLIT TEXT; DATA fits GLOBL
 //	metricname     telemetry series are dcsketch_-prefixed snake_case, registered once
 //
 // Usage:

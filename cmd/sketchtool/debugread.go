@@ -91,7 +91,7 @@ func verdict(d tracelog.Dump) string {
 	case sheds > 0:
 		return "shed from the full spool before any send attempt"
 	case drops > 0:
-		return fmt.Sprintf("dropped after %d send attempts without an ack", sends)
+		return fmt.Sprintf("rejected by the server on send attempt %d and dropped, not retried", sends)
 	case sends > 0:
 		return fmt.Sprintf("in flight: %d send attempts, not yet applied (server side not in this dump?)", sends)
 	default:

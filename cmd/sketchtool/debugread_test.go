@@ -71,6 +71,25 @@ func TestTraceSubcommand(t *testing.T) {
 			t.Errorf("trace output missing %q:\n%s", want, got)
 		}
 	}
+
+	// A batch the server answered with MsgError is dropped, not retried.
+	exp.Record(tracelog.StageExportEnqueue, 9, 5, 100, 1)
+	exp.Record(tracelog.StageExportSend, 9, 5, 100, 1)
+	exp.Record(tracelog.StageExportDrop, 9, 5, 100, 1)
+	var rejected []tracelog.Event
+	for _, ev := range rec.Events(nil) {
+		if ev.Session == 9 && ev.Seq == 5 {
+			rejected = append(rejected, ev)
+		}
+	}
+	path = writeJSON(t, tracelog.NewDump(9, 5, rec.WallBase(), rejected))
+	out.Reset()
+	if err := run([]string{"trace", "-f", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "rejected by the server on send attempt 1 and dropped"; !strings.Contains(out.String(), want) {
+		t.Errorf("rejected-batch trace missing %q:\n%s", want, out.String())
+	}
 }
 
 // TestTraceSubcommandEmpty reports a useful message for an unseen batch.

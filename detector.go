@@ -10,8 +10,8 @@ import (
 	"dcsketch/internal/dcs"
 	"dcsketch/internal/monitor"
 	"dcsketch/internal/stream"
-	"dcsketch/internal/superspreader"
 	"dcsketch/internal/tcpflow"
+	"dcsketch/internal/tdcs"
 	"dcsketch/internal/telemetry"
 	"dcsketch/internal/trace"
 )
@@ -366,14 +366,15 @@ type SuperspreaderEstimate struct {
 
 // Superspreader tracks the top-k sources by the number of distinct
 // destinations they contact — port-scan and worm detection (paper §1,
-// footnote 1) — using the same sketch with the pair reversed.
+// footnote 1) — using the same sketch with the pair reversed: the sketch's
+// destination slot carries the source whose fan-out is counted.
 type Superspreader struct {
-	inner *superspreader.Tracker
+	inner *tdcs.Sketch
 }
 
 // NewSuperspreader builds a superspreader tracker.
 func NewSuperspreader(opts ...Option) (*Superspreader, error) {
-	inner, err := superspreader.New(buildConfig(opts))
+	inner, err := tdcs.New(buildConfig(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -381,31 +382,31 @@ func NewSuperspreader(opts ...Option) (*Superspreader, error) {
 }
 
 // Update observes one flow update.
-func (s *Superspreader) Update(src, dst uint32, delta int64) { s.inner.Update(src, dst, delta) }
+func (s *Superspreader) Update(src, dst uint32, delta int64) { s.inner.Update(dst, src, delta) }
 
 // Insert records a probe from src to dst.
-func (s *Superspreader) Insert(src, dst uint32) { s.inner.Update(src, dst, 1) }
+func (s *Superspreader) Insert(src, dst uint32) { s.inner.Update(dst, src, 1) }
 
 // Delete removes a probe (e.g. the connection completed legitimately).
-func (s *Superspreader) Delete(src, dst uint32) { s.inner.Update(src, dst, -1) }
+func (s *Superspreader) Delete(src, dst uint32) { s.inner.Update(dst, src, -1) }
 
 // TopK returns the k sources contacting the most distinct destinations.
 func (s *Superspreader) TopK(k int) []SuperspreaderEstimate {
-	in := s.inner.TopK(k)
-	out := make([]SuperspreaderEstimate, len(in))
-	for i, e := range in {
-		out[i] = SuperspreaderEstimate{Src: e.Src, Count: e.F}
-	}
-	return out
+	return convertSources(s.inner.TopK(k))
 }
 
 // Threshold returns all sources contacting at least tau distinct
 // destinations.
 func (s *Superspreader) Threshold(tau int64) []SuperspreaderEstimate {
-	in := s.inner.Threshold(tau)
+	return convertSources(s.inner.Threshold(tau))
+}
+
+// convertSources reads the reversed sketch's destination slot back as the
+// source it carries.
+func convertSources(in []dcs.Estimate) []SuperspreaderEstimate {
 	out := make([]SuperspreaderEstimate, len(in))
 	for i, e := range in {
-		out[i] = SuperspreaderEstimate{Src: e.Src, Count: e.F}
+		out[i] = SuperspreaderEstimate{Src: e.Dest, Count: e.F}
 	}
 	return out
 }

@@ -1,33 +1,26 @@
-// Package asmabi implements the sketchlint analyzer cross-checking every
-// assembly symbol against its Go stub, beyond what `go vet -asmdecl` covers.
-// The internal/vec AVX2 kernels only stay correct while the Go declarations,
-// the ABI0 frame layout in the .s file, and the portable fallback all agree;
-// a drifted stub signature or a forgotten //go:noescape silently turns the
-// ~110ns update path into corruption or heap traffic.
+// Package asmabi implements the sketchlint analyzer for the parts of the
+// Go↔assembly contract of the internal/vec AVX2 kernels that no part of the
+// Go toolchain checks. A forgotten //go:noescape silently turns the ~110ns
+// update path into heap traffic, and an untested asm entry point can drift
+// from its portable reference unnoticed.
 //
 // For every package that directly contains .s files, the analyzer checks:
 //
-//   - Every bodyless Go declaration (asm stub) carries //go:noescape, has a
-//     TEXT implementation in the package's assembly, and is referenced by
-//     name in at least one of the package's _test.go files (the differential
-//     asm-vs-reference tests the house pattern requires for every asm entry
-//     point).
-//   - The TEXT directive is marked NOSPLIT (the kernels are leaf routines;
-//     a missing NOSPLIT re-admits stack-split preemption points) and its
-//     declared argument size matches the ABI0 layout computed from the Go
-//     signature with go/types sizes.
-//   - Every name+offset(FP) reference in the body resolves to a parameter
-//     or result at exactly that ABI0 offset (unnamed results are addressed
-//     as ret, ret1, ...).
-//   - Every static data reference sym<>(SB) resolves to a GLOBL declaration
-//     in the package's assembly, and no DATA directive extends past its
-//     GLOBL-declared size.
-//   - Every TEXT symbol has a Go stub (no orphan assembly entry points).
-//   - Build-constrained Go files agree with their ignored complements (the
-//     amd64/fallback pair): a function declared on both sides must have a
-//     textually identical signature, every exported function in a
-//     constrained included file needs a fallback declaration, and the
-//     fallback must not export functions the host build lacks.
+//   - Every bodyless Go declaration (asm stub) carries //go:noescape.
+//   - Every stub is referenced by name in at least one of the package's
+//     _test.go files (the differential asm-vs-reference tests the house
+//     pattern requires for every asm entry point).
+//   - The stub's TEXT directive is marked NOSPLIT (the kernels are leaf
+//     routines; a missing NOSPLIT re-admits stack-split preemption points).
+//   - Every DATA directive's sym<> has a GLOBL declaration and fits inside
+//     its declared size. The linker rejects oversized DATA only for symbols
+//     that reachable code references; this check covers every symbol.
+//
+// The rest of the contract is checked where the toolchain already runs:
+// `go vet` (asmdecl) checks TEXT argument sizes, name+off(FP) offsets and
+// TEXT symbols without a Go declaration; `GOARCH=arm64 go vet` checks that
+// the !amd64 fallback declares each function with the same signature; and
+// the linker under `go test` resolves static symbols and stub bodies.
 //
 // //lint:asmok on the stub's line suppresses a reviewed finding.
 package asmabi
@@ -38,11 +31,9 @@ import (
 	"go/build"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -52,7 +43,7 @@ import (
 // Analyzer is the asmabi analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "asmabi",
-	Doc:       "assembly symbols must match their Go stubs: noescape, NOSPLIT, ABI0 offsets, resolving data references, fallback parity, differential tests",
+	Doc:       "assembly stubs need //go:noescape, a differential test and a NOSPLIT TEXT; DATA needs a GLOBL it fits in",
 	Directive: "asmok",
 	Run:       run,
 }
@@ -64,9 +55,6 @@ func run(pass *analysis.Pass) error {
 	dir := filepath.Dir(pass.Fset.Position(pass.Files[0].Package).Filename)
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil
-		}
 		// The golden harness and module loader have already parsed the
 		// package; a scan failure here means the dir is synthetic — skip.
 		return nil
@@ -79,74 +67,40 @@ func run(pass *analysis.Pass) error {
 	if err != nil {
 		return err
 	}
-	pkgPos := pass.Files[0].Name.Pos()
+	testedNames := testIdentifiers(dir, append(append([]string{}, bp.TestGoFiles...), bp.XTestGoFiles...))
 
-	// Go stubs: bodyless function declarations implemented in assembly.
-	// stubList keeps source order so diagnostics are deterministic.
-	stubs := map[string]*ast.FuncDecl{}
-	var stubList []*ast.FuncDecl
+	// Go stubs: bodyless function declarations implemented in assembly,
+	// visited in source order so diagnostics are deterministic.
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body != nil || fn.Recv != nil {
 				continue
 			}
-			stubs[fn.Name.Name] = fn
-			stubList = append(stubList, fn)
-		}
-	}
-
-	testedNames, err := testIdentifiers(dir, append(append([]string{}, bp.TestGoFiles...), bp.XTestGoFiles...))
-	if err != nil {
-		return err
-	}
-
-	for _, fn := range stubList {
-		name := fn.Name.Name
-		if !hasDirective(fn, "//go:noescape") {
-			pass.Reportf(fn.Name.Pos(), "asm stub %s is missing //go:noescape — the compiler will assume its pointer arguments escape", name)
-		}
-		if !testedNames[name] {
-			pass.Reportf(fn.Name.Pos(), "asm entry point %s has no differential asm-vs-reference test (no package test references it by name)", name)
-		}
-		impl, ok := asm.texts[name]
-		if !ok {
-			pass.Reportf(fn.Name.Pos(), "asm stub %s has no assembly implementation (no TEXT ·%s in %s)", name, name, strings.Join(bp.SFiles, ", "))
-			continue
-		}
-		if !impl.nosplit {
-			pass.Reportf(fn.Name.Pos(), "%s: TEXT ·%s is not marked NOSPLIT (asm kernels must be leaf routines)", impl.loc(), name)
-		}
-		checkFrame(pass, fn, impl)
-		for _, ref := range impl.staticRefs {
-			if _, ok := asm.statics[ref.name]; !ok {
-				pass.Reportf(fn.Name.Pos(), "%s: TEXT ·%s references undeclared static symbol %s<> (no GLOBL in the package's assembly)", ref.loc(), name, ref.name)
+			name := fn.Name.Name
+			if !hasDirective(fn, "//go:noescape") {
+				pass.Reportf(fn.Name.Pos(), "asm stub %s is missing //go:noescape — the compiler will assume its pointer arguments escape", name)
+			}
+			if !testedNames[name] {
+				pass.Reportf(fn.Name.Pos(), "asm entry point %s has no differential asm-vs-reference test (no package test references it by name)", name)
+			}
+			if impl, ok := asm.texts[name]; ok && !impl.nosplit {
+				pass.Reportf(fn.Name.Pos(), "%s: TEXT ·%s is not marked NOSPLIT (asm kernels must be leaf routines)", impl.loc(), name)
 			}
 		}
 	}
 
-	// Assembly-side findings have no Go line to anchor to; report them at
-	// the package clause with the .s location in the message.
-	for _, impl := range asm.textList {
-		if _, ok := stubs[impl.name]; !ok {
-			pass.Reportf(pkgPos, "%s: assembly symbol ·%s has no Go stub in this package", impl.loc(), impl.name)
-			for _, ref := range impl.staticRefs {
-				if _, ok := asm.statics[ref.name]; !ok {
-					pass.Reportf(pkgPos, "%s: TEXT ·%s references undeclared static symbol %s<>", ref.loc(), impl.name, ref.name)
-				}
-			}
-		}
-	}
+	// Data findings have no Go line to anchor to; report them at the
+	// package clause with the .s location in the message.
+	pkgPos := pass.Files[0].Name.Pos()
 	for _, g := range asm.staticList {
-		if g.globlSize >= 0 && g.dataEnd > g.globlSize {
-			pass.Reportf(pkgPos, "%s: DATA for %s<> extends past GLOBL size (%d > %d bytes)", g.loc(), g.name, g.dataEnd, g.globlSize)
-		}
 		if g.globlSize < 0 {
 			pass.Reportf(pkgPos, "%s: DATA for %s<> has no GLOBL declaration", g.loc(), g.name)
+		} else if g.dataEnd > g.globlSize {
+			pass.Reportf(pkgPos, "%s: DATA for %s<> extends past GLOBL size (%d > %d bytes)", g.loc(), g.name, g.dataEnd, g.globlSize)
 		}
 	}
-
-	return checkParity(pass, dir, bp, pkgPos)
+	return nil
 }
 
 // hasDirective reports whether the declaration's doc group carries the exact
@@ -163,89 +117,10 @@ func hasDirective(fn *ast.FuncDecl, directive string) bool {
 	return false
 }
 
-// checkFrame verifies the TEXT argument size and every FP reference against
-// the stub's ABI0 layout.
-func checkFrame(pass *analysis.Pass, fn *ast.FuncDecl, impl *asmFunc) {
-	obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	offsets, argSize := abi0Layout(sig)
-	if impl.argSize >= 0 && impl.argSize != argSize {
-		pass.Reportf(fn.Name.Pos(), "%s: TEXT ·%s declares argument size %d, ABI0 layout of the Go signature is %d bytes", impl.loc(), impl.name, impl.argSize, argSize)
-	}
-	for _, ref := range impl.fpRefs {
-		want, ok := offsets[ref.name]
-		if !ok {
-			pass.Reportf(fn.Name.Pos(), "%s: %s+%d(FP): ·%s has no parameter or result named %s", ref.loc(), ref.name, ref.off, impl.name, ref.name)
-			continue
-		}
-		if ref.off != want {
-			pass.Reportf(fn.Name.Pos(), "%s: %s+%d(FP): ABI0 offset of %s is %d", ref.loc(), ref.name, ref.off, ref.name, want)
-		}
-	}
-}
-
-// abi0Layout computes the ABI0 (memory) argument frame as go vet's asmdecl
-// pass does: parameters at sequential aligned offsets from 0(FP), then, when
-// there are results, the results from the next pointer-aligned offset. The
-// frame size is where the last parameter or result ends, with no rounding:
-// func(p *T, n int32) is $0-12, and func(x int32) int32 is $0-12 with ret at
-// 8. Unnamed results are addressable as ret, ret1, ret2, ...
-func abi0Layout(sig *types.Signature) (map[string]int64, int64) {
-	sizes := types.SizesFor("gc", build.Default.GOARCH)
-	if sizes == nil {
-		sizes = types.SizesFor("gc", "amd64")
-	}
-	ptr := sizes.Sizeof(types.Typ[types.UnsafePointer])
-	offsets := map[string]int64{}
-	off := int64(0)
-	place := func(name string, t types.Type) {
-		off = align(off, sizes.Alignof(t))
-		if name != "" && name != "_" {
-			offsets[name] = off
-		}
-		off += sizes.Sizeof(t)
-	}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		p := params.At(i)
-		place(p.Name(), p.Type())
-	}
-	results := sig.Results()
-	if results.Len() > 0 {
-		off = align(off, ptr)
-	}
-	for i := 0; i < results.Len(); i++ {
-		r := results.At(i)
-		name := r.Name()
-		if name == "" || name == "_" {
-			if i == 0 {
-				name = "ret"
-			} else {
-				name = fmt.Sprintf("ret%d", i)
-			}
-		}
-		place(name, r.Type())
-	}
-	return offsets, off
-}
-
-func align(off, a int64) int64 {
-	if a <= 0 {
-		return off
-	}
-	return (off + a - 1) / a * a
-}
-
 // testIdentifiers parses the package's test files and returns every
 // identifier they mention, the resolution domain for the differential-test
 // requirement.
-func testIdentifiers(dir string, names []string) (map[string]bool, error) {
+func testIdentifiers(dir string, names []string) map[string]bool {
 	idents := map[string]bool{}
 	fset := token.NewFileSet()
 	for _, name := range names {
@@ -260,160 +135,16 @@ func testIdentifiers(dir string, names []string) (map[string]bool, error) {
 			return true
 		})
 	}
-	return idents, nil
-}
-
-// --- amd64/fallback parity ---------------------------------------------------
-
-// checkParity compares the build-constrained included Go files against the
-// package's ignored complements (e.g. vec_amd64.go against vec_other.go on
-// an amd64 host): shared functions must agree on signature, exported
-// functions in constrained files need a fallback declaration, and the
-// fallback must not export functions this build lacks.
-func checkParity(pass *analysis.Pass, dir string, bp *build.Package, pkgPos token.Pos) error {
-	if len(bp.IgnoredGoFiles) == 0 {
-		return nil
-	}
-	fallbackFset := token.NewFileSet()
-	fallback := map[string]*ast.FuncDecl{} // name -> decl in ignored files
-	fallbackFile := map[string]string{}
-	for _, name := range bp.IgnoredGoFiles {
-		f, err := parser.ParseFile(fallbackFset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			continue
-		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				fallback[fn.Name.Name] = fn
-				fallbackFile[fn.Name.Name] = name
-			}
-		}
-	}
-	if len(fallback) == 0 {
-		return nil
-	}
-
-	included := map[string]bool{} // every top-level func name in the host build
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				included[fn.Name.Name] = true
-			}
-		}
-	}
-
-	for _, file := range pass.Files {
-		if !isConstrained(pass.Fset, file) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil {
-				continue
-			}
-			name := fn.Name.Name
-			fb, ok := fallback[name]
-			if !ok {
-				if fn.Name.IsExported() {
-					pass.Reportf(fn.Name.Pos(), "exported function %s has no fallback declaration in the package's ignored build-constrained files", name)
-				}
-				continue
-			}
-			got := sigString(pass.Fset, fn)
-			want := sigString(fallbackFset, fb)
-			if got != want {
-				pass.Reportf(fn.Name.Pos(), "signature of %s differs from its fallback declaration in %s: %s vs %s", name, fallbackFile[name], got, want)
-			}
-		}
-	}
-
-	names := make([]string, 0, len(fallback))
-	for name := range fallback {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if fallback[name].Name.IsExported() && !included[name] {
-			pass.Reportf(pkgPos, "%s declares exported fallback-only function %s absent from this build", fallbackFile[name], name)
-		}
-	}
-	return nil
-}
-
-// isConstrained reports whether the file carries a //go:build constraint
-// (the marker that it has a complementary variant to stay in parity with).
-func isConstrained(fset *token.FileSet, file *ast.File) bool {
-	pkgLine := fset.Position(file.Package).Line
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if fset.Position(c.Pos()).Line >= pkgLine {
-				return false
-			}
-			if strings.HasPrefix(c.Text, "//go:build") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// sigString renders a function's parameter and result types (names elided,
-// multi-name fields expanded) for cross-fset comparison.
-func sigString(fset *token.FileSet, fn *ast.FuncDecl) string {
-	var b strings.Builder
-	b.WriteString("func(")
-	writeFieldTypes(&b, fset, fn.Type.Params)
-	b.WriteString(")")
-	if fn.Type.Results != nil && len(fn.Type.Results.List) > 0 {
-		b.WriteString(" (")
-		writeFieldTypes(&b, fset, fn.Type.Results)
-		b.WriteString(")")
-	}
-	return b.String()
-}
-
-func writeFieldTypes(b *strings.Builder, fset *token.FileSet, fields *ast.FieldList) {
-	if fields == nil {
-		return
-	}
-	first := true
-	for _, f := range fields.List {
-		n := len(f.Names)
-		if n == 0 {
-			n = 1
-		}
-		t := analysis.ExprString(fset, f.Type)
-		for i := 0; i < n; i++ {
-			if !first {
-				b.WriteString(", ")
-			}
-			first = false
-			b.WriteString(t)
-		}
-	}
+	return idents
 }
 
 // --- assembly parsing --------------------------------------------------------
 
-// asmRef is one symbol reference at a .s location.
-type asmRef struct {
-	name string
-	off  int64
-	file string
-	line int
-}
-
-func (r asmRef) loc() string { return fmt.Sprintf("%s:%d", r.file, r.line) }
-
-// asmFunc is one TEXT symbol and the frame references in its body.
+// asmFunc is one TEXT symbol.
 type asmFunc struct {
-	name       string
-	file       string
-	line       int
-	nosplit    bool
-	argSize    int64 // -1 when the TEXT directive omits it
-	fpRefs     []asmRef
-	staticRefs []asmRef
+	file    string
+	line    int
+	nosplit bool
 }
 
 func (f *asmFunc) loc() string { return fmt.Sprintf("%s:%d", f.file, f.line) }
@@ -432,31 +163,19 @@ func (s *asmStatic) loc() string { return fmt.Sprintf("%s:%d", s.file, s.line) }
 // asmIndex is the parsed view of a package's assembly files.
 type asmIndex struct {
 	texts      map[string]*asmFunc
-	textList   []*asmFunc
 	statics    map[string]*asmStatic
 	staticList []*asmStatic
 }
 
 var (
-	textRE   = regexp.MustCompile(`^TEXT\s+(?:[A-Za-z0-9_/]*)·([A-Za-z0-9_]+)\(SB\)(.*)$`)
-	dataRE   = regexp.MustCompile(`^DATA\s+([A-Za-z0-9_]+)<>\+(0[xX][0-9a-fA-F]+|\d+)\(SB\)/(\d+)`)
-	globlRE  = regexp.MustCompile(`^GLOBL\s+([A-Za-z0-9_]+)<>\(SB\)(.*)$`)
-	fpRefRE  = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\+(\d+)\(FP\)`)
-	staticRE = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)<>(?:\+[0-9a-fA-FxX]+)?\(SB\)`)
-	sizeRE   = regexp.MustCompile(`\$(-?\d+)(?:-(\d+))?`)
+	textRE  = regexp.MustCompile(`^TEXT\s+(?:[A-Za-z0-9_/]*)·([A-Za-z0-9_]+)\(SB\)(.*)$`)
+	dataRE  = regexp.MustCompile(`^DATA\s+([A-Za-z0-9_]+)<>\+(0[xX][0-9a-fA-F]+|\d+)\(SB\)/(\d+)`)
+	globlRE = regexp.MustCompile(`^GLOBL\s+([A-Za-z0-9_]+)<>\(SB\)(.*)$`)
+	sizeRE  = regexp.MustCompile(`\$(-?\d+)`)
 )
 
-// readFile loads one source file as text.
-func readFile(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
-}
-
 // parseAsmFiles builds the symbol index over the package's .s files with a
-// line-oriented scan of the plan9 asm syntax the repository uses.
+// line-oriented scan of the TEXT, DATA and GLOBL directives.
 func parseAsmFiles(dir string, names []string) (*asmIndex, error) {
 	idx := &asmIndex{texts: map[string]*asmFunc{}, statics: map[string]*asmStatic{}}
 	for _, name := range names {
@@ -468,49 +187,31 @@ func parseAsmFiles(dir string, names []string) (*asmIndex, error) {
 }
 
 func (idx *asmIndex) parseFile(dir, name string) error {
-	data, err := readFile(filepath.Join(dir, name))
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
-	var cur *asmFunc
-	for i, raw := range strings.Split(data, "\n") {
+	for i, raw := range strings.Split(string(data), "\n") {
 		lineNo := i + 1
 		line := raw
 		if j := strings.Index(line, "//"); j >= 0 {
 			line = line[:j]
 		}
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
 		switch {
 		case strings.HasPrefix(line, "TEXT"):
-			cur = nil
 			m := textRE.FindStringSubmatch(line)
 			if m == nil {
 				continue
 			}
-			fn := &asmFunc{name: m[1], file: name, line: lineNo, argSize: -1}
-			rest := m[2]
-			for _, part := range strings.Split(rest, ",") {
-				part = strings.TrimSpace(part)
-				switch {
-				case part == "":
-				case strings.HasPrefix(part, "$"):
-					if sm := sizeRE.FindStringSubmatch(part); sm != nil && sm[2] != "" {
-						fn.argSize, _ = strconv.ParseInt(sm[2], 10, 64)
-					}
-				default:
-					if flagsHaveNosplit(part) {
-						fn.nosplit = true
-					}
+			fn := &asmFunc{file: name, line: lineNo}
+			for _, part := range strings.Split(m[2], ",") {
+				if flagsHaveNosplit(part) {
+					fn.nosplit = true
 				}
 			}
-			idx.texts[fn.name] = fn
-			idx.textList = append(idx.textList, fn)
-			cur = fn
+			idx.texts[m[1]] = fn
 		case strings.HasPrefix(line, "DATA"):
-			cur = nil
 			m := dataRE.FindStringSubmatch(line)
 			if m == nil {
 				continue
@@ -522,7 +223,6 @@ func (idx *asmIndex) parseFile(dir, name string) error {
 				s.dataEnd = end
 			}
 		case strings.HasPrefix(line, "GLOBL"):
-			cur = nil
 			m := globlRE.FindStringSubmatch(line)
 			if m == nil {
 				continue
@@ -530,17 +230,6 @@ func (idx *asmIndex) parseFile(dir, name string) error {
 			s := idx.static(m[1], name, lineNo)
 			if sm := sizeRE.FindStringSubmatch(m[2]); sm != nil {
 				s.globlSize, _ = strconv.ParseInt(sm[1], 10, 64)
-			}
-		default:
-			if cur == nil {
-				continue
-			}
-			for _, m := range fpRefRE.FindAllStringSubmatch(line, -1) {
-				off, _ := strconv.ParseInt(m[2], 10, 64)
-				cur.fpRefs = append(cur.fpRefs, asmRef{name: m[1], off: off, file: name, line: lineNo})
-			}
-			for _, m := range staticRE.FindAllStringSubmatch(line, -1) {
-				cur.staticRefs = append(cur.staticRefs, asmRef{name: m[1], file: name, line: lineNo})
 			}
 		}
 	}

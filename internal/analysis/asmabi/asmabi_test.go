@@ -36,13 +36,15 @@ GLOBL tab<>(SB), RODATA|NOPTR, $16
 
 // func f(x int64) int64
 TEXT ·f(SB), NOSPLIT, $0-16
-	MOVQ x+0(FP), AX // comment with y+8(FP) must not count
+	MOVQ x+0(FP), AX
 	LEAQ tab<>(SB), SI
 	MOVQ AX, ret+8(FP)
 	RET
 
 TEXT ·bare(SB), $8-0
 	RET
+
+// TEXT ·commented(SB), NOSPLIT, $0-0
 `
 	if err := os.WriteFile(filepath.Join(dir, "x.s"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -55,19 +57,15 @@ TEXT ·bare(SB), $8-0
 	if f == nil {
 		t.Fatal("TEXT ·f not indexed")
 	}
-	if !f.nosplit || f.argSize != 16 || f.line != 7 {
-		t.Errorf("f = %+v, want nosplit, argSize 16, line 7", f)
-	}
-	if len(f.fpRefs) != 2 || f.fpRefs[0].name != "x" || f.fpRefs[0].off != 0 ||
-		f.fpRefs[1].name != "ret" || f.fpRefs[1].off != 8 {
-		t.Errorf("f.fpRefs = %+v, want x+0 and ret+8 only (comments stripped)", f.fpRefs)
-	}
-	if len(f.staticRefs) != 1 || f.staticRefs[0].name != "tab" {
-		t.Errorf("f.staticRefs = %+v, want tab", f.staticRefs)
+	if !f.nosplit || f.line != 7 {
+		t.Errorf("f = %+v, want nosplit, line 7", f)
 	}
 	bare := idx.texts["bare"]
-	if bare == nil || bare.nosplit || bare.argSize != 0 {
-		t.Errorf("bare = %+v, want no NOSPLIT, argSize 0", bare)
+	if bare == nil || bare.nosplit {
+		t.Errorf("bare = %+v, want no NOSPLIT", bare)
+	}
+	if len(idx.texts) != 2 {
+		t.Errorf("indexed %d TEXT symbols, want f and bare (comments stripped)", len(idx.texts))
 	}
 	tab := idx.statics["tab"]
 	if tab == nil || tab.globlSize != 16 || tab.dataEnd != 16 {

@@ -1,7 +1,8 @@
 // Package lockcheck implements the sketchlint analyzer enforcing
 // "// guarded by <mu>" field annotations: a struct field whose declaration
 // comment names a sibling mutex field may only be read or written on local
-// paths where that mutex is held.
+// paths where that mutex is held. The phrase annotates only where it begins
+// a comment line or follows a sentence end (". guarded by mu").
 //
 // The sketch data structures are documented single-writer ("wrap it in a
 // mutex or use one sketch per goroutine and Merge", internal/dcs), and the
@@ -43,7 +44,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-var guardedRe = regexp.MustCompile(`guarded by (\w+)`)
+// guardedRe matches the annotation where it begins a comment line or
+// follows a sentence end, so a comment that says a field is "not guarded by
+// mu" is not an annotation.
+var guardedRe = regexp.MustCompile(`(?m)(?:^|\. )guarded by (\w+)`)
 
 func run(pass *analysis.Pass) error {
 	guards := guardedFields(pass)

@@ -2,7 +2,10 @@
 // fields exercised by correctly and incorrectly locked methods.
 package lockcheck
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // S carries guarded state.
 type S struct {
@@ -16,6 +19,10 @@ type S struct {
 	items map[string]int // guarded by rw
 
 	free int // unguarded: never reported
+
+	// hits counts lookups with atomics, not guarded by mu: the negated
+	// phrase is not an annotation.
+	hits atomic.Int64
 }
 
 // NewS builds an S; composite-literal keys are not field accesses.
@@ -90,4 +97,8 @@ func external(s *S) int {
 
 func externalBad(s *S) int {
 	return s.count // want `read of s.count without holding s.mu`
+}
+
+func (s *S) unlockedAtomic() int64 {
+	return s.hits.Add(1)
 }

@@ -8,6 +8,7 @@ package debugapi
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"dcsketch/internal/monitor"
@@ -111,8 +112,8 @@ func AlertsHandler(mon *monitor.Monitor) http.Handler {
 			_ = enc.Encode(out)
 			return
 		}
-		id, ok := parseID(rest)
-		if !ok {
+		id, err := strconv.ParseUint(rest, 10, 64)
+		if err != nil {
 			http.Error(w, "bad evidence id", http.StatusNotFound)
 			return
 		}
@@ -123,24 +124,4 @@ func AlertsHandler(mon *monitor.Monitor) http.Handler {
 		}
 		_ = enc.Encode(NewEvidenceRecord(ev))
 	})
-}
-
-// parseID parses a decimal evidence id with overflow checking.
-func parseID(s string) (uint64, bool) {
-	if s == "" {
-		return 0, false
-	}
-	var v uint64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		d := uint64(c - '0')
-		if v > (^uint64(0)-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-	}
-	return v, true
 }

@@ -83,6 +83,7 @@ func TestAlertsHandlerNotFound(t *testing.T) {
 		"/debug/alerts/999999",
 		"/debug/alerts/abc",
 		"/debug/alerts/-1",
+		"/debug/alerts/+1",
 		"/debug/alerts/99999999999999999999999999", // uint64 overflow
 	} {
 		rec := httptest.NewRecorder()

@@ -1,6 +1,7 @@
 package export
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -155,6 +156,133 @@ func TestExportAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("Export of a 512-update batch = %v allocations, want <= 2", allocs)
+	}
+}
+
+// TestZeroSeedJitterFollowsSession pins Config.Seed's zero value: the
+// backoff jitter derives from the session ID, so exporters with distinct
+// sessions draw distinct sequences (a fleet reconnecting after a shared
+// outage stays decorrelated) and a pinned session draws the same one.
+// Nothing is exported and the dial blocks until the test ends, so the
+// delivery loop never reaches a backoff draw of its own.
+func TestZeroSeedJitterFollowsSession(t *testing.T) {
+	release := make(chan struct{})
+	blocked := func(addr string, timeout time.Duration) (net.Conn, error) {
+		<-release
+		return nil, errors.New("test over")
+	}
+	draws := func(session uint64) [4]uint64 {
+		e, err := New(Config{Addr: "example.invalid:1", Dial: blocked, SessionID: session})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		var out [4]uint64
+		e.mu.Lock()
+		for i := range out {
+			out[i] = e.rng.Next()
+		}
+		e.mu.Unlock()
+		return out
+	}
+	defer close(release)
+	a, b := draws(1), draws(2)
+	if a == b {
+		t.Fatalf("sessions 1 and 2 draw the same jitter sequence %v", a)
+	}
+	if again := draws(1); again != a {
+		t.Fatalf("session 1 drew %v, then %v", a, again)
+	}
+}
+
+// TestServerRejectionDropsBatch runs the exporter against a server that acks
+// the hello, answers batch 1 with an in-band MsgError and acks every later
+// batch: the rejected batch is dropped, the connection survives, and the
+// ledger still balances.
+func TestServerRejectionDropsBatch(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- rejectFirstBatch(ln) }()
+
+	e, err := New(Config{Addr: ln.Addr().String(), SessionID: 6, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	traffic := genBatches(6, 4, 10)
+	for _, b := range traffic {
+		if err := e.Export(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.BatchesDropped != 1 || st.UpdatesDropped != uint64(len(traffic[0])) || st.Reconnects != 0 {
+		t.Fatalf("stats = %+v, want batch 1 (%d updates) dropped and no reconnect", st, len(traffic[0]))
+	}
+	if st.BatchesAcked+st.BatchesDropped != st.BatchesEnqueued || st.UpdatesAcked+st.UpdatesDropped != st.UpdatesEnqueued {
+		t.Fatalf("ledger does not balance after Drain: %+v", st)
+	}
+	var drops []tracelog.Event
+	for _, ev := range e.Tracer().Events(nil) {
+		if ev.Stage == tracelog.StageExportDrop {
+			drops = append(drops, ev)
+		}
+	}
+	if len(drops) != 1 || drops[0].Seq != 1 || drops[0].Aux != 1 {
+		t.Fatalf("drop events = %+v, want one for seq 1 after 1 attempt", drops)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rejectFirstBatch serves one exporter connection on ln: it acks the hello,
+// rejects batch 1 with MsgError and acks every later batch, until the
+// exporter hangs up.
+func rejectFirstBatch(ln net.Listener) error {
+	conn, err := ln.Accept()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	for {
+		typ, payload, err := wire.ReadFrame(r)
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		switch typ {
+		case wire.MsgHello:
+			err = wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAck(nil, 0))
+		case wire.MsgSeqUpdates:
+			seq, _, derr := wire.DecodeSeqUpdates(payload)
+			if derr != nil {
+				return derr
+			}
+			if seq == 1 {
+				err = wire.WriteFrame(conn, wire.MsgError, []byte("batch 1 rejected"))
+			} else {
+				err = wire.WriteFrame(conn, wire.MsgSeqAck, wire.AppendSeqAck(nil, seq))
+			}
+		default:
+			return fmt.Errorf("unexpected frame %v", typ)
+		}
+		if err != nil {
+			return err
+		}
 	}
 }
 

@@ -57,7 +57,9 @@ type Config struct {
 	// edges send from 1 again, and the global tier acks its first H
 	// batches as already applied.
 	SessionID uint64
-	// Seed drives upstream backoff jitter (export.Config.Seed).
+	// Seed drives upstream backoff jitter (export.Config.Seed); 0, as the
+	// daemon leaves it, derives the jitter from the upstream session ID so
+	// relays reconnecting after a shared outage draw different sequences.
 	Seed uint64
 	// Trace receives flight-recorder events from both halves — the server
 	// side of each downstream session and the exporter side of the upstream

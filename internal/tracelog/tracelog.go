@@ -51,8 +51,8 @@ const (
 	StageExportSend
 	// StageExportAck: the server acked through this batch (aux = acked seq).
 	StageExportAck
-	// StageExportDrop: the batch was dropped after send (connection loss
-	// budget exhausted or shutdown; aux = attempt count).
+	// StageExportDrop: the server rejected the batch with an in-band
+	// MsgError, so it was dropped instead of retried (aux = attempt count).
 	StageExportDrop
 	// StageExportPrune: the hello handshake's replay horizon showed the
 	// server already holds this spooled batch (aux = horizon).

@@ -122,33 +122,20 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame from r. io.EOF is returned verbatim at a clean
-// frame boundary.
+// ReadFrame reads one frame from r into a fresh payload buffer. io.EOF is
+// returned verbatim at a clean frame boundary.
 func ReadFrame(r *bufio.Reader) (MsgType, []byte, error) {
-	var header [5]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("wire: read header: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(header[:4])
-	if n > MaxFrameSize {
-		return 0, nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: read payload: %w", err)
-	}
-	return MsgType(header[4]), payload, nil
+	t, payload, _, err := ReadFrameInto(r, nil)
+	return t, payload, err
 }
 
-// ReadFrameInto is ReadFrame reading the payload into buf, growing it only
-// when the frame exceeds its capacity. It returns the payload as a prefix of
-// the (possibly grown) buffer, which it also returns for reuse: the zero-copy
-// ingest loop passes the same pooled buffer back in on every frame, so steady
-// state reads allocate nothing. The returned payload is only valid until the
-// next call with the same buffer.
+// ReadFrameInto reads one frame from r, reading the payload into buf and
+// growing it only when the frame exceeds its capacity. It returns the
+// payload as a prefix of the (possibly grown) buffer, which it also returns
+// for reuse: the zero-copy ingest loop passes the same pooled buffer back in
+// on every frame, so steady state reads allocate nothing. The returned
+// payload is only valid until the next call with the same buffer. io.EOF is
+// returned verbatim at a clean frame boundary.
 func ReadFrameInto(r *bufio.Reader, buf []byte) (t MsgType, payload, newBuf []byte, err error) {
 	// Peek+Discard instead of io.ReadFull into a local array: the header
 	// bytes are read in place from the bufio buffer, so nothing escapes —
